@@ -63,6 +63,13 @@ def _load_input_corpus(path: str, mode: str) -> Corpus:
     return corpus
 
 
+def _check_output_dirs(*paths) -> None:
+    """Fail before any training when an output file's directory is missing."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"directory of {path} does not exist")
+
+
 def cmd_gen(args) -> int:
     cfg = _run_config(args)
     gen_cfg = cfg.gen_config(args.mode)
@@ -91,6 +98,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    _check_output_dirs(args.out, args.log)
     cfg = _run_config(args)
     corpus = _load_input_corpus(args.input, args.mode)
     trainer_cfg = cfg.trainer_config(args.mode)
@@ -138,6 +146,7 @@ def cmd_abx(args) -> int:
 
 
 def cmd_ablate_kmeans(args) -> int:
+    _check_output_dirs(args.out)
     cfg = _run_config(args)
     corpus = _load_input_corpus(args.input, args.mode)
     gold = dpio.read_alignment(args.alignment)

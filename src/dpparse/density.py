@@ -140,45 +140,6 @@ class InstanceIndex:
         weights[self.overlap_mask(idx, query_codes, query_starts, query_ends)] = 0.0
         return weights.sum(axis=1)
 
-    def kernel_frequencies(
-        self,
-        queries: np.ndarray,
-        query_segments: list[Segment],
-        params: DensityParams,
-        workers: int | None = None,
-    ) -> np.ndarray:
-        codes = np.array(
-            [self.utt_code(s.utterance_id) for s in query_segments], dtype=np.int64
-        )
-        starts = np.array([s.start for s in query_segments], dtype=np.int64)
-        ends = np.array([s.end for s in query_segments], dtype=np.int64)
-        return self.kernel_frequencies_arrays(
-            queries, codes, starts, ends, params, workers
-        )
-
-
-def build_index(items: list[tuple[np.ndarray, Segment]]) -> InstanceIndex:
-    """Build an exact-kNN index from (embedding, provenance) pairs."""
-    if not items:
-        raise ValueError("empty lexicon")
-    vectors = np.stack([np.asarray(v, dtype=np.float64) for v, _ in items])
-    return InstanceIndex(vectors, [seg for _, seg in items])
-
-
-def estimate_frequency(
-    index: InstanceIndex,
-    query: np.ndarray,
-    query_seg: Segment,
-    params: DensityParams,
-    workers: int | None = None,
-) -> float:
-    """Soft count of ``query`` in the index, excluding overlapping instances."""
-    return float(
-        index.kernel_frequencies(
-            np.asarray(query, dtype=np.float64)[None, :], [query_seg], params, workers
-        )[0]
-    )
-
 
 def calibrate_beta(
     index: InstanceIndex,
@@ -265,9 +226,6 @@ class DiscreteCountStore:
             (segment.start, segment.end)
         )
 
-    def count(self, key) -> int:
-        return self._counts.get(_canon_key(key), 0)
-
     def count_excluding_overlaps(self, key, segment: Segment) -> int:
         key = _canon_key(key)
         n = self._counts.get(key, 0)
@@ -279,11 +237,6 @@ class DiscreteCountStore:
                 1 for s, e in spans if s < segment.end and segment.start < e
             )
         return n
-
-
-def exact_count(store: DiscreteCountStore, key) -> int:
-    """Exact multiset count of ``key``; 0 when absent."""
-    return store.count(key)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +300,6 @@ class KMeansModel:
         return centroids
 
     @staticmethod
-    def _sq_dists(points, centroids):
-        return _pairwise_sq(points, centroids)
-
-    @staticmethod
     def _assign(points, centroids):
         return np.argmin(_pairwise_sq(points, centroids), axis=1)
 
@@ -372,10 +321,3 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.maximum(d, 0.0, out=d)
     return d
 
-
-def kmeans_frequency(
-    embeddings: np.ndarray, n_clusters: int, query: np.ndarray, seed: int = 0
-) -> float:
-    """Cluster the population, then return the size of the query's cluster."""
-    model = KMeansModel(n_clusters, seed=seed).fit(np.asarray(embeddings))
-    return float(model.frequencies(np.asarray(query)[None, :])[0])

@@ -1,43 +1,22 @@
-"""Segment embedding: mean-pooling for frames, exact keys for symbols."""
+"""Segment embedding: mean-pooling of frame blocks."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from dpparse.core import FrameMatrix, Segment, SymbolSequence
-
-
-def embed(frames: FrameMatrix, seg: Segment) -> np.ndarray:
-    """Mean-pool the blocks covered by ``seg`` along the time axis."""
-    _check_bounds(seg, frames.n_blocks)
-    return frames.data[seg.start : seg.end].mean(axis=0, dtype=np.float64)
-
-
-def embed_discrete(units: SymbolSequence, seg: Segment) -> tuple[int, ...]:
-    """Exact covered subsequence; equal keys iff equal covered strings."""
-    _check_bounds(seg, units.n_blocks)
-    return tuple(int(s) for s in units.symbols[seg.start : seg.end])
-
-
-def _check_bounds(seg: Segment, n_blocks: int) -> None:
-    if seg.end > n_blocks:
-        raise ValueError(
-            f"segment [{seg.start}, {seg.end}) out of bounds for "
-            f"{seg.utterance_id!r} with {n_blocks} blocks"
-        )
+from dpparse.core import FrameMatrix
 
 
 class UtteranceEmbedder:
     """Cumulative-sum mean-pooler for many segments of one utterance.
 
-    Sums are accumulated in float64 so batched results match `embed` to
-    rounding.  Optionally L2-normalizes outputs (off by default; inputs
-    are passed through unmodified otherwise).
+    Sums are accumulated in float64, so each row matches a direct float64
+    mean of the covered blocks to rounding.  Optionally L2-normalizes
+    outputs (off by default; inputs are passed through unmodified
+    otherwise).
     """
 
     def __init__(self, frames: FrameMatrix, normalize: bool = False):
-        self.utterance_id = frames.utterance_id
-        self.n_blocks = frames.n_blocks
         self.normalize = normalize
         csum = np.cumsum(frames.data, axis=0, dtype=np.float64)
         self._csum = np.vstack([np.zeros((1, frames.dim)), csum])
@@ -50,6 +29,3 @@ class UtteranceEmbedder:
             np.maximum(norms, np.finfo(np.float64).tiny, out=norms)
             out = out / norms
         return out
-
-    def embed_one(self, start: int, end: int) -> np.ndarray:
-        return self.embed_many(np.array([start]), np.array([end]))[0]

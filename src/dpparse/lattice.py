@@ -8,22 +8,59 @@ O(n_blocks * max_len * beam).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 
+@lru_cache(maxsize=4096)
+def candidate_bounds(n_blocks: int, min_len: int, max_len: int):
+    """(starts, ends) arrays of all candidates, by start then length.
+
+    This order numbers the arcs of a lattice: the candidate at position
+    ``o`` is the arc whose score is ``ScoredLattice.scores[o]``.
+    """
+    starts, ends = [], []
+    for i in range(n_blocks):
+        top = min(max_len, n_blocks - i)
+        for length in range(min_len, top + 1):
+            starts.append(i)
+            ends.append(i + length)
+    s = np.array(starts, dtype=np.int64)
+    e = np.array(ends, dtype=np.int64)
+    s.setflags(write=False)
+    e.setflags(write=False)
+    return s, e
+
+
+def n_candidates(n_blocks: int, min_len: int, max_len: int) -> int:
+    return len(candidate_bounds(n_blocks, min_len, max_len)[0])
+
+
 @dataclass
 class ScoredLattice:
-    """All admissible arcs of one utterance with their scores."""
+    """All admissible arcs of one utterance with their scores.
+
+    ``scores`` holds one score per arc, in ``candidate_bounds`` order.
+    """
 
     n_blocks: int
     min_len: int
     max_len: int
-    scores: dict[tuple[int, int], float] = field(default_factory=dict)
+    scores: list[float]
 
-    def arcs(self):
-        return self.scores.items()
+    def __post_init__(self):
+        if not 1 <= self.min_len <= self.max_len:
+            raise ValueError("need 1 <= min_len <= max_len")
+        if self.n_blocks < self.min_len:
+            raise ValueError(
+                "utterance shorter than minimum segment "
+                f"({self.n_blocks} < {self.min_len})"
+            )
+        n = n_candidates(self.n_blocks, self.min_len, self.max_len)
+        if len(self.scores) != n:
+            raise ValueError(f"{len(self.scores)} arc scores for {n} arcs")
 
     @property
     def n_arcs(self) -> int:
@@ -50,24 +87,6 @@ class NBestList:
         return np.array([s for _, s in self.paths], dtype=np.float64)
 
 
-def build_lattice(
-    n_blocks: int, score_fn, min_len: int = 1, max_len: int = 20
-) -> ScoredLattice:
-    """Score every admissible arc once via ``score_fn(start, end)``."""
-    if not 1 <= min_len <= max_len:
-        raise ValueError("need 1 <= min_len <= max_len")
-    if n_blocks < min_len:
-        raise ValueError(
-            f"utterance shorter than minimum segment ({n_blocks} < {min_len})"
-        )
-    scores = {}
-    for i in range(n_blocks):
-        top = min(max_len, n_blocks - i)
-        for length in range(min_len, top + 1):
-            scores[(i, i + length)] = float(score_fn(i, i + length))
-    return ScoredLattice(n_blocks, min_len, max_len, scores)
-
-
 def _hyp_key(hyp):
     # Higher score first; ties prefer fewer segments, then the
     # lexicographically smallest boundary sequence.
@@ -83,17 +102,20 @@ def nbest(lattice: ScoredLattice, beam: int) -> NBestList:
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    n = lattice.n_blocks
+    n, min_len, max_len = lattice.n_blocks, lattice.min_len, lattice.max_len
     scores = lattice.scores
+    # Arc (i, j) sits at ordinal first[i] + (j - i - min_len).
+    starts, _ends = candidate_bounds(n, min_len, max_len)
+    first = np.searchsorted(starts, np.arange(n)).tolist()
     # hypothesis = (accumulated score, segment count, boundary tuple)
     beams: list[list] = [[] for _ in range(n + 1)]
     beams[0] = [(0.0, 0, (0,))]
     for j in range(1, n + 1):
         candidates = []
-        for i in range(max(0, j - lattice.max_len), j - lattice.min_len + 1):
-            arc = scores.get((i, j))
-            if arc is None or not beams[i]:
+        for i in range(max(0, j - max_len), j - min_len + 1):
+            if not beams[i]:
                 continue
+            arc = scores[first[i] + j - i - min_len]
             for score, n_segs, bounds in beams[i]:
                 candidates.append((score + arc, n_segs + 1, bounds + (j,)))
         if candidates:

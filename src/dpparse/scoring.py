@@ -14,7 +14,6 @@ sum many logs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,50 +48,25 @@ class DPParams:
             raise ValueError("n_base must be >= 1")
 
 
-def base_probability(base_freq: float, n_base: int) -> float:
-    """Candidate-pool frequency normalized to a prior probability."""
-    if n_base == 0:
-        raise ValueError("empty base pool")
-    return base_freq / n_base
-
-
-def word_probability(lexicon_freq: float, base_prob: float, params: DPParams) -> float:
-    """Dirichlet-process mix of observed token frequency and the prior."""
+def word_probabilities(
+    lexicon_freqs: np.ndarray, base_probs: np.ndarray, params: DPParams
+) -> np.ndarray:
+    """Dirichlet-process mix of lexicon soft counts and base priors."""
     denom = params.n_lexicon + params.alpha0
-    return lexicon_freq / denom + params.alpha0 * base_prob / denom
-
-
-def length_penalty(len_blocks: int, gamma: float, delta: float) -> float:
-    """((len - 1) / delta) ** gamma, with 0 at len 1 for every gamma."""
-    if len_blocks < 1:
-        raise ValueError("len_blocks must be >= 1")
-    base = (len_blocks - 1) / delta
-    if base == 0.0:
-        return 0.0
-    return base**gamma
-
-
-def arc_score(word_prob: float, len_blocks: int, params: DPParams) -> float:
-    """Log word probability (guarded) plus the signed length term."""
-    if word_prob < 0:
-        raise ValueError("word_prob must be >= 0")
-    return math.log(word_prob + params.epsilon_log) + params.penalty_sign * (
-        length_penalty(len_blocks, params.gamma, params.delta)
-    )
+    return lexicon_freqs / denom + params.alpha0 * base_probs / denom
 
 
 def arc_scores_batch(
     word_probs: np.ndarray, lengths: np.ndarray, params: DPParams
 ) -> np.ndarray:
-    """Vectorized `arc_score` over candidate arrays."""
+    """Log word probability (guarded) plus the signed length term.
+
+    The length term is ((len - 1) / delta) ** gamma, pinned to 0 at
+    length 1 for every gamma.
+    """
     lengths = np.asarray(lengths, dtype=np.float64)
     base = (lengths - 1.0) / params.delta
     q = np.where(base == 0.0, 0.0, base**params.gamma)
     return np.log(np.asarray(word_probs, dtype=np.float64) + params.epsilon_log) + (
         params.penalty_sign * q
     )
-
-
-def sentence_log_probability(word_probs) -> float:
-    """Utterance log probability: the sum of segment log probabilities."""
-    return float(sum(math.log(p) for p in word_probs))

@@ -15,7 +15,7 @@ import hashlib
 import logging
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from typing import Protocol
 
 import numpy as np
 
@@ -28,13 +28,24 @@ from dpparse.density import (
     calibrate_beta,
 )
 from dpparse.embed import UtteranceEmbedder
-from dpparse.lattice import ScoredLattice, nbest, sample_path
-from dpparse.scoring import DPParams, arc_scores_batch
+from dpparse.lattice import (
+    ScoredLattice,
+    candidate_bounds,
+    n_candidates,
+    nbest,
+    sample_path,
+)
+from dpparse.scoring import DPParams, arc_scores_batch, word_probabilities
 
 logger = logging.getLogger(__name__)
 
 # Queries are flushed to the kNN index in groups of roughly this many rows.
 _GROUP_QUERIES = 16384
+
+# What candidates are counted against: the base store built once from the
+# sampled candidate pool, and the lexicon rebuilt from each segmentation.
+# Which type is used depends on the frequency backend (see FrequencyTables).
+Store = InstanceIndex | KMeansModel | DiscreteCountStore
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,8 @@ class TrainerConfig:
             raise ValueError(f"unknown frequency backend {self.frequency_backend!r}")
         if self.frequency_backend == "kmeans" and self.kmeans_clusters < 1:
             raise ValueError("kmeans backend needs kmeans_clusters >= 1")
+        if self.calibration_sample < 100:
+            raise ValueError("calibration_sample must be >= 100")
 
 
 @dataclass
@@ -77,61 +90,12 @@ class TrainerState:
 
     iteration: int
     segmentation: Segmentation
-    lexicon_index: object | None
-    base_index: object
+    lexicon_index: Store | None
+    base_index: Store
     base_probs: dict[str, np.ndarray]
     beta: float | None
     n_base: int
     n_lexicon: int  # token mass behind lexicon_index
-
-
-# ---------------------------------------------------------------------------
-# candidate enumeration
-
-@lru_cache(maxsize=4096)
-def candidate_bounds(n_blocks: int, min_len: int, max_len: int):
-    """(starts, ends) arrays of all candidates, by start then length."""
-    starts, ends = [], []
-    for i in range(n_blocks):
-        top = min(max_len, n_blocks - i)
-        for length in range(min_len, top + 1):
-            starts.append(i)
-            ends.append(i + length)
-    s = np.array(starts, dtype=np.int64)
-    e = np.array(ends, dtype=np.int64)
-    s.setflags(write=False)
-    e.setflags(write=False)
-    return s, e
-
-
-def n_candidates(n_blocks: int, min_len: int, max_len: int) -> int:
-    return sum(
-        max(0, n_blocks - length + 1) for length in range(min_len, max_len + 1)
-    )
-
-
-def candidate_ordinal(
-    n_blocks: int, min_len: int, max_len: int, start: int, end: int
-) -> int:
-    """Position of segment [start, end) in the canonical enumeration."""
-    if not (0 <= start < end <= n_blocks and min_len <= end - start <= max_len):
-        raise ValueError(f"[{start}, {end}) is not a candidate of {n_blocks} blocks")
-    before = sum(
-        max(0, min(max_len, n_blocks - i) - min_len + 1) for i in range(start)
-    )
-    return before + (end - start - min_len)
-
-
-def enumerate_candidates(
-    corpus: Corpus, min_len: int = 1, max_len: int = 20
-) -> list[Segment]:
-    """All segments with admissible lengths, every utterance, scan order."""
-    out = []
-    for utt in corpus:
-        starts, ends = candidate_bounds(utt.n_blocks, min_len, max_len)
-        uid = utt.utterance_id
-        out.extend(Segment(uid, int(a), int(b)) for a, b in zip(starts, ends))
-    return out
 
 
 def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
@@ -175,7 +139,11 @@ _TAG_KMEANS_ITER = 104
 
 
 # ---------------------------------------------------------------------------
-# per-utterance candidate features
+# candidate groups
+#
+# A group is a sequence of (utterance, starts, ends): candidate segments
+# of some utterances, in corpus order.  Frequencies and embeddings of a group
+# are laid out in the same order.
 
 def _utterance_groups(corpus: Corpus, config: TrainerConfig):
     """Yield utterance groups of roughly _GROUP_QUERIES candidates."""
@@ -191,6 +159,39 @@ def _utterance_groups(corpus: Corpus, config: TrainerConfig):
         yield group
 
 
+def _sampled_group(corpus: Corpus, config: TrainerConfig, sampled: np.ndarray):
+    """Yield the base pool: ``sampled`` holds sorted ordinals into the
+    corpus-wide candidate enumeration."""
+    offset = 0
+    for utt in corpus:
+        starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
+        lo, hi = np.searchsorted(sampled, [offset, offset + len(starts)])
+        if lo < hi:
+            local = sampled[lo:hi] - offset
+            yield utt, starts[local], ends[local]
+        offset += len(starts)
+
+
+def _token_group(corpus: Corpus, segmentation: Segmentation):
+    """The tokens of a segmentation, in ``segmentation.tokens()`` order."""
+    return [
+        (
+            corpus.utterance(utt_id),
+            np.array([s.start for s in segs], dtype=np.int64),
+            np.array([s.end for s in segs], dtype=np.int64),
+        )
+        for utt_id, segs in segmentation.items()
+    ]
+
+
+def _split(group, values: np.ndarray):
+    """Yield the per-utterance slices of ``values``."""
+    offset = 0
+    for _utt, starts, _ends in group:
+        yield values[offset : offset + len(starts)]
+        offset += len(starts)
+
+
 def _group_embeddings(group, normalize: bool) -> np.ndarray:
     parts = [
         UtteranceEmbedder(utt, normalize).embed_many(starts, ends)
@@ -199,60 +200,58 @@ def _group_embeddings(group, normalize: bool) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _keys_for(utt, starts, ends) -> list[bytes]:
-    symbols = utt.symbols
-    return [symbols[a:b].tobytes() for a, b in zip(starts, ends)]
+def _keyed_segments(group):
+    """Yield (key, segment) per candidate of a discrete group; equal keys
+    mean equal symbol strings."""
+    for utt, starts, ends in group:
+        uid, symbols = utt.utterance_id, utt.symbols
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            yield symbols[a:b].tobytes(), Segment(uid, a, b)
 
 
 # ---------------------------------------------------------------------------
 # frequency backends
 
+class FrequencyTables(Protocol):
+    """How a frequency backend counts candidates.
+
+    Both stores are instance lexicons: the base store holds the sampled
+    candidate pool, a lexicon the tokens of one segmentation.
+    """
+
+    def build_base(
+        self, corpus: Corpus, sampled: np.ndarray
+    ) -> tuple[Store, float | None]:
+        """Base store of the candidates at the sorted corpus-wide ordinals
+        ``sampled``, and the kernel beta (None when the backend has none)."""
+
+    def build_lexicon(self, corpus: Corpus, segmentation: Segmentation) -> Store:
+        """Lexicon of a segmentation's tokens; it has at least one."""
+
+    def lexicon_frequencies(
+        self, lexicon: Store, group, beta: float | None
+    ) -> np.ndarray:
+        """Frequency of each candidate of ``group`` in a base store or a
+        lexicon.  The kNN and discrete backends leave out instances that
+        overlap the candidate in time."""
+
+
 class _KnnTables:
-    """Continuous-mode base/lexicon stores built on InstanceIndex."""
+    """Continuous-mode stores: exact-kNN indexes and kernel soft counts."""
 
     def __init__(self, config: TrainerConfig):
         self.config = config
 
-    def build_base(self, corpus: Corpus, sampled_flat: np.ndarray, total: int):
-        config = self.config
-        vectors, segments = self._materialize(corpus, sampled_flat)
+    def build_base(self, corpus: Corpus, sampled: np.ndarray):
+        group = list(_sampled_group(corpus, self.config, sampled))
+        vectors = _group_embeddings(group, self.config.normalize)
+        segments = [
+            Segment(utt.utterance_id, a, b)
+            for utt, starts, ends in group
+            for a, b in zip(starts.tolist(), ends.tolist())
+        ]
         index = InstanceIndex(vectors, segments)
-        beta = self._calibrate(index, vectors, segments)
-        params = DensityParams(config.density.k, beta, config.density.epsilon_f)
-        base_probs = {}
-        for group in _utterance_groups(corpus, config):
-            embs = _group_embeddings(group, config.normalize)
-            codes, starts, ends = _provenance_arrays(index, group)
-            freqs = index.kernel_frequencies_arrays(
-                embs, codes, starts, ends, params, config.workers
-            )
-            offset = 0
-            for utt, s, _e in group:
-                base_probs[utt.utterance_id] = freqs[offset : offset + len(s)] / index.n
-                offset += len(s)
-        return index, base_probs, beta, index.n
-
-    def _materialize(self, corpus: Corpus, sampled_flat: np.ndarray):
-        config = self.config
-        counts, utts = [], []
-        for utt in corpus:
-            counts.append(n_candidates(utt.n_blocks, config.min_len, config.max_len))
-            utts.append(utt)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        vec_parts, segments = [], []
-        for i, utt in enumerate(utts):
-            lo = np.searchsorted(sampled_flat, offsets[i], side="left")
-            hi = np.searchsorted(sampled_flat, offsets[i + 1], side="left")
-            if lo == hi:
-                continue
-            local = sampled_flat[lo:hi] - offsets[i]
-            starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
-            s, e = starts[local], ends[local]
-            emb = UtteranceEmbedder(utt, config.normalize).embed_many(s, e)
-            vec_parts.append(emb)
-            uid = utt.utterance_id
-            segments.extend(Segment(uid, int(a), int(b)) for a, b in zip(s, e))
-        return np.concatenate(vec_parts, axis=0), segments
+        return index, self._calibrate(index, vectors, segments)
 
     def _calibrate(self, index: InstanceIndex, vectors, segments) -> float:
         config = self.config
@@ -276,25 +275,14 @@ class _KnnTables:
         )
 
     def build_lexicon(self, corpus: Corpus, segmentation: Segmentation):
-        tokens = list(segmentation.tokens())
-        if not tokens:
-            return None, 0
-        vec_parts = []
-        for utt_id, segs in segmentation.items():
-            utt = corpus.utterance(utt_id)
-            embedder = UtteranceEmbedder(utt, self.config.normalize)
-            starts = np.array([s.start for s in segs])
-            ends = np.array([s.end for s in segs])
-            vec_parts.append(embedder.embed_many(starts, ends))
-        vectors = np.concatenate(vec_parts, axis=0)
-        segments = [s for _, segs in segmentation.items() for s in segs]
-        return InstanceIndex(vectors, segments), len(tokens)
+        group = _token_group(corpus, segmentation)
+        vectors = _group_embeddings(group, self.config.normalize)
+        return InstanceIndex(vectors, list(segmentation.tokens()))
 
-    def lexicon_frequencies(self, lexicon, group, embs, beta) -> np.ndarray:
-        if lexicon is None:
-            return np.zeros(embs.shape[0])
+    def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
         config = self.config
         params = DensityParams(config.density.k, beta, config.density.epsilon_f)
+        embs = _group_embeddings(group, config.normalize)
         codes, starts, ends = _provenance_arrays(lexicon, group)
         return lexicon.kernel_frequencies_arrays(
             embs, codes, starts, ends, params, config.workers
@@ -320,43 +308,22 @@ class _KMeansTables:
     def __init__(self, config: TrainerConfig):
         self.config = config
 
-    def build_base(self, corpus: Corpus, sampled_flat: np.ndarray, total: int):
-        config = self.config
-        knn = _KnnTables(config)
-        vectors, _segments = knn._materialize(corpus, sampled_flat)
-        n_base = vectors.shape[0]
-        seed = int(
-            np.random.SeedSequence((config.seed, _TAG_KMEANS_BASE)).generate_state(1)[0]
-        )
-        model = KMeansModel(min(config.kmeans_clusters, n_base), seed=seed).fit(vectors)
-        base_probs = {}
-        for group in _utterance_groups(corpus, config):
-            embs = _group_embeddings(group, config.normalize)
-            freqs = model.frequencies(embs)
-            offset = 0
-            for utt, s, _e in group:
-                base_probs[utt.utterance_id] = freqs[offset : offset + len(s)] / n_base
-                offset += len(s)
-        return model, base_probs, None, n_base
+    def build_base(self, corpus: Corpus, sampled: np.ndarray):
+        group = _sampled_group(corpus, self.config, sampled)
+        return self._fit(group, _TAG_KMEANS_BASE), None
 
     def build_lexicon(self, corpus: Corpus, segmentation: Segmentation):
-        tokens = list(segmentation.tokens())
-        if not tokens:
-            return None, 0
-        index, n = _KnnTables(self.config).build_lexicon(corpus, segmentation)
-        seed = int(
-            np.random.SeedSequence(
-                (self.config.seed, _TAG_KMEANS_ITER)
-            ).generate_state(1)[0]
-        )
-        model = KMeansModel(min(self.config.kmeans_clusters, n), seed=seed)
-        model.fit(index.vectors)
-        return model, n
+        return self._fit(_token_group(corpus, segmentation), _TAG_KMEANS_ITER)
 
-    def lexicon_frequencies(self, lexicon, group, embs, beta) -> np.ndarray:
-        if lexicon is None:
-            return np.zeros(embs.shape[0])
-        return lexicon.frequencies(embs)
+    def _fit(self, group, tag: int) -> KMeansModel:
+        config = self.config
+        vectors = _group_embeddings(group, config.normalize)
+        seed = int(np.random.SeedSequence((config.seed, tag)).generate_state(1)[0])
+        model = KMeansModel(min(config.kmeans_clusters, len(vectors)), seed=seed)
+        return model.fit(vectors)
+
+    def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
+        return lexicon.frequencies(_group_embeddings(group, self.config.normalize))
 
 
 class _DiscreteTables:
@@ -365,65 +332,30 @@ class _DiscreteTables:
     def __init__(self, config: TrainerConfig):
         self.config = config
 
-    def build_base(self, corpus: Corpus, sampled_flat: np.ndarray, total: int):
-        config = self.config
-        store = DiscreteCountStore()
-        counts = [
-            n_candidates(u.n_blocks, config.min_len, config.max_len) for u in corpus
-        ]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        for i, utt in enumerate(corpus):
-            lo = np.searchsorted(sampled_flat, offsets[i], side="left")
-            hi = np.searchsorted(sampled_flat, offsets[i + 1], side="left")
-            if lo == hi:
-                continue
-            local = sampled_flat[lo:hi] - offsets[i]
-            starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
-            uid = utt.utterance_id
-            for a, b in zip(starts[local], ends[local]):
-                store.add(utt.symbols[a:b].tobytes(), Segment(uid, int(a), int(b)))
-        n_base = store.total
-        base_probs = {}
-        for utt in corpus:
-            starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
-            base_probs[utt.utterance_id] = (
-                self._count_many(store, utt, starts, ends) / n_base
-            )
-        return store, base_probs, None, n_base
-
-    @staticmethod
-    def _count_many(store: DiscreteCountStore, utt, starts, ends) -> np.ndarray:
-        uid = utt.utterance_id
-        symbols = utt.symbols
-        out = np.empty(len(starts), dtype=np.float64)
-        for i, (a, b) in enumerate(zip(starts, ends)):
-            out[i] = store.count_excluding_overlaps(
-                symbols[a:b].tobytes(), Segment(uid, int(a), int(b))
-            )
-        return out
+    def build_base(self, corpus: Corpus, sampled: np.ndarray):
+        return self._store(_sampled_group(corpus, self.config, sampled)), None
 
     def build_lexicon(self, corpus: Corpus, segmentation: Segmentation):
+        return self._store(_token_group(corpus, segmentation))
+
+    @staticmethod
+    def _store(group) -> DiscreteCountStore:
         store = DiscreteCountStore()
-        for utt_id, segs in segmentation.items():
-            symbols = corpus.utterance(utt_id).symbols
-            for seg in segs:
-                store.add(symbols[seg.start : seg.end].tobytes(), seg)
-        if store.total == 0:
-            return None, 0
-        return store, store.total
+        for key, seg in _keyed_segments(group):
+            store.add(key, seg)
+        return store
 
-    def lexicon_frequencies(self, lexicon, group, embs, beta) -> np.ndarray:
-        if lexicon is None:
-            total = sum(len(s) for _, s, _ in group)
-            return np.zeros(total)
-        parts = [
-            self._count_many(lexicon, utt, starts, ends)
-            for utt, starts, ends in group
-        ]
-        return np.concatenate(parts)
+    def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
+        return np.fromiter(
+            (
+                lexicon.count_excluding_overlaps(key, seg)
+                for key, seg in _keyed_segments(group)
+            ),
+            dtype=np.float64,
+        )
 
 
-def _tables_for(corpus: Corpus, config: TrainerConfig):
+def _tables_for(corpus: Corpus, config: TrainerConfig) -> FrequencyTables:
     if corpus.mode == "discrete":
         return _DiscreteTables(config)
     if config.frequency_backend == "kmeans":
@@ -434,32 +366,33 @@ def _tables_for(corpus: Corpus, config: TrainerConfig):
 # ---------------------------------------------------------------------------
 # spec operations
 
-def build_base(corpus: Corpus, config: TrainerConfig, candidates=None):
+def build_base(corpus: Corpus, config: TrainerConfig):
     """Subsample the candidate pool, build the base store, cache priors.
 
-    Returns (base_index, base_probs, beta, n_base).  ``candidates``
-    defaults to every admissible segment of the corpus; the priors are
-    constant across iterations and cached per utterance in enumeration
-    order.
+    Returns (base_index, base_probs, beta, n_base).  A candidate's prior
+    is its frequency in the base store over the pool size ``n_base``; the
+    priors are constant across iterations and cached per utterance in
+    ``candidate_bounds`` order.
     """
     total = sum(
         n_candidates(u.n_blocks, config.min_len, config.max_len) for u in corpus
     )
     if total == 0:
         raise ValueError("corpus has no candidate segments")
-    if candidates is not None and len(candidates) != total:
-        raise ValueError(
-            "explicit candidate lists must cover the full enumeration "
-            f"({len(candidates)} given, {total} enumerated)"
-        )
-    m = min(config.l0_subsample, total)
-    if m < total:
+    n_base = min(config.l0_subsample, total)
+    if n_base < total:
         rng = _derived_rng(config.seed, _TAG_SUBSAMPLE)
-        sampled = np.sort(rng.choice(total, size=m, replace=False))
+        sampled = np.sort(rng.choice(total, size=n_base, replace=False))
     else:
         sampled = np.arange(total)
     tables = _tables_for(corpus, config)
-    return tables.build_base(corpus, sampled, total)
+    base_index, beta = tables.build_base(corpus, sampled)
+    base_probs = {}
+    for group in _utterance_groups(corpus, config):
+        freqs = tables.lexicon_frequencies(base_index, group, beta)
+        for (utt, _starts, _ends), probs in zip(group, _split(group, freqs / n_base)):
+            base_probs[utt.utterance_id] = probs
+    return base_index, base_probs, beta, n_base
 
 
 def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
@@ -499,36 +432,28 @@ def run_iteration(
     iteration, never this one.
     """
     tables = _tables_for(corpus, config)
-    lexicon, n_lexicon = tables.build_lexicon(corpus, state.segmentation)
+    n_lexicon = state.segmentation.n_tokens
+    lexicon = tables.build_lexicon(corpus, state.segmentation) if n_lexicon else None
     iteration = state.iteration + 1
     dp = dataclasses.replace(
         config.dp, n_lexicon=float(n_lexicon), n_base=state.n_base
     )
-    denom = dp.n_lexicon + dp.alpha0
     new_bounds: dict[str, tuple[int, ...]] = {}
     for group in _utterance_groups(corpus, config):
-        if corpus.mode == "continuous":
-            embs = _group_embeddings(group, config.normalize)
+        if lexicon is None:
+            lex_freqs = np.zeros(sum(len(s) for _, s, _ in group))
         else:
-            embs = np.empty((sum(len(s) for _, s, _ in group), 0))
-        lex_freq = tables.lexicon_frequencies(lexicon, group, embs, state.beta)
-        offset = 0
-        for utt, starts, ends in group:
+            lex_freqs = tables.lexicon_frequencies(lexicon, group, state.beta)
+        for (utt, starts, ends), lex in zip(group, _split(group, lex_freqs)):
             uid = utt.utterance_id
-            n = len(starts)
-            p0 = state.base_probs[uid]
-            word_probs = (
-                lex_freq[offset : offset + n] / denom + dp.alpha0 * p0 / denom
-            )
+            word_probs = word_probabilities(lex, state.base_probs[uid], dp)
             arc = arc_scores_batch(word_probs, ends - starts, dp)
-            scores = {
-                (int(a), int(b)): float(s) for a, b, s in zip(starts, ends, arc)
-            }
-            lat = ScoredLattice(utt.n_blocks, config.min_len, config.max_len, scores)
-            paths = nbest(lat, config.beam)
+            lattice = ScoredLattice(
+                utt.n_blocks, config.min_len, config.max_len, arc.tolist()
+            )
+            paths = nbest(lattice, config.beam)
             rng = _utterance_rng(config.seed, uid, iteration)
             new_bounds[uid] = sample_path(paths, config.temperature, rng)
-            offset += n
     new_seg = Segmentation.from_boundaries(new_bounds)
     return dataclasses.replace(
         state,
@@ -569,11 +494,3 @@ def train(corpus: Corpus, config: TrainerConfig, log_stream=None) -> Segmentatio
             log_stream.write(line + "\n")
     return state.segmentation
 
-
-def base_prob_of(state: TrainerState, seg: Segment, corpus: Corpus, config: TrainerConfig) -> float:
-    """Cached prior of one candidate, looked up by (utterance, start, end)."""
-    n_blocks = corpus.utterance(seg.utterance_id).n_blocks
-    ordinal = candidate_ordinal(
-        n_blocks, config.min_len, config.max_len, seg.start, seg.end
-    )
-    return float(state.base_probs[seg.utterance_id][ordinal])

@@ -1,0 +1,57 @@
+"""End-to-end acceptance on synthetic corpora with planted words.
+
+Both modes train on a synthgen corpus with the documented defaults
+(``dpparse gen``/``segment`` with ``--seed 7``, a 50-word vocabulary,
+5 iterations, one worker) and are scored against the gold alignment.
+The seed, sizes and margin were fixed before any tuning; do not retune
+them to make a gate pass.
+"""
+
+import pytest
+
+from dpparse.config import load_run_config
+from dpparse.metrics import fixed_rate_segmenter, token_boundary_f1
+from dpparse.synthgen import generate
+from dpparse.trainer import train
+
+SEED = 7
+# The continuous gate: token F1 at least this far above the fixed-rate
+# baseline with one token every 3 blocks (120ms).
+BASELINE_MARGIN = 0.05
+
+
+def _run(mode, n_utterances, *overrides):
+    cfg = load_run_config(
+        overrides=[
+            f"gen.n_utterances={n_utterances}",
+            "gen.vocab_size=50",
+            "trainer.n_iterations=5",
+            "trainer.workers=1",
+            *overrides,
+        ],
+        **{"trainer.seed": SEED},
+    )
+    corpus, gold, _words = generate(cfg.gen_config(mode))
+    segmentation = train(corpus, cfg.trainer_config(mode))
+    baseline = fixed_rate_segmenter(corpus, 3)
+    return (
+        token_boundary_f1(segmentation, gold).token_f1,
+        token_boundary_f1(baseline, gold).token_f1,
+    )
+
+
+def test_discrete_recovers_planted_words():
+    f1, _baseline = _run("discrete", 500)
+    print(f"discrete token_f1={f1:.4f}")
+    assert f1 >= 0.95
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="continuous mode under-segments: token F1 0.0144 against a "
+    "fixed-rate baseline of 0.0898 (needs >= baseline + 0.05)",
+)
+def test_continuous_beats_fixed_rate_baseline():
+    f1, baseline = _run("continuous", 200, "trainer.l0_subsample=2000")
+    print(f"continuous token_f1={f1:.4f} fixed-rate baseline={baseline:.4f}")
+    assert f1 >= baseline + BASELINE_MARGIN

@@ -132,6 +132,24 @@ class TestGenSegmentEval:
         err = capsys.readouterr().err
         assert victim.name in err
 
+    def test_missing_output_directory_fails_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _, manifest = _gen(tmp_path)
+        trained = []
+        monkeypatch.setattr(
+            "dpparse.cli.train", lambda *a, **k: trained.append(a) or Segmentation()
+        )
+        for flag in ("--out", "--log"):
+            paths = {"--out": tmp_path / "seg.tsv", "--log": tmp_path / "run.log"}
+            paths[flag] = tmp_path / "nodir" / paths[flag].name
+            argv = ["segment", str(manifest)]
+            for name, path in paths.items():
+                argv += [name, str(path)]
+            assert main(argv) != 0
+            assert "nodir" in capsys.readouterr().err
+        assert trained == []
+
     def test_baseline_and_eval(self, tmp_path, capsys):
         out, manifest = _gen(tmp_path)
         base_file = tmp_path / "base.tsv"

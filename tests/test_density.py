@@ -11,11 +11,7 @@ from dpparse.density import (
     DiscreteCountStore,
     InstanceIndex,
     KMeansModel,
-    build_index,
     calibrate_beta,
-    estimate_frequency,
-    exact_count,
-    kmeans_frequency,
 )
 
 from oracles import linear_scan_knn
@@ -24,6 +20,26 @@ from oracles import linear_scan_knn
 def _seg(i, utt=None, start=None):
     s = i if start is None else start
     return Segment(utt or f"utt{i}", s, s + 1)
+
+
+# A segment of an utterance no index or store holds: nothing overlaps it.
+_FRESH = Segment("fresh", 0, 1)
+
+
+def _index_of(items):
+    vectors = np.stack([np.asarray(v, dtype=np.float64) for v, _ in items])
+    return InstanceIndex(vectors, [seg for _, seg in items])
+
+
+def _soft_counts(index, queries, segments, params):
+    """kernel_frequencies_arrays with provenance taken from ``segments``."""
+    return index.kernel_frequencies_arrays(
+        np.atleast_2d(np.asarray(queries, dtype=np.float64)),
+        np.array([index.utt_code(s.utterance_id) for s in segments]),
+        np.array([s.start for s in segments]),
+        np.array([s.end for s in segments]),
+        params,
+    )
 
 
 def _index_from(vectors, utts=None):
@@ -36,7 +52,7 @@ def _index_from(vectors, utts=None):
 class TestBuildIndex:
     def test_self_match_at_distance_zero(self):
         vecs = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 0.5])]
-        index = build_index([(v, _seg(i)) for i, v in enumerate(vecs)])
+        index = _index_of([(v, _seg(i)) for i, v in enumerate(vecs)])
         idx, d2 = index.query(vecs[2], 1)
         assert idx[0, 0] == 2
         assert d2[0, 0] == 0.0
@@ -49,7 +65,7 @@ class TestBuildIndex:
 
     def test_empty_items_rejected(self):
         with pytest.raises(ValueError, match="empty lexicon"):
-            build_index([])
+            InstanceIndex(np.empty((0, 3)), [])
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(5)
@@ -78,43 +94,39 @@ class TestBuildIndex:
 class TestEstimateFrequency:
     def test_identical_nonoverlapping_neighbor_counts_one(self):
         v = np.array([0.3, -0.7])
-        index = build_index([(v, Segment("a", 0, 1))])
-        f = estimate_frequency(index, v, Segment("b", 0, 1), DensityParams(k=5, beta=2.0))
-        assert f == pytest.approx(1.0, rel=1e-12)
+        index = _index_of([(v, Segment("a", 0, 1))])
+        f = _soft_counts(index, v, [Segment("b", 0, 1)], DensityParams(k=5, beta=2.0))
+        assert f[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_equidistant_ring_hand_value(self):
         # k neighbours all at squared distance d, beta = 1/d -> k * e^-1
         k, d = 8, 0.49
         base = np.sqrt(d) * np.vstack([np.eye(4), -np.eye(4)])
-        index = build_index([(row, _seg(i)) for i, row in enumerate(base)])
-        f = estimate_frequency(
-            index,
-            np.zeros(4),
-            Segment("query", 0, 1),
-            DensityParams(k=k, beta=1.0 / d),
-        )
-        assert f == pytest.approx(k * math.exp(-1.0), rel=1e-12)
+        index = _index_of([(row, _seg(i)) for i, row in enumerate(base)])
+        params = DensityParams(k=k, beta=1.0 / d)
+        f = _soft_counts(index, np.zeros(4), [Segment("query", 0, 1)], params)
+        assert f[0] == pytest.approx(k * math.exp(-1.0), rel=1e-12)
 
     def test_all_neighbors_overlapping_gives_zero(self):
         v = np.array([1.0, 2.0])
         items = [(v, Segment("u", 0, 3)), (v, Segment("u", 2, 5))]
-        index = build_index(items)
-        f = estimate_frequency(index, v, Segment("u", 1, 4), DensityParams(k=5, beta=1.0))
-        assert f == 0.0
+        index = _index_of(items)
+        f = _soft_counts(index, v, [Segment("u", 1, 4)], DensityParams(k=5, beta=1.0))
+        assert f[0] == 0.0
 
     def test_shared_endpoint_is_not_overlap(self):
         v = np.array([1.0, 2.0])
-        index = build_index([(v, Segment("u", 0, 3))])
-        f = estimate_frequency(index, v, Segment("u", 3, 5), DensityParams(k=5, beta=1.0))
-        assert f == pytest.approx(1.0)
+        index = _index_of([(v, Segment("u", 0, 3))])
+        f = _soft_counts(index, v, [Segment("u", 3, 5)], DensityParams(k=5, beta=1.0))
+        assert f[0] == pytest.approx(1.0)
 
     def test_bounded_by_k(self):
         rng = np.random.default_rng(1)
         base = rng.normal(size=(50, 3)) * 1e-3  # everything close together
         index = _index_from(base)
         params = DensityParams(k=7, beta=1e-9)
-        f = estimate_frequency(index, base[0], Segment("elsewhere", 0, 1), params)
-        assert 0.0 <= f <= params.k
+        f = _soft_counts(index, base[0], [Segment("elsewhere", 0, 1)], params)
+        assert 0.0 <= f[0] <= params.k
 
     def test_insertion_order_invariance(self):
         rng = np.random.default_rng(9)
@@ -122,16 +134,14 @@ class TestEstimateFrequency:
         perm = rng.permutation(60)
         params = DensityParams(k=11, beta=0.7)
         q = rng.normal(size=5)
-        f1 = estimate_frequency(
-            _index_from(base), q, Segment("q", 0, 1), params
-        )
-        f2 = estimate_frequency(
+        f1 = _soft_counts(_index_from(base), q, [Segment("q", 0, 1)], params)
+        f2 = _soft_counts(
             _index_from(base[perm], utts=[f"utt{i}" for i in perm]),
             q,
-            Segment("q", 0, 1),
+            [Segment("q", 0, 1)],
             params,
         )
-        assert f1 == pytest.approx(f2, rel=1e-12)
+        assert f1[0] == pytest.approx(f2[0], rel=1e-12)
 
     def test_matches_exact_count_on_orthogonal_codes(self):
         # one-hot codes per key, large beta: soft count -> exact count
@@ -144,13 +154,12 @@ class TestEstimateFrequency:
             seg = Segment(f"utt{i}", 0, 1)
             store.add((int(key),), seg)
             items.append((np.eye(dim)[key], seg))
-        index = build_index(items)
+        index = _index_of(items)
         params = DensityParams(k=50, beta=50.0)
+        f = _soft_counts(index, np.eye(dim), [_FRESH] * dim, params)
         for key in range(dim):
-            f = estimate_frequency(
-                index, np.eye(dim)[key], Segment("fresh", 0, 1), params
-            )
-            assert f == pytest.approx(exact_count(store, (key,)), abs=1e-6)
+            exact = store.count_excluding_overlaps((key,), _FRESH)
+            assert f[key] == pytest.approx(exact, abs=1e-6)
 
 
 class TestCalibrateBeta:
@@ -168,7 +177,7 @@ class TestCalibrateBeta:
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(0)
         items = self._well_separated_sample(rng, n=200)
-        index = build_index(items)
+        index = _index_of(items)
         vectors = np.stack([v for v, _ in items])
         segs = [s for _, s in items]
         idx, d2 = index.query(vectors, 20)
@@ -188,12 +197,11 @@ class TestCalibrateBeta:
     def test_tiny_beta_keeps_everything_above_epsilon(self):
         rng = np.random.default_rng(1)
         items = self._well_separated_sample(rng, n=150, dup_fraction=0.0)
-        index = build_index(items)
+        index = _index_of(items)
         params = DensityParams(k=10, beta=1e-12, epsilon_f=1e-3)
-        freqs = [
-            estimate_frequency(index, v, Segment("probe", 0, 1), params)
-            for v, _ in items[:50]
-        ]
+        freqs = _soft_counts(
+            index, [v for v, _ in items[:50]], [Segment("probe", 0, 1)] * 50, params
+        )
         # beta -> 0 means every neighbour contributes ~1
         assert all(f > 9.0 for f in freqs)
 
@@ -207,19 +215,18 @@ class TestCalibrateBeta:
             (rng.normal(size=6) * 50.0 + 500.0, Segment(f"iso{i}", 0, 1))
             for i in range(400)
         ]
-        index = build_index(items + isolated)
+        index = _index_of(items + isolated)
         sample = items[:200] + isolated[:200]
         beta = calibrate_beta(index, sample, k=20, epsilon_f=1e-3, target=0.5)
         params = DensityParams(k=20, beta=beta, epsilon_f=1e-3)
-        below = [
-            estimate_frequency(index, v, s, params) < 1e-3 for v, s in sample
-        ]
+        vectors, segments = zip(*sample)
+        below = _soft_counts(index, vectors, segments, params) < 1e-3
         assert 0.48 <= np.mean(below) <= 0.52
 
     def test_small_sample_rejected(self):
         rng = np.random.default_rng(3)
         items = self._well_separated_sample(rng, n=120, dup_fraction=0.0)
-        index = build_index(items)
+        index = _index_of(items)
         with pytest.raises(ValueError, match="100"):
             calibrate_beta(index, items[:50], k=5, epsilon_f=1e-3)
 
@@ -227,7 +234,7 @@ class TestCalibrateBeta:
         rng = np.random.default_rng(4)
         # every point duplicated: fraction can never reach 0.9
         items = self._well_separated_sample(rng, n=150, dup_fraction=1.0)
-        index = build_index(items)
+        index = _index_of(items)
         with pytest.raises(ValueError, match="unreachable"):
             calibrate_beta(index, items, k=10, epsilon_f=1e-3, target=0.9)
 
@@ -238,8 +245,8 @@ class TestDiscreteCounts:
         for i in range(3):
             store.add((1, 2), Segment(f"u{i}", 0, 2))
         store.add((9,), Segment("u9", 0, 1))
-        assert exact_count(store, (1, 2)) == 3
-        assert exact_count(store, (7, 7)) == 0
+        assert store.count_excluding_overlaps((1, 2), _FRESH) == 3
+        assert store.count_excluding_overlaps((7, 7), _FRESH) == 0
         assert store.total == 4
 
     def test_rebuild_reflects_new_counts(self):
@@ -248,8 +255,8 @@ class TestDiscreteCounts:
         rebuilt = DiscreteCountStore()
         rebuilt.add((1,), Segment("u", 0, 1))
         rebuilt.add((1,), Segment("v", 0, 1))
-        assert exact_count(store, (1,)) == 1
-        assert exact_count(rebuilt, (1,)) == 2
+        assert store.count_excluding_overlaps((1,), _FRESH) == 1
+        assert rebuilt.count_excluding_overlaps((1,), _FRESH) == 2
 
     def test_overlap_exclusion(self):
         store = DiscreteCountStore()
@@ -265,7 +272,12 @@ class TestDiscreteCounts:
         store = DiscreteCountStore()
         symbols = np.array([3, 1, 4], dtype="<i4")
         store.add(symbols[0:2].tobytes(), Segment("u", 0, 2))
-        assert exact_count(store, (3, 1)) == 1
+        assert store.count_excluding_overlaps((3, 1), _FRESH) == 1
+
+
+def _cluster_size(points, n_clusters, query, seed):
+    model = KMeansModel(n_clusters, seed=seed).fit(points)
+    return model.frequencies(np.asarray(query)[None, :])[0]
 
 
 class TestKMeans:
@@ -274,19 +286,19 @@ class TestKMeans:
         big = rng.normal(size=(7, 3)) * 0.05 + np.array([10.0, 0.0, 0.0])
         small = rng.normal(size=(3, 3)) * 0.05 - np.array([10.0, 0.0, 0.0])
         pts = np.vstack([big, small])
-        f = kmeans_frequency(pts, 2, big[0], seed=1)
+        f = _cluster_size(pts, 2, big[0], seed=1)
         assert f == 7.0
 
     def test_singleton_clusters(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(6, 2)) * 10
         for p in pts:
-            assert kmeans_frequency(pts, 6, p, seed=0) == 1.0
+            assert _cluster_size(pts, 6, p, seed=0) == 1.0
 
     def test_single_cluster_full_population(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(9, 2))
-        assert kmeans_frequency(pts, 1, pts[4], seed=0) == 9.0
+        assert _cluster_size(pts, 1, pts[4], seed=0) == 9.0
 
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError, match="exceeds population"):

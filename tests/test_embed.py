@@ -3,36 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpparse.core import FrameMatrix, Segment, SymbolSequence
-from dpparse.embed import UtteranceEmbedder, embed, embed_discrete
+from dpparse.core import Corpus, FrameMatrix, Segment, SymbolSequence
+from dpparse.embed import UtteranceEmbedder
+from dpparse.trainer import TrainerConfig, build_base
+
+
+def _embed(fm, start, end, normalize=False):
+    """embed_many on one row."""
+    embedder = UtteranceEmbedder(fm, normalize)
+    return embedder.embed_many(np.array([start]), np.array([end]))[0]
 
 
 class TestMeanPool:
     def test_single_block_identity(self):
         fm = FrameMatrix("u", np.array([[1.0, 2.0], [5.0, 7.0]]))
-        out = embed(fm, Segment("u", 1, 2))
+        out = _embed(fm, 1, 2)
         assert np.allclose(out, [5.0, 7.0])
 
     def test_two_block_mean(self):
         fm = FrameMatrix("u", np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]))
-        out = embed(fm, Segment("u", 0, 2))
+        out = _embed(fm, 0, 2)
         assert np.allclose(out, [2.0, 3.0, 4.0])
 
     def test_constant_matrix_any_segment(self):
         fm = FrameMatrix("u", np.full((6, 4), 1.5))
-        for seg in (Segment("u", 0, 6), Segment("u", 2, 3), Segment("u", 1, 5)):
-            assert np.allclose(embed(fm, seg), 1.5)
+        for start, end in ((0, 6), (2, 3), (1, 5)):
+            assert np.allclose(_embed(fm, start, end), 1.5)
 
     def test_out_of_bounds(self):
         fm = FrameMatrix("u", np.ones((3, 2)))
-        with pytest.raises(ValueError, match="out of bounds"):
-            embed(fm, Segment("u", 1, 4))
+        with pytest.raises(IndexError, match="out of bounds"):
+            _embed(fm, 1, 4)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(0)
         fm = FrameMatrix("u", rng.normal(size=(9, 5)))
-        a = embed(fm, Segment("u", 2, 7))
-        b = embed(fm, Segment("u", 2, 7))
+        a = _embed(fm, 2, 7)
+        b = _embed(fm, 2, 7)
         assert a.tobytes() == b.tobytes()
 
     @given(st.integers(2, 6), st.integers(0, 100))
@@ -41,8 +48,8 @@ class TestMeanPool:
         rng = np.random.default_rng(seed)
         block = rng.normal(size=(1, 4))
         fm = FrameMatrix("u", np.repeat(block, k, axis=0))
-        one = embed(FrameMatrix("u", block), Segment("u", 0, 1))
-        many = embed(fm, Segment("u", 0, k))
+        one = _embed(FrameMatrix("u", block), 0, 1)
+        many = _embed(fm, 0, k)
         assert np.allclose(one, many, rtol=1e-12, atol=1e-12)
 
 
@@ -55,30 +62,47 @@ class TestBatchEmbedder:
         ends = np.array([5, 4, 20])
         batch = emb.embed_many(starts, ends)
         for row, (a, b) in zip(batch, zip(starts, ends)):
-            assert np.allclose(row, embed(fm, Segment("u", int(a), int(b))), rtol=1e-10)
+            direct = fm.data[a:b].mean(axis=0, dtype=np.float64)
+            assert np.allclose(row, direct, rtol=1e-10)
 
     def test_normalize_flag(self):
         fm = FrameMatrix("u", np.array([[3.0, 4.0]]))
-        out = UtteranceEmbedder(fm, normalize=True).embed_one(0, 1)
+        out = _embed(fm, 0, 1, normalize=True)
         assert np.allclose(np.linalg.norm(out), 1.0)
         # default leaves vectors unmodified
-        raw = UtteranceEmbedder(fm).embed_one(0, 1)
+        raw = _embed(fm, 0, 1)
         assert np.allclose(raw, [3.0, 4.0])
 
 
+def _base_store(*utterances, max_len=3):
+    """The discrete base store of every candidate of ``utterances``."""
+    corpus = Corpus(
+        [SymbolSequence(f"u{i}", s) for i, s in enumerate(utterances)],
+        mode="discrete",
+    )
+    store, _probs, _beta, _n_base = build_base(corpus, TrainerConfig(max_len=max_len))
+    return store
+
+
 class TestDiscreteKeys:
+    # Discrete candidates are counted by the exact symbol string they cover.
+
     def test_substring_keys(self):
-        units = SymbolSequence("u", [3, 14, 6, 18, 4, 4])
-        assert embed_discrete(units, Segment("u", 0, 3)) == (3, 14, 6)
-        assert embed_discrete(units, Segment("u", 3, 6)) == (18, 4, 4)
+        store = _base_store([3, 14, 6, 18, 4, 4])
+        fresh = Segment("fresh", 0, 1)
+        assert store.count_excluding_overlaps((3, 14, 6), fresh) == 1
+        assert store.count_excluding_overlaps((18, 4, 4), fresh) == 1
+        assert store.count_excluding_overlaps((4, 4), fresh) == 1
+        assert store.count_excluding_overlaps((4,), fresh) == 2
 
     def test_equality_by_value(self):
-        units = SymbolSequence("u", [1, 2, 1, 2])
-        k1 = embed_discrete(units, Segment("u", 0, 2))
-        k2 = embed_discrete(units, Segment("u", 2, 4))
-        assert k1 == k2
+        store = _base_store([1, 2, 1, 2])
+        # [0, 2) and [2, 4) cover equal strings: one key, counted twice
+        assert store.count_excluding_overlaps((1, 2), Segment("fresh", 0, 1)) == 2
+        assert store.count_excluding_overlaps((1, 2), Segment("u0", 0, 2)) == 1
 
     def test_out_of_bounds(self):
-        units = SymbolSequence("u", [1, 2, 3])
-        with pytest.raises(ValueError, match="out of bounds"):
-            embed_discrete(units, Segment("u", 2, 5))
+        # max_len reaches past the utterance; no key may read past its end
+        store = _base_store([1, 2, 3], max_len=20)
+        assert store.total == 6  # 3 + 2 + 1 in-bounds candidates
+        assert store.count_excluding_overlaps((1, 2, 3), Segment("fresh", 0, 1)) == 1

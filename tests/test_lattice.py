@@ -3,55 +3,70 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpparse.lattice import build_lattice, nbest, sample_path
+from dpparse.lattice import ScoredLattice, candidate_bounds, nbest, sample_path
 
 from oracles import enumerate_paths
 
 
+def _lattice(n_blocks, score_fn, min_len=1, max_len=20):
+    """Lattice whose arc (i, j) scores ``score_fn(i, j)``."""
+    starts, ends = candidate_bounds(n_blocks, min_len, max_len)
+    scores = [float(score_fn(int(i), int(j))) for i, j in zip(starts, ends)]
+    return ScoredLattice(n_blocks, min_len, max_len, scores)
+
+
+def _arc_dict(lat):
+    """{(i, j): score} of a lattice, for the exhaustive oracle."""
+    starts, ends = candidate_bounds(lat.n_blocks, lat.min_len, lat.max_len)
+    return dict(zip(zip(starts.tolist(), ends.tolist()), lat.scores))
+
+
 def _random_lattice(rng, n_blocks, min_len=1, max_len=None):
     max_len = max_len or n_blocks
-    return build_lattice(
+    return _lattice(
         n_blocks, lambda i, j: float(rng.normal()), min_len=min_len, max_len=max_len
     )
 
 
 class TestBuildLattice:
     def test_six_block_lattice_bounds_two_to_six(self):
-        lat = build_lattice(6, lambda i, j: 0.0, min_len=2, max_len=6)
+        lat = _lattice(6, lambda i, j: 0.0, min_len=2, max_len=6)
         expected = {
             (i, i + length)
             for length in range(2, 7)
             for i in range(0, 6 - length + 1)
         }
-        assert set(lat.scores) == expected
+        assert set(_arc_dict(lat)) == expected
         assert lat.n_arcs == 15  # lengths 2..6 at every admissible offset
 
     def test_single_block(self):
-        lat = build_lattice(1, lambda i, j: 1.5, min_len=1, max_len=20)
-        assert set(lat.scores) == {(0, 1)}
+        lat = _lattice(1, lambda i, j: 1.5, min_len=1, max_len=20)
+        assert _arc_dict(lat) == {(0, 1): 1.5}
 
     def test_arc_count_formula(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 15))
             k = int(rng.integers(1, 22))
-            lat = build_lattice(n, lambda i, j: 0.0, min_len=1, max_len=k)
+            lat = _lattice(n, lambda i, j: 0.0, min_len=1, max_len=k)
             expected = sum(max(0, n - length + 1) for length in range(1, k + 1))
             assert lat.n_arcs == expected
 
     def test_too_short_utterance(self):
         with pytest.raises(ValueError, match="shorter than minimum"):
-            build_lattice(1, lambda i, j: 0.0, min_len=2, max_len=6)
+            ScoredLattice(1, 2, 6, [])
 
     def test_each_arc_scored_once(self):
-        calls = []
-        build_lattice(5, lambda i, j: calls.append((i, j)) or 0.0, 1, 5)
-        assert len(calls) == len(set(calls))
+        starts, ends = candidate_bounds(5, 1, 5)
+        arcs = list(zip(starts.tolist(), ends.tolist()))
+        assert len(arcs) == len(set(arcs))
+        with pytest.raises(ValueError, match="arc scores"):
+            ScoredLattice(5, 1, 5, [0.0] * (len(arcs) + 1))
 
 
 class TestNBest:
     def test_single_path_lattice(self):
-        lat = build_lattice(4, lambda i, j: -1.0, min_len=4, max_len=4)
+        lat = _lattice(4, lambda i, j: -1.0, min_len=4, max_len=4)
         for beam in (1, 5, 100):
             result = nbest(lat, beam)
             assert result.paths == [((0, 4), -1.0)]
@@ -59,7 +74,7 @@ class TestNBest:
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(7)
         lat = _random_lattice(rng, 4, 1, 4)
-        oracle = enumerate_paths(4, lat.scores, 1, 4)
+        oracle = enumerate_paths(4, _arc_dict(lat), 1, 4)
         assert len(oracle) == 8  # compositions of 4
         result = nbest(lat, beam=100)
         assert len(result.paths) == 8
@@ -68,7 +83,7 @@ class TestNBest:
             assert s1 == pytest.approx(s2, abs=1e-9)
 
     def test_all_zero_scores_tie_breaking(self):
-        lat = build_lattice(3, lambda i, j: 0.0, min_len=1, max_len=3)
+        lat = _lattice(3, lambda i, j: 0.0, min_len=1, max_len=3)
         result = nbest(lat, beam=10)
         assert all(s == 0.0 for _, s in result.paths)
         # fewer segments first, then lexicographically smallest boundaries
@@ -80,12 +95,13 @@ class TestNBest:
     def test_small_beam_returns_valid_paths(self):
         rng = np.random.default_rng(1)
         lat = _random_lattice(rng, 8)
+        arcs = _arc_dict(lat)
         result = nbest(lat, beam=3)
         assert 1 <= len(result.paths) <= 3
         for bounds, score in result.paths:
             assert bounds[0] == 0 and bounds[-1] == 8
             assert score == pytest.approx(
-                sum(lat.scores[(a, b)] for a, b in zip(bounds[:-1], bounds[1:])),
+                sum(arcs[(a, b)] for a, b in zip(bounds[:-1], bounds[1:])),
                 abs=1e-9,
             )
 
@@ -106,7 +122,7 @@ class TestNBest:
             n = min_len
         max_len = int(rng.integers(min_len, n + 1))
         lat = _random_lattice(rng, n, min_len, max_len)
-        oracle = enumerate_paths(n, lat.scores, min_len, max_len)
+        oracle = enumerate_paths(n, _arc_dict(lat), min_len, max_len)
         if not oracle:
             with pytest.raises(ValueError, match="no complete"):
                 nbest(lat, beam=len(oracle) + 1)
@@ -120,22 +136,22 @@ class TestNBest:
         rng = np.random.default_rng(3)
         lat = _random_lattice(rng, 6)
         best = nbest(lat, 1).paths[0][1]
-        bumped = dict(lat.scores)
+        bumped = _arc_dict(lat)
         bumped[(0, 3)] = bumped[(0, 3)] + 5.0
-        lat2 = build_lattice(6, lambda i, j: bumped[(i, j)], 1, 6)
+        lat2 = _lattice(6, lambda i, j: bumped[(i, j)], 1, 6)
         assert nbest(lat2, 1).paths[0][1] >= best
 
 
 class TestSamplePath:
     def test_single_path_probability_one(self):
-        lat = build_lattice(2, lambda i, j: -1.0, min_len=2, max_len=2)
+        lat = _lattice(2, lambda i, j: -1.0, min_len=2, max_len=2)
         result = nbest(lat, 5)
         rng = np.random.default_rng(0)
         for _ in range(20):
             assert sample_path(result, 1.0, rng) == (0, 2)
 
     def test_equal_scores_sample_evenly(self):
-        lat = build_lattice(2, lambda i, j: -1.0 * (j - i), min_len=1, max_len=2)
+        lat = _lattice(2, lambda i, j: -1.0 * (j - i), min_len=1, max_len=2)
         result = nbest(lat, 10)
         # paths (0,2) and (0,1,2) both score -2
         assert len(result.paths) == 2
@@ -149,7 +165,7 @@ class TestSamplePath:
 
     def test_twenty_log_unit_gap_dominates(self):
         scores = {(0, 1): 20.0, (0, 2): 0.0, (1, 2): 0.0}
-        lat = build_lattice(2, lambda i, j: scores[(i, j)], 1, 2)
+        lat = _lattice(2, lambda i, j: scores[(i, j)], 1, 2)
         result = nbest(lat, 10)
         rng = np.random.default_rng(7)
         wins = sum(
@@ -179,7 +195,7 @@ class TestSamplePath:
         assert draws1 == draws2
 
     def test_temperature_validation(self):
-        lat = build_lattice(2, lambda i, j: 0.0, 1, 2)
+        lat = _lattice(2, lambda i, j: 0.0, 1, 2)
         result = nbest(lat, 4)
         with pytest.raises(ValueError, match="temperature"):
             sample_path(result, 0.0, np.random.default_rng(0))

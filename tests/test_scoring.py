@@ -5,47 +5,95 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpparse.scoring import (
-    DPParams,
-    arc_score,
-    arc_scores_batch,
-    base_probability,
-    length_penalty,
-    sentence_log_probability,
-    word_probability,
-)
+from dpparse.core import Corpus, SymbolSequence
+from dpparse.lattice import candidate_bounds
+from dpparse.scoring import DPParams, arc_scores_batch, word_probabilities
+from dpparse.trainer import TrainerConfig, build_base
 
-from oracles import direct_length_penalty, direct_word_probability
+from oracles import direct_arc_score, direct_length_penalty, direct_word_probability
+
+
+def _word_probability(lexicon_freq, base_prob, params):
+    """word_probabilities on one row."""
+    lex, base = np.array([lexicon_freq]), np.array([base_prob])
+    return word_probabilities(lex, base, params)[0]
+
+
+def _length_term(lengths, gamma, delta):
+    # With word probability 1 the log term is exactly log(1) = 0, so the
+    # arc score is the signed length term alone.
+    lengths = np.atleast_1d(lengths)
+    params = DPParams(gamma=gamma, delta=delta, epsilon_log=1e-300, penalty_sign=1.0)
+    return arc_scores_batch(np.ones(len(lengths)), lengths, params)
+
+
+def _arc_score(word_prob, len_blocks, params):
+    """arc_scores_batch on one row."""
+    return arc_scores_batch(np.array([word_prob]), np.array([len_blocks]), params)[0]
+
+
+def _discrete_priors(*utterances, **config):
+    corpus = Corpus(
+        [SymbolSequence(f"u{i}", s) for i, s in enumerate(utterances)],
+        mode="discrete",
+    )
+    cfg = TrainerConfig(**config)
+    _store, probs, _beta, n_base = build_base(corpus, cfg)
+    return corpus, cfg, probs, n_base
+
+
+def _prior_of(corpus, cfg, probs, utt_id, start, end):
+    starts, ends = candidate_bounds(
+        corpus.utterance(utt_id).n_blocks, cfg.min_len, cfg.max_len
+    )
+    (ordinal,) = np.flatnonzero((starts == start) & (ends == end))
+    return probs[utt_id][ordinal]
 
 
 class TestBaseProbability:
+    # A prior is the candidate's count in the base pool, leaving out
+    # instances that overlap it, over the pool size.
+
     def test_direct_value(self):
-        assert base_probability(10.0, 10**6) == pytest.approx(1e-5, rel=1e-12)
+        corpus, cfg, probs, n_base = _discrete_priors([1, 2], [1, 2], max_len=2)
+        assert n_base == 6  # three candidates per utterance, all pooled
+        # "1 2" at u0 [0, 2) matches only u1 [0, 2)
+        prior = _prior_of(corpus, cfg, probs, "u0", 0, 2)
+        assert prior == pytest.approx(1 / 6, rel=1e-12)
 
     def test_never_seen(self):
-        assert base_probability(0.0, 123) == 0.0
+        # "7 8" occurs once; its only pool instance overlaps it
+        corpus, cfg, probs, _ = _discrete_priors([7, 8], [1, 2], max_len=2)
+        assert _prior_of(corpus, cfg, probs, "u0", 0, 2) == 0.0
 
     def test_upper_bound(self):
-        assert base_probability(50.0, 50) == 1.0
+        # two pooled instances of "5" besides the query's own: 2 / 2
+        corpus, cfg, probs, n_base = _discrete_priors(
+            [5], [5], [5], min_len=1, max_len=1, l0_subsample=2, seed=0
+        )
+        assert n_base == 2
+        assert all(np.all(p <= 1.0) for p in probs.values())
+        unpooled = [u for u in ("u0", "u1", "u2") if probs[u][0] == 1.0]
+        assert len(unpooled) == 1
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            base_probability(1.0, 0)
+        with pytest.raises(ValueError, match="no candidate segments"):
+            _discrete_priors([1, 2], min_len=3, max_len=4)
 
 
 class TestWordProbability:
     def test_empty_lexicon_reduces_to_prior(self):
         params = DPParams(alpha0=100.0, n_lexicon=0.0)
-        assert word_probability(0.0, 0.37, params) == pytest.approx(0.37, rel=1e-12)
+        assert _word_probability(0.0, 0.37, params) == pytest.approx(0.37, rel=1e-12)
 
     def test_hand_value(self):
         params = DPParams(alpha0=100.0, n_lexicon=1000.0)
-        got = word_probability(5.0, 0.001, params)
+        got = _word_probability(5.0, 0.001, params)
         assert got == pytest.approx(5.1 / 1100, rel=1e-12)
 
     def test_small_alpha_limit_is_relative_frequency(self):
         params = DPParams(alpha0=1e-9, n_lexicon=200.0)
-        got = word_probability(50.0, 0.9, params)
+        got = _word_probability(50.0, 0.9, params)
         assert got == pytest.approx(50.0 / 200.0, rel=1e-6)
 
     @given(
@@ -57,59 +105,59 @@ class TestWordProbability:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_freq_and_prior(self, freq, prior, alpha0, mass):
         params = DPParams(alpha0=alpha0, n_lexicon=mass)
-        base = word_probability(freq, prior, params)
-        assert word_probability(freq + 1.0, prior, params) >= base
+        base = _word_probability(freq, prior, params)
+        assert _word_probability(freq + 1.0, prior, params) >= base
         if prior <= 0.999:
-            assert word_probability(freq, prior + 0.001, params) >= base
+            assert _word_probability(freq, prior + 0.001, params) >= base
 
 
 class TestLengthPenalty:
     def test_len_one_is_zero_for_any_exponent(self):
         for gamma in (0.0, 1.0, 1.8, 3.5):
-            assert length_penalty(1, gamma, 4.0) == 0.0
-            assert length_penalty(1, gamma, 2.0) == 0.0
+            assert _length_term(1, gamma, 4.0)[0] == 0.0
+            assert _length_term(1, gamma, 2.0)[0] == 0.0
 
     def test_unit_base(self):
-        assert length_penalty(5, 1.8, 4.0) == pytest.approx(1.0, rel=1e-12)
+        assert _length_term(5, 1.8, 4.0)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_value(self):
         expected = direct_length_penalty(3, 1.8, 4.0)
         assert expected == pytest.approx(0.5**1.8, rel=1e-12)
-        assert length_penalty(3, 1.8, 4.0) == pytest.approx(expected, rel=1e-12)
+        assert _length_term(3, 1.8, 4.0)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_length(self):
-        values = [length_penalty(n, 1.8, 4.0) for n in range(1, 21)]
+        values = _length_term(np.arange(1, 21), 1.8, 4.0)
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestArcScore:
     def test_zero_probability_guarded_and_finite(self):
         params = DPParams()
-        s = arc_score(0.0, 4, params)
+        s = _arc_score(0.0, 4, params)
         assert math.isfinite(s)
         assert s == pytest.approx(
-            math.log(1e-10) + params.penalty_sign * length_penalty(4, 1.8, 4.0)
+            math.log(1e-10) + params.penalty_sign * direct_length_penalty(4, 1.8, 4.0)
         )
 
     def test_probability_one_length_one(self):
-        assert arc_score(1.0, 1, DPParams()) == pytest.approx(0.0, abs=1e-9)
+        assert _arc_score(1.0, 1, DPParams()) == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_value_literal_form(self):
         # additive length term: log(e^-2) + ((5-1)/4)^1.8 = -2 + 1
         params = DPParams(penalty_sign=1.0)
-        got = arc_score(math.exp(-2.0), 5, params)
+        got = _arc_score(math.exp(-2.0), 5, params)
         assert got == pytest.approx(-1.0, rel=1e-9)
 
     def test_default_sign_penalizes_length(self):
         params = DPParams()
         assert params.penalty_sign == -1.0
-        assert arc_score(0.5, 10, params) < arc_score(0.5, 1, params)
+        assert _arc_score(0.5, 10, params) < _arc_score(0.5, 1, params)
 
     def test_finite_over_full_domain(self):
         params = DPParams()
-        for p in (0.0, 1e-12, 0.5, 1.0):
-            for n in (1, 7, 20):
-                assert math.isfinite(arc_score(p, n, params))
+        probs = np.repeat([0.0, 1e-12, 0.5, 1.0], 3)
+        lens = np.tile([1, 7, 20], 4)
+        assert np.all(np.isfinite(arc_scores_batch(probs, lens, params)))
 
     def test_batch_matches_scalar(self):
         params = DPParams(gamma=0.0, n_lexicon=10.0)
@@ -117,19 +165,20 @@ class TestArcScore:
         lens = np.array([1, 5, 20])
         batch = arc_scores_batch(probs, lens, params)
         for b, p, n in zip(batch, probs, lens):
-            assert b == pytest.approx(arc_score(float(p), int(n), params), rel=1e-12)
+            oracle = direct_arc_score(
+                float(p),
+                int(n),
+                epsilon_log=params.epsilon_log,
+                gamma=params.gamma,
+                delta=params.delta,
+                sign=params.penalty_sign,
+            )
+            assert b == pytest.approx(oracle, rel=1e-12)
 
     def test_gamma_zero_still_zero_at_len_one(self):
         # 0^0 is pinned to 0 for the length term
-        assert length_penalty(1, 0.0, 4.0) == 0.0
-        assert length_penalty(2, 0.0, 4.0) == 1.0
-
-
-def test_sentence_log_probability_matches_product():
-    rng = np.random.default_rng(0)
-    probs = rng.uniform(0.05, 1.0, size=6)
-    direct = math.log(float(np.prod(probs)))
-    assert sentence_log_probability(probs) == pytest.approx(direct, rel=1e-9)
+        assert _length_term(1, 0.0, 4.0)[0] == 0.0
+        assert _length_term(2, 0.0, 4.0)[0] == 1.0
 
 
 def test_formula_oracle_agreement():
@@ -140,6 +189,6 @@ def test_formula_oracle_agreement():
         prior = float(rng.uniform(0, 1))
         alpha0 = float(rng.uniform(1e-3, 1e4))
         params = DPParams(alpha0=alpha0, n_lexicon=n_lex)
-        mine = word_probability(freq, prior, params)
+        mine = _word_probability(freq, prior, params)
         oracle = direct_word_probability(freq, prior, alpha0, n_lex)
         assert mine == pytest.approx(oracle, rel=1e-12)

@@ -129,8 +129,13 @@ class TestGenerate:
         for v in vecs:
             counts[v.tobytes()] = counts.get(v.tobytes(), 0) + 1
         for i in (0, 5, 17):
-            f = index.kernel_frequencies(
-                vecs[i][None, :], [Segment("fresh", 0, 1)], params
+            fresh = Segment("fresh", 0, 1)
+            f = index.kernel_frequencies_arrays(
+                vecs[i][None, :],
+                np.array([index.utt_code(fresh.utterance_id)]),
+                np.array([fresh.start]),
+                np.array([fresh.end]),
+                params,
             )[0]
             assert f == pytest.approx(counts[vecs[i].tobytes()], abs=1e-3)
 

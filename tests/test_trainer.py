@@ -5,14 +5,12 @@ import pytest
 
 from dpparse.core import Corpus, FrameMatrix, Segment, SymbolSequence
 from dpparse.density import DensityParams, DiscreteCountStore, InstanceIndex
+from dpparse.lattice import candidate_bounds
 from dpparse.scoring import DPParams
 from dpparse.synthgen import GenConfig, generate
 from dpparse.trainer import (
     TrainerConfig,
-    base_prob_of,
     build_base,
-    candidate_ordinal,
-    enumerate_candidates,
     init_segmentation,
     init_state,
     n_candidates,
@@ -53,6 +51,13 @@ def _discrete_corpus(seed=0, n_utterances=120, vocab=6):
     return corpus, gold
 
 
+def _ordinal(utt, config, start, end):
+    """Position of candidate [start, end) of ``utt`` in its prior array."""
+    starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
+    (ordinal,) = np.flatnonzero((starts == start) & (ends == end))
+    return ordinal
+
+
 def _config(**kw):
     base = dict(n_iterations=2, beam=5, seed=0, workers=2)
     base.update(kw)
@@ -82,27 +87,32 @@ class TestInitSegmentation:
 
 class TestEnumerateCandidates:
     def test_six_blocks_bounds_two_six(self):
-        corpus = Corpus([FrameMatrix("u", np.ones((6, 2)))])
-        cands = enumerate_candidates(corpus, 2, 6)
-        assert len(cands) == 15  # 5+4+3+2+1
+        starts, ends = candidate_bounds(6, 2, 6)
+        assert len(starts) == len(ends) == 15  # 5+4+3+2+1
 
     def test_single_block(self):
-        corpus = Corpus([FrameMatrix("u", np.ones((1, 2)))])
-        cands = enumerate_candidates(corpus, 1, 20)
-        assert cands == [Segment("u", 0, 1)]
+        starts, ends = candidate_bounds(1, 1, 20)
+        assert starts.tolist() == [0] and ends.tolist() == [1]
 
     def test_empty_corpus(self):
-        assert enumerate_candidates(Corpus([]), 1, 20) == []
+        corpus = Corpus([])
+        assert sum(n_candidates(u.n_blocks, 1, 20) for u in corpus) == 0
+        with pytest.raises(ValueError, match="no candidate segments"):
+            build_base(corpus, _config())
 
     def test_count_matches_formula(self):
-        corpus = Corpus([FrameMatrix("u", np.ones((9, 2)))])
-        assert len(enumerate_candidates(corpus, 2, 5)) == n_candidates(9, 2, 5)
+        formula = sum(max(0, 9 - length + 1) for length in range(2, 6))
+        assert n_candidates(9, 2, 5) == formula
 
     def test_ordinal_round_trip(self):
-        corpus = Corpus([FrameMatrix("u", np.ones((7, 2)))])
-        cands = enumerate_candidates(corpus, 1, 4)
-        for i, seg in enumerate(cands):
-            assert candidate_ordinal(7, 1, 4, seg.start, seg.end) == i
+        # scan order: by start, then by length
+        starts, ends = candidate_bounds(7, 1, 4)
+        ordinal = 0
+        for i in range(7):
+            for length in range(1, min(4, 7 - i) + 1):
+                assert (starts[ordinal], ends[ordinal]) == (i, i + length)
+                ordinal += 1
+        assert ordinal == len(starts)
 
 
 class TestBuildBase:
@@ -142,15 +152,8 @@ class TestBuildBase:
         key = utt.symbols.tobytes()
         seg = Segment(utt.utterance_id, 0, utt.n_blocks)
         expected = store.count_excluding_overlaps(key, seg) / n_base
-        assert probs[utt.utterance_id][
-            candidate_ordinal(utt.n_blocks, 1, 20, 0, utt.n_blocks)
-        ] == pytest.approx(expected)
-
-    def test_explicit_candidates_must_match_enumeration(self):
-        corpus, _ = _continuous_corpus(n_utterances=5)
-        config = _config()
-        with pytest.raises(ValueError, match="full enumeration"):
-            build_base(corpus, config, candidates=[Segment("u000000", 0, 1)])
+        ordinal = _ordinal(utt, config, 0, utt.n_blocks)
+        assert probs[utt.utterance_id][ordinal] == pytest.approx(expected)
 
 
 class TestInitState:
@@ -244,7 +247,9 @@ class TestRunIteration:
         assert freq >= 2
         seg = example[key]
         n_tokens = state.segmentation.n_tokens
-        p0 = base_prob_of(state, seg, corpus, config)
+        utt = corpus.utterance(seg.utterance_id)
+        ordinal = _ordinal(utt, config, seg.start, seg.end)
+        p0 = state.base_probs[seg.utterance_id][ordinal]
         lexicon_freq = store.count_excluding_overlaps(key, Segment("fresh", 0, 1))
         dp = DPParams(n_lexicon=float(n_tokens), n_base=state.n_base)
         p_w = lexicon_freq / (n_tokens + dp.alpha0) + dp.alpha0 * p0 / (
@@ -279,6 +284,13 @@ class TestTrain:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             _config(n_iterations=0)
+
+    def test_small_calibration_sample_rejected(self):
+        # calibrate_beta needs >= 100 items; refuse before any setup work
+        for bad in (99, 0, -5):
+            with pytest.raises(ValueError, match="calibration_sample"):
+                _config(calibration_sample=bad)
+        assert _config(calibration_sample=100).calibration_sample == 100
 
     def test_discrete_training_runs(self):
         corpus, gold = _discrete_corpus(n_utterances=80)
