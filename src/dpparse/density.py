@@ -21,8 +21,11 @@ from dpparse.core import Segment
 
 logger = logging.getLogger(__name__)
 
-# Distance blocks are materialized in batches capped at ~256 MB.
+# Distance blocks are materialized in batches capped at ~256 MB; each block
+# is finished and top-k selected in row tiles of ~2 MB, while a tile is
+# still in cache.
 _BLOCK_BYTES = 256 * 1024 * 1024
+_TILE_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,21 @@ class InstanceIndex:
         out_idx = np.empty((m, k_eff), dtype=np.int64)
         out_dist = np.empty((m, k_eff), dtype=np.float64)
         batch = max(1, _BLOCK_BYTES // (8 * self.n))
+        tile = max(1, _TILE_BYTES // (8 * self.n))
         for lo in range(0, m, batch):
-            hi = min(lo + batch, m)
-            q = queries[lo:hi]
+            q = queries[lo : lo + batch]
             # |q - b|^2 = |q|^2 + |b|^2 - 2 q.b, clamped against rounding.
+            # The GEMM runs on the whole block: splitting it changes bits.
             d = q @ self.vectors.T
-            d *= -2.0
-            d += self._sq_norms[None, :]
-            d += np.einsum("ij,ij->i", q, q)[:, None]
-            np.maximum(d, 0.0, out=d)
-            i_blk, d_blk = topk_select(d, k_eff, workers)
-            out_idx[lo:hi] = i_blk
-            out_dist[lo:hi] = d_blk
+            q_sq = np.einsum("ij,ij->i", q, q)
+            for t in range(0, len(q), tile):
+                dt = d[t : t + tile]
+                dt *= -2.0
+                dt += self._sq_norms[None, :]
+                dt += q_sq[t : t + tile, None]
+                np.maximum(dt, 0.0, out=dt)
+                rows = slice(lo + t, lo + t + len(dt))
+                out_idx[rows], out_dist[rows] = topk_select(dt, k_eff, workers)
         return out_idx, out_dist
 
     def overlap_mask(

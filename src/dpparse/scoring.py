@@ -21,7 +21,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DPParams:
-    """Dirichlet-process weights plus the running lexicon masses."""
+    """Dirichlet-process weights plus the running lexicon mass."""
 
     alpha0: float = 100.0
     gamma: float = 1.8
@@ -29,7 +29,6 @@ class DPParams:
     epsilon_log: float = 1e-10
     penalty_sign: float = -1.0
     n_lexicon: float = 0.0
-    n_base: int = 1
 
     def __post_init__(self):
         if not self.alpha0 > 0:
@@ -44,8 +43,6 @@ class DPParams:
             raise ValueError("penalty_sign must be -1 or +1")
         if self.n_lexicon < 0:
             raise ValueError("n_lexicon must be >= 0")
-        if self.n_base < 1:
-            raise ValueError("n_base must be >= 1")
 
 
 def word_probabilities(

@@ -173,15 +173,23 @@ def _sampled_group(corpus: Corpus, config: TrainerConfig, sampled: np.ndarray):
 
 
 def _token_group(corpus: Corpus, segmentation: Segmentation):
-    """The tokens of a segmentation, in ``segmentation.tokens()`` order."""
-    return [
-        (
-            corpus.utterance(utt_id),
-            np.array([s.start for s in segs], dtype=np.int64),
-            np.array([s.end for s in segs], dtype=np.int64),
-        )
-        for utt_id, segs in segmentation.items()
-    ]
+    """The tokens of a segmentation, in ``segmentation.tokens()`` order.
+
+    A token that ends past its utterance is rejected here, before any
+    backend counts or embeds it (a ``Segment`` already has 0 <= start < end).
+    """
+    group = []
+    for utt_id, segs in segmentation.items():
+        utt = corpus.utterance(utt_id)
+        ends = [s.end for s in segs]
+        if max(ends, default=0) > utt.n_blocks:
+            bad = next(s for s in segs if s.end > utt.n_blocks)
+            raise ValueError(
+                f"token {bad} ends past utterance {utt_id!r} of {utt.n_blocks} blocks"
+            )
+        starts = np.array([s.start for s in segs], dtype=np.int64)
+        group.append((utt, starts, np.array(ends, dtype=np.int64)))
+    return group
 
 
 def _split(group, values: np.ndarray):
@@ -435,9 +443,7 @@ def run_iteration(
     n_lexicon = state.segmentation.n_tokens
     lexicon = tables.build_lexicon(corpus, state.segmentation) if n_lexicon else None
     iteration = state.iteration + 1
-    dp = dataclasses.replace(
-        config.dp, n_lexicon=float(n_lexicon), n_base=state.n_base
-    )
+    dp = dataclasses.replace(config.dp, n_lexicon=float(n_lexicon))
     new_bounds: dict[str, tuple[int, ...]] = {}
     for group in _utterance_groups(corpus, config):
         if lexicon is None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpparse import density
 from dpparse.core import Segment
 from dpparse.density import (
     DensityParams,
@@ -89,6 +90,29 @@ class TestBuildIndex:
         idx, _ = _index_from(base).query(q, k)
         oracle_idx, _ = linear_scan_knn(base, q, k)
         assert np.array_equal(idx[0], oracle_idx)
+
+    def test_tile_size_does_not_change_results(self, monkeypatch):
+        # Every vector three times: equal distances inside the selection and
+        # at the k-th cut, so tied rows take the repair path.
+        rng = np.random.default_rng(9)
+        base = np.repeat(rng.normal(size=(60, 4)), 3, axis=0)
+        index = _index_from(base)
+        queries = np.vstack([base[::7], rng.normal(size=(40, 4))])
+        idx, d2 = index.query(queries, 10)
+        assert (d2[:, 1:] == d2[:, :-1]).any()
+        tiles = []
+        select = density.topk_select
+
+        def counting(dists, k, workers=None):
+            tiles.append(dists.shape[0])
+            return select(dists, k, workers)
+
+        monkeypatch.setattr(density, "_TILE_BYTES", 1)
+        monkeypatch.setattr(density, "topk_select", counting)
+        idx1, d21 = index.query(queries, 10)
+        assert tiles == [1] * len(queries)
+        assert np.array_equal(idx1, idx)
+        assert np.array_equal(d21, d2)
 
 
 class TestEstimateFrequency:

@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dpparse import _kernels
 from dpparse._kernels import BACKEND, topk_select
 from dpparse._kernels.topk_fallback import select_topk as fallback_select
 
@@ -42,6 +48,28 @@ def test_duplicate_distances_tie_break_on_index(select_name):
     idx, dist = _run(select, d, 3)
     assert list(idx[0]) == [1, 2, 3]
     assert list(dist[0]) == [0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("select_name", ["native", "fallback"])
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 30)),
+        elements=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_ties_at_every_k_match_lexsort(select_name, d):
+    # Few distinct values make ties at the cut and inside the selection common.
+    select = _native_select() if select_name == "native" else fallback_select
+    n = d.shape[1]
+    oracle = [np.lexsort((np.arange(n), row)) for row in d]
+    with mock.patch.object(_kernels, "_select_topk", select):
+        for k in range(1, n + 1):
+            idx, dist = topk_select(d, k)
+            for r, order in enumerate(oracle):
+                assert np.array_equal(idx[r], order[:k])
+                assert np.array_equal(dist[r], d[r][order[:k]])
 
 
 def test_k_equals_n():

@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from dpparse.core import Corpus, FrameMatrix, Segment, SymbolSequence
+from dpparse.core import Corpus, FrameMatrix, Segment, Segmentation, SymbolSequence
 from dpparse.density import DensityParams, DiscreteCountStore, InstanceIndex
+from dpparse.embed import UtteranceEmbedder
 from dpparse.lattice import candidate_bounds
 from dpparse.scoring import DPParams
 from dpparse.synthgen import GenConfig, generate
@@ -225,6 +227,28 @@ class TestRunIteration:
         state = run_iteration(state, corpus, config)
         assert state.segmentation.validate(corpus) == []
 
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_token_past_its_utterance_rejected(self, mode, monkeypatch):
+        if mode == "continuous":
+            corpus, _ = _continuous_corpus(n_utterances=12)
+        else:
+            corpus, _ = _discrete_corpus(n_utterances=40)
+        config = _config()
+        state = init_state(corpus, config)
+        utt = corpus.utterances[0]
+        uid, n = utt.utterance_id, utt.n_blocks
+        bad = Segment(uid, n - 1, n + 2)
+        seg = Segmentation({uid: [Segment(uid, 0, n - 1), bad]})
+
+        def fail(*_args):
+            raise AssertionError("token counted or embedded before the check")
+
+        monkeypatch.setattr(DiscreteCountStore, "add", fail)
+        monkeypatch.setattr(UtteranceEmbedder, "embed_many", fail)
+        state = dataclasses.replace(state, segmentation=seg)
+        with pytest.raises(ValueError, match=re.escape(f"token {bad} ends past")):
+            run_iteration(state, corpus, config)
+
     def test_frequent_substring_beats_prior_discrete(self):
         corpus, _ = _discrete_corpus(n_utterances=150, vocab=4)
         config = _config()
@@ -251,7 +275,7 @@ class TestRunIteration:
         ordinal = _ordinal(utt, config, seg.start, seg.end)
         p0 = state.base_probs[seg.utterance_id][ordinal]
         lexicon_freq = store.count_excluding_overlaps(key, Segment("fresh", 0, 1))
-        dp = DPParams(n_lexicon=float(n_tokens), n_base=state.n_base)
+        dp = DPParams(n_lexicon=float(n_tokens))
         p_w = lexicon_freq / (n_tokens + dp.alpha0) + dp.alpha0 * p0 / (
             n_tokens + dp.alpha0
         )
