@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the compiled top-k kernel against the numpy selection.
 
-Builds one exact distance block per case (BLAS GEMM plus the norm finish
-``InstanceIndex.query`` applies), then times top-k selection through each
-backend over the same row tiles ``InstanceIndex.query`` selects in.  The
-selection stage is where the two backends differ.  The first two full
-cases are the shapes of the ``cont-lexicon`` perfbench workload: setup
-queries against its 2000-entry base pool, and one iteration's queries
-against its ~200-token lexicon.
+Streams each case's exact distances through the production GEMM blocks
+and finished row tiles that ``InstanceIndex.query`` selects in
+(``InstanceIndex._distance_tiles``), and times the top-k selection of
+every tile through each backend, so no case holds more than one distance
+block.  The selection stage is where the two backends differ.  The first
+two full cases are the shapes of the ``cont-lexicon`` perfbench workload:
+setup queries against its 2000-entry base pool, and one iteration's
+queries against its ~200-token lexicon.
 
 Usage: python benchmarks/bench_knn.py [--quick] [--threads N]
 """
@@ -20,7 +21,8 @@ import numpy as np
 
 from dpparse._kernels import BACKEND
 from dpparse._kernels.topk_fallback import select_topk as numpy_select
-from dpparse.density import _TILE_BYTES
+from dpparse.core import Segment
+from dpparse.density import InstanceIndex
 
 try:
     from dpparse._kernels._topk import select_topk as native_select
@@ -28,28 +30,26 @@ except ImportError:
     native_select = None
 
 
-def _distance_block(queries, base):
-    d = queries @ base.T
-    d *= -2.0
-    d += np.einsum("ij,ij->i", base, base)[None, :]
-    d += np.einsum("ij,ij->i", queries, queries)[:, None]
-    np.maximum(d, 0.0, out=d)
-    return d
-
-
-def _time_select(select, dists, k, threads, repeats=3):
-    m, n = dists.shape
-    tile = max(1, _TILE_BYTES // (8 * n))
-    best = float("inf")
+def _time_case(index, queries, k, selects, threads, repeats=3):
+    """Best of ``repeats`` seconds spent building the distance tiles and
+    selecting in them with each backend; each backend's indices."""
+    m = len(queries)
+    outs = [np.empty((m, k), dtype=np.int64) for _ in selects]
+    out_dist = np.empty((m, k), dtype=np.float64)
+    best = [float("inf")] * (1 + len(selects))
     for _ in range(repeats):
-        out_idx = np.empty((m, k), dtype=np.int64)
-        out_dist = np.empty((m, k), dtype=np.float64)
+        spent = [0.0] * len(best)
         t0 = time.perf_counter()
-        for lo in range(0, m, tile):
-            rows = slice(lo, lo + tile)
-            select(dists[rows], out_idx[rows], out_dist[rows], k, threads)
-        best = min(best, time.perf_counter() - t0)
-    return best, out_idx
+        for lo, dists in index._distance_tiles(queries, k):
+            spent[0] += time.perf_counter() - t0
+            rows = slice(lo, lo + len(dists))
+            for i, select in enumerate(selects, 1):
+                t0 = time.perf_counter()
+                select(dists, outs[i - 1][rows], out_dist[rows], k, threads)
+                spent[i] += time.perf_counter() - t0
+            t0 = time.perf_counter()
+        best = [min(b, s) for b, s in zip(best, spent)]
+    return best, outs
 
 
 def main():
@@ -75,22 +75,18 @@ def main():
     print(f"{'n_base':>8} {'n_query':>8} {'dim':>4} {'k':>4} "
           f"{'dist_ms':>9} {'numpy_ms':>9} {'native_ms':>10} {'speedup':>8}")
     rng = np.random.default_rng(0)
+    selects = [numpy_select] + ([native_select] if native_select else [])
     for n, q, dim, k in cases:
         base = rng.normal(size=(n, dim))
+        index = InstanceIndex(base, [Segment("base", i, i + 1) for i in range(n)])
         queries = rng.normal(size=(q, dim))
-        t0 = time.perf_counter()
-        dists = _distance_block(queries, base)
-        dist_ms = (time.perf_counter() - t0) * 1e3
-        np_s, np_idx = _time_select(numpy_select, dists, k, threads)
-        if native_select is not None:
-            nat_s, nat_idx = _time_select(native_select, dists, k, threads)
-            assert np.array_equal(np_idx, nat_idx), "backends disagree"
-            nat_ms, speedup = nat_s * 1e3, np_s / nat_s
-            print(f"{n:>8} {q:>8} {dim:>4} {k:>4} {dist_ms:>9.1f} "
-                  f"{np_s * 1e3:>9.1f} {nat_ms:>10.1f} {speedup:>7.1f}x")
+        (dist_s, np_s, *nat), idx = _time_case(index, queries, k, selects, threads)
+        row = f"{n:>8} {q:>8} {dim:>4} {k:>4} {dist_s * 1e3:>9.1f} {np_s * 1e3:>9.1f}"
+        if nat:
+            assert np.array_equal(idx[0], idx[1]), "backends disagree"
+            print(f"{row} {nat[0] * 1e3:>10.1f} {np_s / nat[0]:>7.1f}x")
         else:
-            print(f"{n:>8} {q:>8} {dim:>4} {k:>4} {dist_ms:>9.1f} "
-                  f"{np_s * 1e3:>9.1f} {'n/a':>10} {'n/a':>8}")
+            print(f"{row} {'n/a':>10} {'n/a':>8}")
 
 
 if __name__ == "__main__":

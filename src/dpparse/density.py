@@ -21,11 +21,28 @@ from dpparse.core import Segment
 
 logger = logging.getLogger(__name__)
 
-# Distance blocks are materialized in batches capped at ~256 MB; each block
-# is finished and top-k selected in row tiles of ~2 MB, while a tile is
-# still in cache.
-_BLOCK_BYTES = 256 * 1024 * 1024
+# Queries are answered in row blocks of about _BLOCK_BYTES: one distance
+# GEMM per block, then the norm finish and top-k selection per row tile of
+# about _TILE_BYTES, while the tile is still in cache.  No distance matrix
+# larger than one block ever exists.
+_BLOCK_BYTES = 8 * 1024 * 1024
 _TILE_BYTES = 2 * 1024 * 1024
+
+
+def _block_rows(n: int, k: int) -> int:
+    """Query rows per GEMM block against ``n`` entries with ``k`` neighbours.
+
+    A block's distances plus one (rows, k) float array take about
+    _BLOCK_BYTES.  The split is a fixed function of (n, k), so results do
+    not depend on how callers batch queries, provided they batch by this
+    helper.  Results may depend on the block size itself: with OpenBLAS
+    0.3.31 at one thread, splitting a GEMM into row blocks of two or more
+    rows kept every product bit-identical at 2000 and 20,000 columns (dim
+    3 to 64) and at 200 columns (dim 3 and 16), but changed rows at 700
+    columns and at 200 columns with dim 64; one-row blocks (GEMV) changed
+    every row.
+    """
+    return max(1, _BLOCK_BYTES // (8 * (n + min(k, n))))
 
 
 @dataclass(frozen=True)
@@ -99,12 +116,24 @@ class InstanceIndex:
         m = queries.shape[0]
         out_idx = np.empty((m, k_eff), dtype=np.int64)
         out_dist = np.empty((m, k_eff), dtype=np.float64)
-        batch = max(1, _BLOCK_BYTES // (8 * self.n))
+        for lo, dt in self._distance_tiles(queries, k_eff):
+            rows = slice(lo, lo + len(dt))
+            out_idx[rows], out_dist[rows] = topk_select(dt, k_eff, workers)
+        return out_idx, out_dist
+
+    def _distance_tiles(self, queries: np.ndarray, k: int):
+        """Yield (first row, squared distances) tiles of ``queries`` x index.
+
+        ``queries`` is a C-contiguous float64 (m, dim) array, as ``query``
+        makes it.  One GEMM per ``_block_rows(n, k)`` query rows; each tile
+        of a block is finished just before it is yielded and is overwritten
+        by the next block, so a consumer must be done with it by then.
+        """
+        block = _block_rows(self.n, k)
         tile = max(1, _TILE_BYTES // (8 * self.n))
-        for lo in range(0, m, batch):
-            q = queries[lo : lo + batch]
+        for lo in range(0, len(queries), block):
+            q = queries[lo : lo + block]
             # |q - b|^2 = |q|^2 + |b|^2 - 2 q.b, clamped against rounding.
-            # The GEMM runs on the whole block: splitting it changes bits.
             d = q @ self.vectors.T
             q_sq = np.einsum("ij,ij->i", q, q)
             for t in range(0, len(q), tile):
@@ -113,9 +142,7 @@ class InstanceIndex:
                 dt += self._sq_norms[None, :]
                 dt += q_sq[t : t + tile, None]
                 np.maximum(dt, 0.0, out=dt)
-                rows = slice(lo + t, lo + t + len(dt))
-                out_idx[rows], out_dist[rows] = topk_select(dt, k_eff, workers)
-        return out_idx, out_dist
+                yield lo + t, dt
 
     def overlap_mask(
         self,
@@ -140,11 +167,25 @@ class InstanceIndex:
         params: DensityParams,
         workers: int | None = None,
     ) -> np.ndarray:
-        """Batched soft counts sum_j exp(-beta * d_j^2) over kept neighbours."""
-        idx, d2 = self.query(queries, params.k, workers)
-        weights = np.exp(-params.beta * d2)
-        weights[self.overlap_mask(idx, query_codes, query_starts, query_ends)] = 0.0
-        return weights.sum(axis=1)
+        """Batched soft counts sum_j exp(-beta * d_j^2) over kept neighbours.
+
+        Streams ``query`` over ``_block_rows`` blocks, the split a one-shot
+        ``query`` uses, so no (m, k) array exists for all queries at once
+        and each count equals one computed from a one-shot ``query``.
+        """
+        queries = np.atleast_2d(queries)
+        out = np.empty(len(queries), dtype=np.float64)
+        block = _block_rows(self.n, params.k)
+        for lo in range(0, len(queries), block):
+            rows = slice(lo, lo + block)
+            idx, d2 = self.query(queries[rows], params.k, workers)
+            weights = np.exp(-params.beta * d2)
+            excluded = self.overlap_mask(
+                idx, query_codes[rows], query_starts[rows], query_ends[rows]
+            )
+            weights[excluded] = 0.0
+            out[rows] = weights.sum(axis=1)
+        return out
 
 
 def calibrate_beta(

@@ -175,11 +175,16 @@ def _sampled_group(corpus: Corpus, config: TrainerConfig, sampled: np.ndarray):
 def _token_group(corpus: Corpus, segmentation: Segmentation):
     """The tokens of a segmentation, in ``segmentation.tokens()`` order.
 
-    A token that ends past its utterance is rejected here, before any
-    backend counts or embeds it (a ``Segment`` already has 0 <= start < end).
+    A token of an utterance the corpus lacks, or one that ends past its
+    utterance, is rejected here, before any backend counts or embeds it (a
+    ``Segment`` already has 0 <= start < end).
     """
     group = []
     for utt_id, segs in segmentation.items():
+        if utt_id not in corpus:
+            raise ValueError(
+                f"segmentation names utterance {utt_id!r}, not in the corpus"
+            )
         utt = corpus.utterance(utt_id)
         ends = [s.end for s in segs]
         if max(ends, default=0) > utt.n_blocks:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,64 @@ class TestEstimateFrequency:
         for key in range(dim):
             exact = store.count_excluding_overlaps((key,), _FRESH)
             assert f[key] == pytest.approx(exact, abs=1e-6)
+
+    def test_streamed_counts_equal_one_shot_query(self, monkeypatch):
+        # Blocks of five rows: 23 queries make four whole blocks and a
+        # remainder of three.
+        n, k, dim = 50, 7, 4
+        monkeypatch.setattr(density, "_BLOCK_BYTES", 8 * (n + k) * 5)
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(n, dim))
+        segments = [Segment(f"utt{i % 10}", i, i + 2) for i in range(n)]
+        index = InstanceIndex(base, segments)
+        # Pool entries under their own provenance (excluded self-matches)
+        # and fresh vectors.
+        queries = np.vstack([base[:13], rng.normal(size=(10, dim))])
+        q_segs = segments[:13] + [Segment(f"utt{i}", 0, 3) for i in range(10)]
+        params = DensityParams(k=k, beta=0.8)
+        query = InstanceIndex.query
+        calls = []
+
+        def counting(self, queries, k, workers=None):
+            calls.append(len(queries))
+            return query(self, queries, k, workers)
+
+        monkeypatch.setattr(InstanceIndex, "query", counting)
+        streamed = _soft_counts(index, queries, q_segs, params)
+        assert calls == [5, 5, 5, 5, 3]
+
+        idx, d2 = query(index, queries, k)
+        codes = np.array([index.utt_code(s.utterance_id) for s in q_segs])
+        starts = np.array([s.start for s in q_segs])
+        ends = np.array([s.end for s in q_segs])
+        weights = np.exp(-params.beta * d2)
+        excluded = index.overlap_mask(idx, codes, starts, ends)
+        assert excluded.any()
+        weights[excluded] = 0.0
+        assert np.array_equal(streamed, weights.sum(axis=1))
+
+    def test_peak_memory_bounded_by_block(self):
+        # 8000 x 2000 distances are 128 MB; a block is a few MB.
+        rng = np.random.default_rng(6)
+        n, m, dim = 2000, 8000, 16
+        index = InstanceIndex(
+            rng.normal(size=(n, dim)), [Segment(f"u{i}", 0, 1) for i in range(n)]
+        )
+        queries = rng.normal(size=(m, dim))
+        codes = np.full(m, -1)
+        starts = np.zeros(m, dtype=np.int64)
+        ends = np.ones(m, dtype=np.int64)
+        params = DensityParams(k=100, beta=1.0)
+        tracemalloc.start()
+        try:
+            counts = index.kernel_frequencies_arrays(
+                queries, codes, starts, ends, params
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (m,)
+        assert peak < 16 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestCalibrateBeta:

@@ -227,26 +227,41 @@ class TestRunIteration:
         state = run_iteration(state, corpus, config)
         assert state.segmentation.validate(corpus) == []
 
-    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
-    def test_token_past_its_utterance_rejected(self, mode, monkeypatch):
+    @staticmethod
+    def _initialized_then_uncountable(mode, monkeypatch):
+        """(corpus, config, state) after setup; from then on, counting or
+        embedding a token fails the test."""
         if mode == "continuous":
             corpus, _ = _continuous_corpus(n_utterances=12)
         else:
             corpus, _ = _discrete_corpus(n_utterances=40)
         config = _config()
         state = init_state(corpus, config)
-        utt = corpus.utterances[0]
-        uid, n = utt.utterance_id, utt.n_blocks
-        bad = Segment(uid, n - 1, n + 2)
-        seg = Segmentation({uid: [Segment(uid, 0, n - 1), bad]})
 
         def fail(*_args):
             raise AssertionError("token counted or embedded before the check")
 
         monkeypatch.setattr(DiscreteCountStore, "add", fail)
         monkeypatch.setattr(UtteranceEmbedder, "embed_many", fail)
+        return corpus, config, state
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_token_past_its_utterance_rejected(self, mode, monkeypatch):
+        corpus, config, state = self._initialized_then_uncountable(mode, monkeypatch)
+        utt = corpus.utterances[0]
+        uid, n = utt.utterance_id, utt.n_blocks
+        bad = Segment(uid, n - 1, n + 2)
+        seg = Segmentation({uid: [Segment(uid, 0, n - 1), bad]})
         state = dataclasses.replace(state, segmentation=seg)
         with pytest.raises(ValueError, match=re.escape(f"token {bad} ends past")):
+            run_iteration(state, corpus, config)
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_utterance_missing_from_corpus_rejected(self, mode, monkeypatch):
+        corpus, config, state = self._initialized_then_uncountable(mode, monkeypatch)
+        seg = Segmentation({"zz": [Segment("zz", 0, 2)]})
+        state = dataclasses.replace(state, segmentation=seg)
+        with pytest.raises(ValueError, match="utterance 'zz', not in the corpus"):
             run_iteration(state, corpus, config)
 
     def test_frequent_substring_beats_prior_discrete(self):
