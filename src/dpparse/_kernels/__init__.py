@@ -1,43 +1,37 @@
-"""Backend selection for the hot top-k kernel.
+"""Exact top-k selection under the strict (distance, index) order.
 
-The compiled Cython extension is used when available; otherwise (or when
-``DPPARSE_NO_NATIVE`` is set to a non-empty value other than "0") a numpy
-implementation takes over.  Both honour the same strict (distance, index)
-ordering, so swapping backends never changes results.
+All rows are selected at once: ``argpartition`` picks k smallest entries
+per row and they are sorted by distance.  That is already the strict
+order unless a row has two equal distances among its selected entries
+(their index order is then arbitrary) or more than k entries at or below
+its k-th distance (``argpartition`` then keeps an arbitrary subset of the
+ties at the cut).  Only such rows are selected again, with a stable sort.
 """
-
-import os
 
 import numpy as np
 
-_force_fallback = os.environ.get("DPPARSE_NO_NATIVE", "0") not in ("", "0")
-
-if not _force_fallback:
-    try:
-        from dpparse._kernels._topk import select_topk as _select_topk
-
-        BACKEND = "native"
-    except ImportError:
-        _force_fallback = True
-
-if _force_fallback:
-    from dpparse._kernels.topk_fallback import select_topk as _select_topk
-
-    BACKEND = "numpy"
+BACKEND = "numpy"  # the one selection path; perfbench records it
 
 
-def topk_select(dists: np.ndarray, k: int, workers: int | None = None):
-    """Return the ``k`` smallest entries of each row of ``dists``.
+def topk_select(dists: np.ndarray, k: int):
+    """Return (indices, values) of the ``k`` smallest entries of each row.
 
-    Results are sorted ascending by (value, column index) per row.  ``dists``
-    is destroyed-safe (read-only); output arrays are freshly allocated.
+    Rows are sorted ascending by (value, column index).  ``dists`` is left
+    unmodified; both outputs are freshly allocated.
     """
     dists = np.ascontiguousarray(dists, dtype=np.float64)
-    m, n = dists.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, {n}]")
-    out_idx = np.empty((m, k), dtype=np.int64)
-    out_dist = np.empty((m, k), dtype=np.float64)
-    threads = workers if workers is not None else (os.cpu_count() or 1)
-    _select_topk(dists, out_idx, out_dist, k, max(1, int(threads)))
-    return out_idx, out_dist
+    if not 1 <= k <= dists.shape[1]:
+        raise ValueError(f"k={k} outside [1, {dists.shape[1]}]")
+    sel = np.argpartition(dists, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(dists, sel, axis=1)
+    order = np.argsort(vals, axis=1)
+    sel = np.take_along_axis(sel, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    redo = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
+    redo |= np.count_nonzero(dists <= vals[:, -1:], axis=1) > k
+    rows = np.flatnonzero(redo)
+    if rows.size:
+        sub = dists[rows]
+        sel[rows] = np.argsort(sub, axis=1, kind="stable")[:, :k]
+        vals[rows] = np.take_along_axis(sub, sel[rows], axis=1)
+    return sel, vals

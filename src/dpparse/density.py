@@ -101,7 +101,7 @@ class InstanceIndex:
         # Unknown utterances get -1 and can never overlap an entry.
         return self._utt_code.get(utterance_id, -1)
 
-    def query(self, queries: np.ndarray, k: int, workers: int | None = None):
+    def query(self, queries: np.ndarray, k: int):
         """Exact k nearest neighbours under squared Euclidean distance.
 
         Returns (indices, sq_distances), each of shape (n_queries,
@@ -118,7 +118,7 @@ class InstanceIndex:
         out_dist = np.empty((m, k_eff), dtype=np.float64)
         for lo, dt in self._distance_tiles(queries, k_eff):
             rows = slice(lo, lo + len(dt))
-            out_idx[rows], out_dist[rows] = topk_select(dt, k_eff, workers)
+            out_idx[rows], out_dist[rows] = topk_select(dt, k_eff)
         return out_idx, out_dist
 
     def _distance_tiles(self, queries: np.ndarray, k: int):
@@ -165,7 +165,6 @@ class InstanceIndex:
         query_starts: np.ndarray,
         query_ends: np.ndarray,
         params: DensityParams,
-        workers: int | None = None,
     ) -> np.ndarray:
         """Batched soft counts sum_j exp(-beta * d_j^2) over kept neighbours.
 
@@ -178,7 +177,7 @@ class InstanceIndex:
         block = _block_rows(self.n, params.k)
         for lo in range(0, len(queries), block):
             rows = slice(lo, lo + block)
-            idx, d2 = self.query(queries[rows], params.k, workers)
+            idx, d2 = self.query(queries[rows], params.k)
             weights = np.exp(-params.beta * d2)
             excluded = self.overlap_mask(
                 idx, query_codes[rows], query_starts[rows], query_ends[rows]
@@ -196,7 +195,6 @@ def calibrate_beta(
     target: float = 0.5,
     tolerance: float = 0.02,
     log10_bounds: tuple[float, float] = (-12.0, 12.0),
-    workers: int | None = None,
 ) -> float:
     """Bisect log-beta until the wanted fraction of sample soft counts is tiny.
 
@@ -211,7 +209,7 @@ def calibrate_beta(
         raise ValueError("target must be in (0, 1)")
     vectors = np.stack([np.asarray(v, dtype=np.float64) for v, _ in sample])
     segments = [s for _, s in sample]
-    idx, d2 = index.query(vectors, min(k, index.n), workers)
+    idx, d2 = index.query(vectors, min(k, index.n))
     codes = np.array([index.utt_code(s.utterance_id) for s in segments], dtype=np.int64)
     starts = np.array([s.start for s in segments], dtype=np.int64)
     ends = np.array([s.end for s in segments], dtype=np.int64)

@@ -7,13 +7,13 @@ text formats are UTF-8 and tab-separated.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from dpparse.core import (
-    BLOCK_MS,
     Corpus,
     FrameMatrix,
     GoldAlignment,
@@ -159,10 +159,9 @@ def read_alignment(path) -> GoldAlignment:
             if len(parts) < 4:
                 raise FileFormatError(f"{path}:{lineno}: expected >= 4 fields")
             utt_id, kind, start, end = parts[:4]
-            try:
-                s, e = float(start), float(end)
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: bad time value") from None
+            s, e = _times(path, lineno, start, end)
+            if not s < e:
+                raise FileFormatError(f"{path}:{lineno}: end {end} not after {start}")
             if kind == "WORD":
                 gold.words.setdefault(utt_id, []).append((s, e))
             elif kind == "PHONE":
@@ -203,14 +202,25 @@ def read_segmentation(path) -> Segmentation:
             if len(parts) != 3:
                 raise FileFormatError(f"{path}:{lineno}: expected 3 fields")
             utt_id, start, end = parts
-            seg = Segment(
-                utt_id, ms_to_start_block(float(start)), ms_to_end_block(float(end))
-            )
-            per_utt.setdefault(utt_id, []).append(seg)
+            s, e = _times(path, lineno, start, end)
+            s, e = ms_to_start_block(s), ms_to_end_block(e)
+            if not 0 <= s < e:
+                raise FileFormatError(f"{path}:{lineno}: bad block interval [{s}, {e})")
+            per_utt.setdefault(utt_id, []).append(Segment(utt_id, s, e))
     seg = Segmentation()
     for utt_id, segs in per_utt.items():
         seg.set_utterance(utt_id, sorted(segs, key=lambda s: s.start))
     return seg
+
+
+def _times(path: Path, lineno: int, start: str, end: str) -> tuple[float, float]:
+    try:
+        s, e = float(start), float(end)
+    except ValueError:
+        s = e = math.nan
+    if not (math.isfinite(s) and math.isfinite(e)):
+        raise FileFormatError(f"{path}:{lineno}: bad time value")
+    return s, e
 
 
 def _fmt_ms(ms: float) -> str:

@@ -54,6 +54,8 @@ class TrainerConfig:
     beam: int = 10
     l0_subsample: int = 1_000_000
     seed: int = 0
+    # Read by nothing in dpparse: kept only because the perfbench benchmark
+    # sets and records it (``--workers``, ``trainer.workers``).
     workers: int | None = None
     min_len: int = 1
     max_len: int = 20
@@ -279,13 +281,7 @@ class _KnnTables:
         m = min(config.calibration_sample, index.n)
         picks = np.sort(rng.choice(index.n, size=m, replace=False))
         sample = [(vectors[i], segments[i]) for i in picks]
-        return calibrate_beta(
-            index,
-            sample,
-            config.density.k,
-            config.density.epsilon_f,
-            workers=config.workers,
-        )
+        return calibrate_beta(index, sample, config.density.k, config.density.epsilon_f)
 
     def build_lexicon(self, corpus: Corpus, segmentation: Segmentation):
         group = _token_group(corpus, segmentation)
@@ -297,9 +293,7 @@ class _KnnTables:
         params = DensityParams(config.density.k, beta, config.density.epsilon_f)
         embs = _group_embeddings(group, config.normalize)
         codes, starts, ends = _provenance_arrays(lexicon, group)
-        return lexicon.kernel_frequencies_arrays(
-            embs, codes, starts, ends, params, config.workers
-        )
+        return lexicon.kernel_frequencies_arrays(embs, codes, starts, ends, params)
 
 
 def _provenance_arrays(index: InstanceIndex, group):

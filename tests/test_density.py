@@ -104,9 +104,9 @@ class TestBuildIndex:
         tiles = []
         select = density.topk_select
 
-        def counting(dists, k, workers=None):
+        def counting(dists, k):
             tiles.append(dists.shape[0])
-            return select(dists, k, workers)
+            return select(dists, k)
 
         monkeypatch.setattr(density, "_TILE_BYTES", 1)
         monkeypatch.setattr(density, "topk_select", counting)
@@ -203,9 +203,9 @@ class TestEstimateFrequency:
         query = InstanceIndex.query
         calls = []
 
-        def counting(self, queries, k, workers=None):
+        def counting(self, queries, k):
             calls.append(len(queries))
-            return query(self, queries, k, workers)
+            return query(self, queries, k)
 
         monkeypatch.setattr(InstanceIndex, "query", counting)
         streamed = _soft_counts(index, queries, q_segs, params)

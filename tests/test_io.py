@@ -100,3 +100,24 @@ def test_triplet_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 12)
     with pytest.raises(dpio.FileFormatError, match="magic"):
         dpio.read_triplets(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["u1\tabc\t80\n", "u1\t0\tinf\n", "u1\t80\t40\n", "u1\t40\t40\n", "u1\t-80\t40\n"],
+    ids=["bad-time", "infinite-time", "inverted", "empty", "negative"],
+)
+def test_bad_segmentation_line_names_file_and_line(tmp_path, line):
+    path = tmp_path / "seg.tsv"
+    path.write_text("u1\t0\t40\n" + line, encoding="utf-8")
+    with pytest.raises(dpio.FileFormatError, match=r"seg\.tsv:2: "):
+        dpio.read_segmentation(path)
+
+
+@pytest.mark.parametrize("kind", ["WORD", "PHONE"])
+@pytest.mark.parametrize("start, end", [("80", "40"), ("80", "80")])
+def test_alignment_interval_must_end_after_start(tmp_path, kind, start, end):
+    path = tmp_path / "align.tsv"
+    path.write_text(f"u1\tWORD\t0\t80\nu1\t{kind}\t{start}\t{end}\n", encoding="utf-8")
+    with pytest.raises(dpio.FileFormatError, match=r"align\.tsv:2: end .* not after"):
+        dpio.read_alignment(path)
