@@ -63,6 +63,12 @@ def _load_input_corpus(path: str, mode: str) -> Corpus:
     return corpus
 
 
+def _reject(path: str, what: str, errors: list[str]) -> None:
+    """Refuse the input file ``path`` when it has ``errors``."""
+    if errors:
+        raise ValueError(f"invalid {what} {path}:\n" + "\n".join(errors))
+
+
 def _check_output_dirs(*paths) -> None:
     """Fail before any training when an output file's directory is missing."""
     for path in paths:
@@ -129,7 +135,14 @@ def cmd_baseline(args) -> int:
 
 def cmd_eval(args) -> int:
     hyp = dpio.read_segmentation(args.segmentation)
+    untiled = [
+        f"{utt_id}: tokens are not contiguous from block 0"
+        for utt_id, segs in hyp.items()
+        if [s.start for s in segs] != [0] + [s.end for s in segs[:-1]]
+    ]
+    _reject(args.segmentation, "segmentation", untiled)
     gold = dpio.read_alignment(args.alignment)
+    _reject(args.alignment, "alignment", gold.validate())
     report = token_boundary_f1(hyp, gold)
     for line in dpio.report_lines(report):
         print(line)
@@ -150,6 +163,7 @@ def cmd_ablate_kmeans(args) -> int:
     cfg = _run_config(args)
     corpus = _load_input_corpus(args.input, args.mode)
     gold = dpio.read_alignment(args.alignment)
+    _reject(args.alignment, "alignment", gold.validate())
     results = {}
     for backend in ("knn", "kmeans"):
         overrides = dict(cfg.values)

@@ -15,9 +15,6 @@ import numpy as np
 
 BLOCK_MS = 40.0
 
-DEFAULT_MIN_LEN = 1
-DEFAULT_MAX_LEN = 20
-
 
 def ms_to_start_block(ms: float) -> int:
     return int(math.floor(ms / BLOCK_MS))
@@ -112,7 +109,7 @@ class Corpus:
     def __post_init__(self):
         if self.mode not in ("continuous", "discrete"):
             raise ValueError(f"unknown corpus mode {self.mode!r}")
-        self._by_id = {u.utterance_id: u for u in self.utterances}
+        self._positions = {u.utterance_id: i for i, u in enumerate(self.utterances)}
 
     def __len__(self):
         return len(self.utterances)
@@ -121,17 +118,14 @@ class Corpus:
         return iter(self.utterances)
 
     def __contains__(self, utterance_id: str):
-        return utterance_id in self._by_id
+        return utterance_id in self._positions
+
+    def position(self, utterance_id: str) -> int:
+        """Index of the utterance in ``utterances``."""
+        return self._positions[utterance_id]
 
     def utterance(self, utterance_id: str):
-        return self._by_id[utterance_id]
-
-    @property
-    def dim(self) -> int | None:
-        for u in self.utterances:
-            if isinstance(u, FrameMatrix):
-                return u.dim
-        return None
+        return self.utterances[self._positions[utterance_id]]
 
 
 class Segmentation:
@@ -264,13 +258,6 @@ class GoldAlignment:
                         )
         return errors
 
-    def word_boundaries(self, utterance_id: str) -> list[float]:
-        ws = self.words[utterance_id]
-        return [w[0] for w in ws] + [ws[-1][1]]
-
-    def duration(self, utterance_id: str) -> float:
-        return self.words[utterance_id][-1][1]
-
 
 @dataclass
 class ValidationReport:
@@ -326,9 +313,17 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     return report
 
 
-def short_utterances(corpus: Corpus, min_len: int) -> list[str]:
-    """Ids of utterances too short to admit any valid segmentation path."""
-    return [u.utterance_id for u in corpus.utterances if u.n_blocks < min_len]
+def untileable_utterances(corpus: Corpus, min_len: int, max_len: int) -> list[str]:
+    """Ids of utterances that no segments of min_len..max_len blocks can tile.
+
+    k segments can tile n blocks iff k*min_len <= n <= k*max_len, so some k
+    can iff the fewest that reach n, k = ceil(n / max_len), can.
+    """
+    return [
+        u.utterance_id
+        for u in corpus
+        if -(-u.n_blocks // max_len) * min_len > u.n_blocks
+    ]
 
 
 def pair_frames(frames: np.ndarray, utterance_id: str = "") -> FrameMatrix:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from dpparse._kernels import topk_select
-from dpparse.core import Segment
 
 logger = logging.getLogger(__name__)
 
@@ -65,29 +64,22 @@ class DensityParams:
 class InstanceIndex:
     """Exact-kNN store of segment embeddings with time provenance.
 
-    Immutable once built: between iterations indexes are rebuilt, never
-    mutated, so concurrent read-only queries are safe.
+    Entry i came from blocks [starts[i], ends[i]) of the utterance at corpus
+    position codes[i].  Immutable once built: between iterations indexes
+    are rebuilt, never mutated, so concurrent read-only queries are safe.
     """
 
-    def __init__(self, vectors: np.ndarray, segments: list[Segment]):
+    def __init__(self, vectors: np.ndarray, codes, starts, ends):
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] == 0:
             raise ValueError("empty lexicon")
-        if vectors.shape[0] != len(segments):
-            raise ValueError("one provenance segment required per vector")
+        if not len(vectors) == len(codes) == len(starts) == len(ends):
+            raise ValueError("one provenance interval per vector")
         self.vectors = vectors
         self._sq_norms = np.einsum("ij,ij->i", vectors, vectors)
-        self._utt_code: dict[str, int] = {}
-        codes = np.empty(len(segments), dtype=np.int64)
-        starts = np.empty(len(segments), dtype=np.int64)
-        ends = np.empty(len(segments), dtype=np.int64)
-        for i, seg in enumerate(segments):
-            codes[i] = self._utt_code.setdefault(seg.utterance_id, len(self._utt_code))
-            starts[i] = seg.start
-            ends[i] = seg.end
-        self._codes = codes
-        self._starts = starts
-        self._ends = ends
+        self.codes = np.asarray(codes, dtype=np.int64)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.ends = np.asarray(ends, dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -96,10 +88,6 @@ class InstanceIndex:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def utt_code(self, utterance_id: str) -> int:
-        # Unknown utterances get -1 and can never overlap an entry.
-        return self._utt_code.get(utterance_id, -1)
 
     def query(self, queries: np.ndarray, k: int):
         """Exact k nearest neighbours under squared Euclidean distance.
@@ -152,9 +140,9 @@ class InstanceIndex:
         query_ends: np.ndarray,
     ) -> np.ndarray:
         """True where a neighbour's provenance strictly intersects the query."""
-        same = self._codes[neighbor_idx] == query_codes[:, None]
-        inter = (self._starts[neighbor_idx] < query_ends[:, None]) & (
-            query_starts[:, None] < self._ends[neighbor_idx]
+        same = self.codes[neighbor_idx] == query_codes[:, None]
+        inter = (self.starts[neighbor_idx] < query_ends[:, None]) & (
+            query_starts[:, None] < self.ends[neighbor_idx]
         )
         return same & inter
 
@@ -187,43 +175,44 @@ class InstanceIndex:
         return out
 
 
+# Calibration stops once the below-epsilon fraction is this close to its
+# target; log10(beta) is bisected between these bounds.
+_TOLERANCE = 0.02
+_LOG10_BETA_BOUNDS = (-12.0, 12.0)
+
+
 def calibrate_beta(
     index: InstanceIndex,
-    sample: list[tuple[np.ndarray, Segment]],
+    rows: np.ndarray,
     k: int,
     epsilon_f: float,
     target: float = 0.5,
-    tolerance: float = 0.02,
-    log10_bounds: tuple[float, float] = (-12.0, 12.0),
 ) -> float:
     """Bisect log-beta until the wanted fraction of sample soft counts is tiny.
 
-    A sample item "has frequency one" when its soft count, excluding the
-    self instance (removed by overlap exclusion), falls below
-    ``epsilon_f``.  The returned beta puts that fraction within
-    ``tolerance`` of ``target``.
+    The sample is the index entries at the sorted positions ``rows``.  An
+    entry "has frequency one" when its soft count, excluding the entry
+    itself (removed by overlap exclusion), falls below ``epsilon_f``.  The
+    returned beta puts that fraction within _TOLERANCE of ``target``.
     """
-    if len(sample) < 100:
-        raise ValueError(f"calibration sample has {len(sample)} items, need >= 100")
+    if len(rows) < 100:
+        raise ValueError(f"calibration sample has {len(rows)} items, need >= 100")
     if not 0 < target < 1:
         raise ValueError("target must be in (0, 1)")
-    vectors = np.stack([np.asarray(v, dtype=np.float64) for v, _ in sample])
-    segments = [s for _, s in sample]
-    idx, d2 = index.query(vectors, min(k, index.n))
-    codes = np.array([index.utt_code(s.utterance_id) for s in segments], dtype=np.int64)
-    starts = np.array([s.start for s in segments], dtype=np.int64)
-    ends = np.array([s.end for s in segments], dtype=np.int64)
-    excluded = index.overlap_mask(idx, codes, starts, ends)
+    idx, d2 = index.query(index.vectors[rows], min(k, index.n))
+    excluded = index.overlap_mask(
+        idx, index.codes[rows], index.starts[rows], index.ends[rows]
+    )
 
     def below_fraction(beta: float) -> float:
         w = np.exp(-beta * d2)
         w[excluded] = 0.0
         return float(np.mean(w.sum(axis=1) < epsilon_f))
 
-    lo, hi = log10_bounds
+    lo, hi = _LOG10_BETA_BOUNDS
     f_lo = below_fraction(10.0**lo)
     f_hi = below_fraction(10.0**hi)
-    if f_lo > target + tolerance or f_hi < target - tolerance:
+    if f_lo > target + _TOLERANCE or f_hi < target - _TOLERANCE:
         raise ValueError(
             "calibration target unreachable: below-epsilon fraction is "
             f"{f_lo:.4f} at beta={10.0**lo:g} and {f_hi:.4f} at beta={10.0**hi:g}"
@@ -232,7 +221,7 @@ def calibrate_beta(
         mid = 0.5 * (lo + hi)
         beta = 10.0**mid
         f_mid = below_fraction(beta)
-        if abs(f_mid - target) <= tolerance:
+        if abs(f_mid - target) <= _TOLERANCE:
             logger.info("calibrated beta=%.6g (fraction %.4f)", beta, f_mid)
             return beta
         if f_mid < target:
@@ -249,53 +238,46 @@ def calibrate_beta(
 # ---------------------------------------------------------------------------
 # discrete exact counts
 
-def _canon_key(key) -> bytes:
-    if isinstance(key, bytes):
-        return key
-    return np.asarray(tuple(key), dtype="<i4").tobytes()
-
-
 class DiscreteCountStore:
-    """Multiset of symbol-sequence keys with provenance for overlap exclusion."""
+    """Multiset of symbol-string keys; each instance keeps its provenance
+    (utterance code, start, end) for overlap exclusion."""
 
     def __init__(self):
         self.total = 0
         self._counts: dict[bytes, int] = defaultdict(int)
-        self._spans: dict[bytes, dict[str, list[tuple[int, int]]]] = {}
+        self._spans: dict[bytes, dict[int, list[tuple[int, int]]]] = {}
 
-    def add(self, key, segment: Segment) -> None:
-        key = _canon_key(key)
+    def add(self, key: bytes, code: int, start: int, end: int) -> None:
         self._counts[key] += 1
         self.total += 1
-        self._spans.setdefault(key, {}).setdefault(segment.utterance_id, []).append(
-            (segment.start, segment.end)
-        )
+        self._spans.setdefault(key, {}).setdefault(code, []).append((start, end))
 
-    def count_excluding_overlaps(self, key, segment: Segment) -> int:
-        key = _canon_key(key)
+    def count_excluding_overlaps(
+        self, key: bytes, code: int, start: int, end: int
+    ) -> int:
         n = self._counts.get(key, 0)
         if n == 0:
             return 0
-        spans = self._spans[key].get(segment.utterance_id)
+        spans = self._spans[key].get(code)
         if spans:
-            n -= sum(
-                1 for s, e in spans if s < segment.end and segment.start < e
-            )
+            n -= sum(1 for s, e in spans if s < end and start < e)
         return n
 
 
 # ---------------------------------------------------------------------------
 # k-means cluster-size backend (ablation)
 
+_KMEANS_MAX_ITER = 100
+
+
 class KMeansModel:
     """Lloyd's algorithm with D^2-weighted seeding and a fixed RNG seed."""
 
-    def __init__(self, n_clusters: int, seed: int = 0, max_iter: int = 100):
+    def __init__(self, n_clusters: int, seed: int = 0):
         if n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         self.n_clusters = n_clusters
         self.seed = seed
-        self.max_iter = max_iter
         self.centroids: np.ndarray | None = None
         self.cluster_sizes: np.ndarray | None = None
 
@@ -307,7 +289,7 @@ class KMeansModel:
         rng = np.random.default_rng(self.seed)
         centroids = self._seed_centroids(points, rng)
         labels = None
-        for _ in range(self.max_iter):
+        for _ in range(_KMEANS_MAX_ITER):
             new_labels = self._assign(points, centroids)
             if labels is not None and np.array_equal(new_labels, labels):
                 break

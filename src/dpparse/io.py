@@ -86,16 +86,12 @@ def read_manifest(path) -> list[tuple[str, Path]]:
     return entries
 
 
-def load_corpus(manifest_path, pair_20ms: bool = False) -> Corpus:
+def load_corpus(manifest_path) -> Corpus:
     """Load a continuous corpus from a manifest of frame files."""
-    from dpparse.core import pair_frames
-
-    utterances = []
-    for utt_id, frame_path in read_manifest(manifest_path):
-        fm = read_frame_file(frame_path, utt_id)
-        if pair_20ms:
-            fm = pair_frames(fm.data, utt_id)
-        utterances.append(fm)
+    utterances = [
+        read_frame_file(frame_path, utt_id)
+        for utt_id, frame_path in read_manifest(manifest_path)
+    ]
     return Corpus(utterances, mode="continuous")
 
 

@@ -62,19 +62,6 @@ def _ratio(num: int, denom: int) -> float:
     return num / denom if denom else 0.0
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """ABX item: a and x share a category, b is the distractor."""
-
-    a: np.ndarray
-    b: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.a) == len(self.b) == len(self.x)):
-            raise ValueError("triplet embeddings must share dimensionality")
-
-
 # ---------------------------------------------------------------------------
 # boundary snapping
 
@@ -191,29 +178,19 @@ def fixed_rate_segmenter(corpus: Corpus, period_blocks: int = 3) -> Segmentation
 # ---------------------------------------------------------------------------
 # ABX discrimination
 
-def abx_score(triplets) -> float:
+def abx_score(triplets: np.ndarray) -> float:
     """Fraction of triplets where x is closer to a than to b (cosine).
 
-    Ties count one half.  ``triplets`` is a list of Triplet or an array
-    of shape (n, 3, dim).  Zero vectors are rejected: cosine distance is
-    undefined for them.
+    Ties count one half.  ``triplets`` has shape (n, 3, dim): a, b, x per
+    row, where a and x share a category and b is the distractor.  Zero
+    vectors are rejected: cosine distance is undefined for them.
     """
-    if isinstance(triplets, np.ndarray):
-        if triplets.ndim != 3 or triplets.shape[1] != 3:
-            raise ValueError("expected shape (n, 3, dim)")
-        a, b, x = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    else:
-        triplets = list(triplets)
-        if not triplets:
-            raise ValueError("empty triplet list")
-        a = np.stack([np.asarray(t.a, dtype=np.float64) for t in triplets])
-        b = np.stack([np.asarray(t.b, dtype=np.float64) for t in triplets])
-        x = np.stack([np.asarray(t.x, dtype=np.float64) for t in triplets])
-    if a.shape[0] == 0:
+    triplets = np.asarray(triplets, dtype=np.float64)
+    if triplets.ndim != 3 or triplets.shape[1] != 3:
+        raise ValueError("expected shape (n, 3, dim)")
+    if triplets.shape[0] == 0:
         raise ValueError("empty triplet list")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    a, b, x = triplets[:, 0], triplets[:, 1], triplets[:, 2]
     for name, m in (("a", a), ("b", b), ("x", x)):
         if np.any(np.linalg.norm(m, axis=1) == 0):
             raise ValueError(f"zero vector among {name} embeddings")

@@ -15,11 +15,18 @@ import hashlib
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Protocol
 
 import numpy as np
 
-from dpparse.core import Corpus, Segment, Segmentation, short_utterances, validate_corpus
+from dpparse.core import (
+    Corpus,
+    Segment,
+    Segmentation,
+    untileable_utterances,
+    validate_corpus,
+)
 from dpparse.density import (
     DensityParams,
     DiscreteCountStore,
@@ -88,16 +95,14 @@ class TrainerConfig:
 
 @dataclass
 class TrainerState:
-    """Everything carried between iterations; indexes are never mutated."""
+    """Everything carried between iterations."""
 
     iteration: int
     segmentation: Segmentation
-    lexicon_index: Store | None
-    base_index: Store
     base_probs: dict[str, np.ndarray]
     beta: float | None
     n_base: int
-    n_lexicon: int  # token mass behind lexicon_index
+    n_lexicon: int  # token mass of the last iteration's lexicon
 
 
 def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
@@ -215,13 +220,22 @@ def _group_embeddings(group, normalize: bool) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _keyed_segments(group):
-    """Yield (key, segment) per candidate of a discrete group; equal keys
-    mean equal symbol strings."""
+def _provenance(corpus: Corpus, group):
+    """(codes, starts, ends) of a group's candidates: the corpus position of
+    each candidate's utterance and its block interval."""
+    codes = [np.full(len(s), corpus.position(u.utterance_id)) for u, s, _ in group]
+    starts = [s for _, s, _ in group]
+    ends = [e for _, _, e in group]
+    return np.concatenate(codes), np.concatenate(starts), np.concatenate(ends)
+
+
+def _keyed_instances(corpus: Corpus, group):
+    """Yield (key, code, start, end) per candidate of a discrete group, with
+    provenance as in ``_provenance``; equal keys mean equal symbol strings."""
     for utt, starts, ends in group:
-        uid, symbols = utt.utterance_id, utt.symbols
+        code, symbols = corpus.position(utt.utterance_id), utt.symbols
         for a, b in zip(starts.tolist(), ends.tolist()):
-            yield symbols[a:b].tobytes(), Segment(uid, a, b)
+            yield symbols[a:b].tobytes(), code, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +244,15 @@ def _keyed_segments(group):
 class FrequencyTables(Protocol):
     """How a frequency backend counts candidates.
 
-    Both stores are instance lexicons: the base store holds the sampled
-    candidate pool, a lexicon the tokens of one segmentation.
+    Both stores are instance lexicons of the tables' corpus: the base store
+    holds the sampled candidate pool, a lexicon the tokens of one segmentation.
     """
 
-    def build_base(
-        self, corpus: Corpus, sampled: np.ndarray
-    ) -> tuple[Store, float | None]:
+    def build_base(self, sampled: np.ndarray) -> tuple[Store, float | None]:
         """Base store of the candidates at the sorted corpus-wide ordinals
         ``sampled``, and the kernel beta (None when the backend has none)."""
 
-    def build_lexicon(self, corpus: Corpus, segmentation: Segmentation) -> Store:
+    def build_lexicon(self, segmentation: Segmentation) -> Store:
         """Lexicon of a segmentation's tokens; it has at least one."""
 
     def lexicon_frequencies(
@@ -254,21 +266,15 @@ class FrequencyTables(Protocol):
 class _KnnTables:
     """Continuous-mode stores: exact-kNN indexes and kernel soft counts."""
 
-    def __init__(self, config: TrainerConfig):
+    def __init__(self, corpus: Corpus, config: TrainerConfig):
+        self.corpus = corpus
         self.config = config
 
-    def build_base(self, corpus: Corpus, sampled: np.ndarray):
-        group = list(_sampled_group(corpus, self.config, sampled))
-        vectors = _group_embeddings(group, self.config.normalize)
-        segments = [
-            Segment(utt.utterance_id, a, b)
-            for utt, starts, ends in group
-            for a, b in zip(starts.tolist(), ends.tolist())
-        ]
-        index = InstanceIndex(vectors, segments)
-        return index, self._calibrate(index, vectors, segments)
+    def build_base(self, sampled: np.ndarray):
+        index = self._index(list(_sampled_group(self.corpus, self.config, sampled)))
+        return index, self._calibrate(index)
 
-    def _calibrate(self, index: InstanceIndex, vectors, segments) -> float:
+    def _calibrate(self, index: InstanceIndex) -> float:
         config = self.config
         if index.n < 100:
             logger.warning(
@@ -279,48 +285,38 @@ class _KnnTables:
             return config.density.beta
         rng = _derived_rng(config.seed, _TAG_CALIBRATION)
         m = min(config.calibration_sample, index.n)
-        picks = np.sort(rng.choice(index.n, size=m, replace=False))
-        sample = [(vectors[i], segments[i]) for i in picks]
-        return calibrate_beta(index, sample, config.density.k, config.density.epsilon_f)
+        rows = np.sort(rng.choice(index.n, size=m, replace=False))
+        return calibrate_beta(index, rows, config.density.k, config.density.epsilon_f)
 
-    def build_lexicon(self, corpus: Corpus, segmentation: Segmentation):
-        group = _token_group(corpus, segmentation)
+    def build_lexicon(self, segmentation: Segmentation):
+        return self._index(_token_group(self.corpus, segmentation))
+
+    def _index(self, group) -> InstanceIndex:
         vectors = _group_embeddings(group, self.config.normalize)
-        return InstanceIndex(vectors, list(segmentation.tokens()))
+        return InstanceIndex(vectors, *_provenance(self.corpus, group))
 
     def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
         config = self.config
         params = DensityParams(config.density.k, beta, config.density.epsilon_f)
         embs = _group_embeddings(group, config.normalize)
-        codes, starts, ends = _provenance_arrays(lexicon, group)
-        return lexicon.kernel_frequencies_arrays(embs, codes, starts, ends, params)
-
-
-def _provenance_arrays(index: InstanceIndex, group):
-    codes, starts, ends = [], [], []
-    for utt, s, e in group:
-        codes.append(np.full(len(s), index.utt_code(utt.utterance_id), dtype=np.int64))
-        starts.append(s)
-        ends.append(e)
-    return (
-        np.concatenate(codes),
-        np.concatenate(starts).astype(np.int64),
-        np.concatenate(ends).astype(np.int64),
-    )
+        return lexicon.kernel_frequencies_arrays(
+            embs, *_provenance(self.corpus, group), params
+        )
 
 
 class _KMeansTables:
     """Ablation backend: frequencies are cluster sizes, no exclusion."""
 
-    def __init__(self, config: TrainerConfig):
+    def __init__(self, corpus: Corpus, config: TrainerConfig):
+        self.corpus = corpus
         self.config = config
 
-    def build_base(self, corpus: Corpus, sampled: np.ndarray):
-        group = _sampled_group(corpus, self.config, sampled)
+    def build_base(self, sampled: np.ndarray):
+        group = _sampled_group(self.corpus, self.config, sampled)
         return self._fit(group, _TAG_KMEANS_BASE), None
 
-    def build_lexicon(self, corpus: Corpus, segmentation: Segmentation):
-        return self._fit(_token_group(corpus, segmentation), _TAG_KMEANS_ITER)
+    def build_lexicon(self, segmentation: Segmentation):
+        return self._fit(_token_group(self.corpus, segmentation), _TAG_KMEANS_ITER)
 
     def _fit(self, group, tag: int) -> KMeansModel:
         config = self.config
@@ -336,38 +332,35 @@ class _KMeansTables:
 class _DiscreteTables:
     """Text-mode stores: exact multiset counts with overlap exclusion."""
 
-    def __init__(self, config: TrainerConfig):
+    def __init__(self, corpus: Corpus, config: TrainerConfig):
+        self.corpus = corpus
         self.config = config
 
-    def build_base(self, corpus: Corpus, sampled: np.ndarray):
-        return self._store(_sampled_group(corpus, self.config, sampled)), None
+    def build_base(self, sampled: np.ndarray):
+        return self._store(_sampled_group(self.corpus, self.config, sampled)), None
 
-    def build_lexicon(self, corpus: Corpus, segmentation: Segmentation):
-        return self._store(_token_group(corpus, segmentation))
+    def build_lexicon(self, segmentation: Segmentation):
+        return self._store(_token_group(self.corpus, segmentation))
 
-    @staticmethod
-    def _store(group) -> DiscreteCountStore:
+    def _store(self, group) -> DiscreteCountStore:
         store = DiscreteCountStore()
-        for key, seg in _keyed_segments(group):
-            store.add(key, seg)
+        for instance in _keyed_instances(self.corpus, group):
+            store.add(*instance)
         return store
 
     def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
-        return np.fromiter(
-            (
-                lexicon.count_excluding_overlaps(key, seg)
-                for key, seg in _keyed_segments(group)
-            ),
-            dtype=np.float64,
+        counts = starmap(
+            lexicon.count_excluding_overlaps, _keyed_instances(self.corpus, group)
         )
+        return np.fromiter(counts, dtype=np.float64)
 
 
 def _tables_for(corpus: Corpus, config: TrainerConfig) -> FrequencyTables:
     if corpus.mode == "discrete":
-        return _DiscreteTables(config)
+        return _DiscreteTables(corpus, config)
     if config.frequency_backend == "kmeans":
-        return _KMeansTables(config)
-    return _KnnTables(config)
+        return _KMeansTables(corpus, config)
+    return _KnnTables(corpus, config)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +386,7 @@ def build_base(corpus: Corpus, config: TrainerConfig):
     else:
         sampled = np.arange(total)
     tables = _tables_for(corpus, config)
-    base_index, beta = tables.build_base(corpus, sampled)
+    base_index, beta = tables.build_base(sampled)
     base_probs = {}
     for group in _utterance_groups(corpus, config):
         freqs = tables.lexicon_frequencies(base_index, group, beta)
@@ -407,21 +400,19 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
     report = validate_corpus(corpus)
     if not report.ok:
         raise ValueError(f"invalid corpus:\n{report}")
-    too_short = short_utterances(corpus, config.min_len)
-    if too_short:
+    untileable = untileable_utterances(corpus, config.min_len, config.max_len)
+    if untileable:
         raise ValueError(
-            "utterances shorter than the minimum segment length: "
-            + ", ".join(too_short[:10])
+            f"utterances that segments of {config.min_len}..{config.max_len} "
+            "blocks cannot tile: " + ", ".join(untileable[:10])
         )
     if corpus.mode == "discrete" and config.frequency_backend == "kmeans":
         raise ValueError("kmeans backend applies to continuous corpora only")
     seed_seg = init_segmentation(corpus, config.max_len)
-    base_index, base_probs, beta, n_base = build_base(corpus, config)
+    _base_index, base_probs, beta, n_base = build_base(corpus, config)
     return TrainerState(
         iteration=0,
         segmentation=seed_seg,
-        lexicon_index=None,
-        base_index=base_index,
         base_probs=base_probs,
         beta=beta,
         n_base=n_base,
@@ -440,7 +431,7 @@ def run_iteration(
     """
     tables = _tables_for(corpus, config)
     n_lexicon = state.segmentation.n_tokens
-    lexicon = tables.build_lexicon(corpus, state.segmentation) if n_lexicon else None
+    lexicon = tables.build_lexicon(state.segmentation) if n_lexicon else None
     iteration = state.iteration + 1
     dp = dataclasses.replace(config.dp, n_lexicon=float(n_lexicon))
     new_bounds: dict[str, tuple[int, ...]] = {}
@@ -464,7 +455,6 @@ def run_iteration(
         state,
         iteration=iteration,
         segmentation=new_seg,
-        lexicon_index=lexicon,
         n_lexicon=n_lexicon,
     )
 

@@ -210,6 +210,50 @@ class TestGenSegmentEval:
         assert outs[0] == outs[1] == outs[2]
 
 
+_GOLD = "u1\tWORD\t0\t80\nu1\tWORD\t80\t160\n"
+_HYP = "u1\t0\t80\nu1\t80\t160\n"
+
+
+class TestEvalInputs:
+    @pytest.mark.parametrize(
+        "bad, gold, hyp",
+        [
+            ("gold", "u1\tWORD\t0\t80\nu1\tWORD\t40\t160\n", _HYP),  # overlap
+            ("gold", "u1\tWORD\t0\t80\nu1\tWORD\t120\t160\n", _HYP),  # gap
+            ("hyp", _GOLD, "u1\t0\t80\nu1\t40\t160\n"),  # overlapping tokens
+            ("hyp", _GOLD, "u1\t40\t80\nu1\t80\t160\n"),  # not from block 0
+        ],
+        ids=["gold-overlap", "gold-gap", "hyp-overlap", "hyp-late-start"],
+    )
+    def test_malformed_input_rejected_with_file_named(
+        self, tmp_path, capsys, bad, gold, hyp
+    ):
+        files = {"gold": tmp_path / "gold.tsv", "hyp": tmp_path / "hyp.tsv"}
+        files["gold"].write_text(gold)
+        files["hyp"].write_text(hyp)
+        argv = ["eval", str(files["hyp"]), "--alignment", str(files["gold"])]
+        assert main(argv) != 0
+        captured = capsys.readouterr()
+        what = "alignment" if bad == "gold" else "segmentation"
+        assert f"invalid {what} {files[bad]}" in captured.err
+        assert "token_f1" not in captured.out
+
+    def test_ablate_kmeans_rejects_bad_gold_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _, manifest = _gen(tmp_path)
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("u1\tWORD\t0\t80\nu1\tWORD\t40\t160\n")
+        trained = []
+        monkeypatch.setattr(
+            "dpparse.cli.train", lambda *a, **k: trained.append(a) or Segmentation()
+        )
+        argv = ["ablate-kmeans", str(manifest), "--alignment", str(gold)]
+        assert main(argv + ["--n-clusters", "4"]) != 0
+        assert f"invalid alignment {gold}" in capsys.readouterr().err
+        assert trained == []
+
+
 class TestAbxCommand:
     def test_scores_triplet_file(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ from dpparse.core import (
     ms_to_end_block,
     ms_to_start_block,
     pair_frames,
-    short_utterances,
+    untileable_utterances,
     validate_corpus,
 )
 
@@ -123,5 +123,17 @@ def test_ms_block_conversion_round_trips_block_grid():
 
 def test_short_utterances_filter():
     corpus = _corpus([np.ones((1, 2)), np.ones((4, 2))])
-    assert short_utterances(corpus, 2) == ["u0"]
-    assert short_utterances(corpus, 1) == []
+    assert untileable_utterances(corpus, 2, 20) == ["u0"]
+    assert untileable_utterances(corpus, 1, 20) == []
+    # Both bounds: 4 blocks are neither one segment of 3 nor two; 5 blocks
+    # are neither one segment of 3..4 nor two (6..8); 6 blocks are 3 + 3.
+    corpus = _corpus([np.ones((n, 2)) for n in (4, 6, 3, 5)])
+    assert untileable_utterances(corpus, 3, 3) == ["u0", "u3"]
+    assert untileable_utterances(corpus, 3, 4) == ["u3"]
+    assert untileable_utterances(corpus, 2, 3) == []
+
+
+def test_corpus_position_follows_corpus_order():
+    corpus = Corpus([SymbolSequence(uid, [0]) for uid in ("c", "a", "b")], "discrete")
+    assert [corpus.position(uid) for uid in ("a", "b", "c")] == [1, 2, 0]
+    assert corpus.utterance("b") is corpus.utterances[2]

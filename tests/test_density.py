@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpparse import density
-from dpparse.core import Segment
 from dpparse.density import (
     DensityParams,
     DiscreteCountStore,
@@ -19,42 +18,45 @@ from dpparse.density import (
 from oracles import linear_scan_knn
 
 
-def _seg(i, utt=None, start=None):
-    s = i if start is None else start
-    return Segment(utt or f"utt{i}", s, s + 1)
+# Provenance is (utterance code, start block, end block).  _FRESH is an
+# interval of an utterance no index or store holds: nothing overlaps it.
+_FRESH = (-1, 0, 1)
 
 
-# A segment of an utterance no index or store holds: nothing overlaps it.
-_FRESH = Segment("fresh", 0, 1)
+def _key(*symbols):
+    """Count-store key of a symbol string, as the trainer builds it."""
+    return np.array(symbols, dtype="<i4").tobytes()
+
+
+def _arrays(provenance):
+    """(codes, starts, ends) arrays of a list of provenance triples."""
+    return tuple(np.array(column) for column in zip(*provenance))
 
 
 def _index_of(items):
     vectors = np.stack([np.asarray(v, dtype=np.float64) for v, _ in items])
-    return InstanceIndex(vectors, [seg for _, seg in items])
+    return InstanceIndex(vectors, *_arrays([p for _, p in items]))
 
 
-def _soft_counts(index, queries, segments, params):
-    """kernel_frequencies_arrays with provenance taken from ``segments``."""
+def _soft_counts(index, queries, provenance, params):
+    """kernel_frequencies_arrays with provenance taken from triples."""
     return index.kernel_frequencies_arrays(
         np.atleast_2d(np.asarray(queries, dtype=np.float64)),
-        np.array([index.utt_code(s.utterance_id) for s in segments]),
-        np.array([s.start for s in segments]),
-        np.array([s.end for s in segments]),
+        *_arrays(provenance),
         params,
     )
 
 
-def _index_from(vectors, utts=None):
-    segs = [
-        Segment(utts[i] if utts else f"utt{i}", 0, 1) for i in range(len(vectors))
-    ]
-    return InstanceIndex(np.asarray(vectors, dtype=np.float64), segs)
+def _index_from(vectors, codes=None):
+    """An index with entry i at [0, 1) of utterance codes[i] (default i)."""
+    codes = range(len(vectors)) if codes is None else codes
+    return _index_of([(v, (c, 0, 1)) for v, c in zip(vectors, codes)])
 
 
 class TestBuildIndex:
     def test_self_match_at_distance_zero(self):
         vecs = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 0.5])]
-        index = _index_of([(v, _seg(i)) for i, v in enumerate(vecs)])
+        index = _index_of([(v, (i, 0, 1)) for i, v in enumerate(vecs)])
         idx, d2 = index.query(vecs[2], 1)
         assert idx[0, 0] == 2
         assert d2[0, 0] == 0.0
@@ -67,7 +69,11 @@ class TestBuildIndex:
 
     def test_empty_items_rejected(self):
         with pytest.raises(ValueError, match="empty lexicon"):
-            InstanceIndex(np.empty((0, 3)), [])
+            InstanceIndex(np.empty((0, 3)), [], [], [])
+
+    def test_provenance_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one provenance interval per vector"):
+            InstanceIndex(np.ones((3, 2)), np.arange(3), np.zeros(2), np.ones(3))
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(5)
@@ -119,30 +125,30 @@ class TestBuildIndex:
 class TestEstimateFrequency:
     def test_identical_nonoverlapping_neighbor_counts_one(self):
         v = np.array([0.3, -0.7])
-        index = _index_of([(v, Segment("a", 0, 1))])
-        f = _soft_counts(index, v, [Segment("b", 0, 1)], DensityParams(k=5, beta=2.0))
+        index = _index_of([(v, (0, 0, 1))])
+        f = _soft_counts(index, v, [(1, 0, 1)], DensityParams(k=5, beta=2.0))
         assert f[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_equidistant_ring_hand_value(self):
         # k neighbours all at squared distance d, beta = 1/d -> k * e^-1
         k, d = 8, 0.49
         base = np.sqrt(d) * np.vstack([np.eye(4), -np.eye(4)])
-        index = _index_of([(row, _seg(i)) for i, row in enumerate(base)])
+        index = _index_from(base)
         params = DensityParams(k=k, beta=1.0 / d)
-        f = _soft_counts(index, np.zeros(4), [Segment("query", 0, 1)], params)
+        f = _soft_counts(index, np.zeros(4), [_FRESH], params)
         assert f[0] == pytest.approx(k * math.exp(-1.0), rel=1e-12)
 
     def test_all_neighbors_overlapping_gives_zero(self):
         v = np.array([1.0, 2.0])
-        items = [(v, Segment("u", 0, 3)), (v, Segment("u", 2, 5))]
+        items = [(v, (0, 0, 3)), (v, (0, 2, 5))]
         index = _index_of(items)
-        f = _soft_counts(index, v, [Segment("u", 1, 4)], DensityParams(k=5, beta=1.0))
+        f = _soft_counts(index, v, [(0, 1, 4)], DensityParams(k=5, beta=1.0))
         assert f[0] == 0.0
 
     def test_shared_endpoint_is_not_overlap(self):
         v = np.array([1.0, 2.0])
-        index = _index_of([(v, Segment("u", 0, 3))])
-        f = _soft_counts(index, v, [Segment("u", 3, 5)], DensityParams(k=5, beta=1.0))
+        index = _index_of([(v, (0, 0, 3))])
+        f = _soft_counts(index, v, [(0, 3, 5)], DensityParams(k=5, beta=1.0))
         assert f[0] == pytest.approx(1.0)
 
     def test_bounded_by_k(self):
@@ -150,7 +156,7 @@ class TestEstimateFrequency:
         base = rng.normal(size=(50, 3)) * 1e-3  # everything close together
         index = _index_from(base)
         params = DensityParams(k=7, beta=1e-9)
-        f = _soft_counts(index, base[0], [Segment("elsewhere", 0, 1)], params)
+        f = _soft_counts(index, base[0], [_FRESH], params)
         assert 0.0 <= f[0] <= params.k
 
     def test_insertion_order_invariance(self):
@@ -159,13 +165,8 @@ class TestEstimateFrequency:
         perm = rng.permutation(60)
         params = DensityParams(k=11, beta=0.7)
         q = rng.normal(size=5)
-        f1 = _soft_counts(_index_from(base), q, [Segment("q", 0, 1)], params)
-        f2 = _soft_counts(
-            _index_from(base[perm], utts=[f"utt{i}" for i in perm]),
-            q,
-            [Segment("q", 0, 1)],
-            params,
-        )
+        f1 = _soft_counts(_index_from(base), q, [_FRESH], params)
+        f2 = _soft_counts(_index_from(base[perm], codes=perm), q, [_FRESH], params)
         assert f1[0] == pytest.approx(f2[0], rel=1e-12)
 
     def test_matches_exact_count_on_orthogonal_codes(self):
@@ -176,14 +177,13 @@ class TestEstimateFrequency:
         store = DiscreteCountStore()
         items = []
         for i, key in enumerate(keys):
-            seg = Segment(f"utt{i}", 0, 1)
-            store.add((int(key),), seg)
-            items.append((np.eye(dim)[key], seg))
+            store.add(_key(key), i, 0, 1)
+            items.append((np.eye(dim)[key], (i, 0, 1)))
         index = _index_of(items)
         params = DensityParams(k=50, beta=50.0)
         f = _soft_counts(index, np.eye(dim), [_FRESH] * dim, params)
         for key in range(dim):
-            exact = store.count_excluding_overlaps((key,), _FRESH)
+            exact = store.count_excluding_overlaps(_key(key), *_FRESH)
             assert f[key] == pytest.approx(exact, abs=1e-6)
 
     def test_streamed_counts_equal_one_shot_query(self, monkeypatch):
@@ -193,12 +193,12 @@ class TestEstimateFrequency:
         monkeypatch.setattr(density, "_BLOCK_BYTES", 8 * (n + k) * 5)
         rng = np.random.default_rng(4)
         base = rng.normal(size=(n, dim))
-        segments = [Segment(f"utt{i % 10}", i, i + 2) for i in range(n)]
-        index = InstanceIndex(base, segments)
+        provenance = [(i % 10, i, i + 2) for i in range(n)]
+        index = InstanceIndex(base, *_arrays(provenance))
         # Pool entries under their own provenance (excluded self-matches)
         # and fresh vectors.
         queries = np.vstack([base[:13], rng.normal(size=(10, dim))])
-        q_segs = segments[:13] + [Segment(f"utt{i}", 0, 3) for i in range(10)]
+        q_prov = provenance[:13] + [(i, 0, 3) for i in range(10)]
         params = DensityParams(k=k, beta=0.8)
         query = InstanceIndex.query
         calls = []
@@ -208,15 +208,12 @@ class TestEstimateFrequency:
             return query(self, queries, k)
 
         monkeypatch.setattr(InstanceIndex, "query", counting)
-        streamed = _soft_counts(index, queries, q_segs, params)
+        streamed = _soft_counts(index, queries, q_prov, params)
         assert calls == [5, 5, 5, 5, 3]
 
         idx, d2 = query(index, queries, k)
-        codes = np.array([index.utt_code(s.utterance_id) for s in q_segs])
-        starts = np.array([s.start for s in q_segs])
-        ends = np.array([s.end for s in q_segs])
         weights = np.exp(-params.beta * d2)
-        excluded = index.overlap_mask(idx, codes, starts, ends)
+        excluded = index.overlap_mask(idx, *_arrays(q_prov))
         assert excluded.any()
         weights[excluded] = 0.0
         assert np.array_equal(streamed, weights.sum(axis=1))
@@ -225,9 +222,7 @@ class TestEstimateFrequency:
         # 8000 x 2000 distances are 128 MB; a block is a few MB.
         rng = np.random.default_rng(6)
         n, m, dim = 2000, 8000, 16
-        index = InstanceIndex(
-            rng.normal(size=(n, dim)), [Segment(f"u{i}", 0, 1) for i in range(n)]
-        )
+        index = _index_from(rng.normal(size=(n, dim)))
         queries = rng.normal(size=(m, dim))
         codes = np.full(m, -1)
         starts = np.zeros(m, dtype=np.int64)
@@ -250,24 +245,17 @@ class TestCalibrateBeta:
         # isolated anchors far apart; a fraction get an exact duplicate
         dim = 6
         anchors = rng.normal(size=(n, dim)) * 50.0
-        items = [(anchors[i], Segment(f"a{i}", 0, 1)) for i in range(n)]
+        items = [(anchors[i], (i, 0, 1)) for i in range(n)]
         n_dup = int(n * dup_fraction)
-        items += [
-            (anchors[i].copy(), Segment(f"dup{i}", 0, 1)) for i in range(n_dup)
-        ]
+        items += [(anchors[i].copy(), (n + i, 0, 1)) for i in range(n_dup)]
         return items
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(0)
         items = self._well_separated_sample(rng, n=200)
         index = _index_of(items)
-        vectors = np.stack([v for v, _ in items])
-        segs = [s for _, s in items]
-        idx, d2 = index.query(vectors, 20)
-        codes = np.array([index.utt_code(s.utterance_id) for s in segs])
-        starts = np.array([s.start for s in segs])
-        ends = np.array([s.end for s in segs])
-        mask = index.overlap_mask(idx, codes, starts, ends)
+        idx, d2 = index.query(index.vectors, 20)
+        mask = index.overlap_mask(idx, index.codes, index.starts, index.ends)
 
         def frac(beta):
             w = np.exp(-beta * d2)
@@ -282,9 +270,7 @@ class TestCalibrateBeta:
         items = self._well_separated_sample(rng, n=150, dup_fraction=0.0)
         index = _index_of(items)
         params = DensityParams(k=10, beta=1e-12, epsilon_f=1e-3)
-        freqs = _soft_counts(
-            index, [v for v, _ in items[:50]], [Segment("probe", 0, 1)] * 50, params
-        )
+        freqs = _soft_counts(index, [v for v, _ in items[:50]], [_FRESH] * 50, params)
         # beta -> 0 means every neighbour contributes ~1
         assert all(f > 9.0 for f in freqs)
 
@@ -295,15 +281,14 @@ class TestCalibrateBeta:
         # elsewhere, so their below-epsilon indicator never fires; add the
         # same number of isolated points which cross as beta grows.
         isolated = [
-            (rng.normal(size=6) * 50.0 + 500.0, Segment(f"iso{i}", 0, 1))
-            for i in range(400)
+            (rng.normal(size=6) * 50.0 + 500.0, (1000 + i, 0, 1)) for i in range(400)
         ]
         index = _index_of(items + isolated)
-        sample = items[:200] + isolated[:200]
-        beta = calibrate_beta(index, sample, k=20, epsilon_f=1e-3, target=0.5)
+        rows = np.r_[0:200, len(items) : len(items) + 200]
+        beta = calibrate_beta(index, rows, k=20, epsilon_f=1e-3, target=0.5)
         params = DensityParams(k=20, beta=beta, epsilon_f=1e-3)
-        vectors, segments = zip(*sample)
-        below = _soft_counts(index, vectors, segments, params) < 1e-3
+        vectors, provenance = zip(*(items[:200] + isolated[:200]))
+        below = _soft_counts(index, vectors, provenance, params) < 1e-3
         assert 0.48 <= np.mean(below) <= 0.52
 
     def test_small_sample_rejected(self):
@@ -311,7 +296,7 @@ class TestCalibrateBeta:
         items = self._well_separated_sample(rng, n=120, dup_fraction=0.0)
         index = _index_of(items)
         with pytest.raises(ValueError, match="100"):
-            calibrate_beta(index, items[:50], k=5, epsilon_f=1e-3)
+            calibrate_beta(index, np.arange(50), k=5, epsilon_f=1e-3)
 
     def test_unreachable_target_reports_both_bounds(self):
         rng = np.random.default_rng(4)
@@ -319,43 +304,46 @@ class TestCalibrateBeta:
         items = self._well_separated_sample(rng, n=150, dup_fraction=1.0)
         index = _index_of(items)
         with pytest.raises(ValueError, match="unreachable"):
-            calibrate_beta(index, items, k=10, epsilon_f=1e-3, target=0.9)
+            calibrate_beta(index, np.arange(index.n), k=10, epsilon_f=1e-3, target=0.9)
 
 
 class TestDiscreteCounts:
     def test_multiset_count(self):
         store = DiscreteCountStore()
         for i in range(3):
-            store.add((1, 2), Segment(f"u{i}", 0, 2))
-        store.add((9,), Segment("u9", 0, 1))
-        assert store.count_excluding_overlaps((1, 2), _FRESH) == 3
-        assert store.count_excluding_overlaps((7, 7), _FRESH) == 0
+            store.add(_key(1, 2), i, 0, 2)
+        store.add(_key(9), 9, 0, 1)
+        assert store.count_excluding_overlaps(_key(1, 2), *_FRESH) == 3
+        assert store.count_excluding_overlaps(_key(7, 7), *_FRESH) == 0
         assert store.total == 4
 
     def test_rebuild_reflects_new_counts(self):
         store = DiscreteCountStore()
-        store.add((1,), Segment("u", 0, 1))
+        store.add(_key(1), 0, 0, 1)
         rebuilt = DiscreteCountStore()
-        rebuilt.add((1,), Segment("u", 0, 1))
-        rebuilt.add((1,), Segment("v", 0, 1))
-        assert store.count_excluding_overlaps((1,), _FRESH) == 1
-        assert rebuilt.count_excluding_overlaps((1,), _FRESH) == 2
+        rebuilt.add(_key(1), 0, 0, 1)
+        rebuilt.add(_key(1), 1, 0, 1)
+        assert store.count_excluding_overlaps(_key(1), *_FRESH) == 1
+        assert rebuilt.count_excluding_overlaps(_key(1), *_FRESH) == 2
 
     def test_overlap_exclusion(self):
         store = DiscreteCountStore()
-        store.add((5, 5), Segment("u", 0, 2))
-        store.add((5, 5), Segment("u", 4, 6))
-        store.add((5, 5), Segment("v", 0, 2))
+        store.add(_key(5, 5), 0, 0, 2)
+        store.add(_key(5, 5), 0, 4, 6)
+        store.add(_key(5, 5), 1, 0, 2)
         # query overlapping the first instance only
-        assert store.count_excluding_overlaps((5, 5), Segment("u", 1, 3)) == 2
+        assert store.count_excluding_overlaps(_key(5, 5), 0, 1, 3) == 2
         # non-overlapping query keeps everything
-        assert store.count_excluding_overlaps((5, 5), Segment("u", 2, 4)) == 3
+        assert store.count_excluding_overlaps(_key(5, 5), 0, 2, 4) == 3
 
-    def test_bytes_and_tuple_keys_agree(self):
+    def test_exclusion_is_per_utterance_code(self):
+        # Utterances 0 and 1 both hold [0, 2); a query of [0, 2) drops only
+        # its own utterance's instance, and one of utterance 2 drops none.
         store = DiscreteCountStore()
-        symbols = np.array([3, 1, 4], dtype="<i4")
-        store.add(symbols[0:2].tobytes(), Segment("u", 0, 2))
-        assert store.count_excluding_overlaps((3, 1), _FRESH) == 1
+        store.add(_key(5, 5), 0, 0, 2)
+        store.add(_key(5, 5), 1, 0, 2)
+        assert store.count_excluding_overlaps(_key(5, 5), 1, 0, 2) == 1
+        assert store.count_excluding_overlaps(_key(5, 5), 2, 0, 2) == 2
 
 
 def _cluster_size(points, n_clusters, query, seed):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpparse.core import Corpus, FrameMatrix, Segment, SymbolSequence
+from dpparse.core import Corpus, FrameMatrix, SymbolSequence
 from dpparse.embed import UtteranceEmbedder
 from dpparse.trainer import TrainerConfig, build_base
 
@@ -84,25 +84,32 @@ def _base_store(*utterances, max_len=3):
     return store
 
 
+def _count(store, symbols, provenance=(-1, 0, 1)):
+    """Instances of ``symbols`` in ``store`` that do not overlap
+    ``provenance`` (utterance position, start, end); by default an
+    interval of no utterance in the store."""
+    key = np.array(symbols, dtype="<i4").tobytes()
+    return store.count_excluding_overlaps(key, *provenance)
+
+
 class TestDiscreteKeys:
     # Discrete candidates are counted by the exact symbol string they cover.
 
     def test_substring_keys(self):
         store = _base_store([3, 14, 6, 18, 4, 4])
-        fresh = Segment("fresh", 0, 1)
-        assert store.count_excluding_overlaps((3, 14, 6), fresh) == 1
-        assert store.count_excluding_overlaps((18, 4, 4), fresh) == 1
-        assert store.count_excluding_overlaps((4, 4), fresh) == 1
-        assert store.count_excluding_overlaps((4,), fresh) == 2
+        assert _count(store, (3, 14, 6)) == 1
+        assert _count(store, (18, 4, 4)) == 1
+        assert _count(store, (4, 4)) == 1
+        assert _count(store, (4,)) == 2
 
     def test_equality_by_value(self):
         store = _base_store([1, 2, 1, 2])
         # [0, 2) and [2, 4) cover equal strings: one key, counted twice
-        assert store.count_excluding_overlaps((1, 2), Segment("fresh", 0, 1)) == 2
-        assert store.count_excluding_overlaps((1, 2), Segment("u0", 0, 2)) == 1
+        assert _count(store, (1, 2)) == 2
+        assert _count(store, (1, 2), (0, 0, 2)) == 1
 
     def test_out_of_bounds(self):
         # max_len reaches past the utterance; no key may read past its end
         store = _base_store([1, 2, 3], max_len=20)
         assert store.total == 6  # 3 + 2 + 1 in-bounds candidates
-        assert store.count_excluding_overlaps((1, 2, 3), Segment("fresh", 0, 1)) == 1
+        assert _count(store, (1, 2, 3)) == 1

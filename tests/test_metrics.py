@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dpparse.core import Corpus, FrameMatrix, GoldAlignment, Segment, Segmentation
 from dpparse.metrics import (
-    Triplet,
     abx_score,
     fixed_rate_segmenter,
     pool_overlapping,
@@ -151,11 +150,11 @@ class TestAbx:
     def test_a_equals_x(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert abx_score([Triplet(a, b, a)]) == 1.0
+        assert abx_score(np.array([[a, b, a]])) == 1.0
 
     def test_tie_scores_half(self):
         v = np.array([1.0, 2.0])
-        assert abx_score([Triplet(v, v, v)]) == 0.5
+        assert abx_score(np.array([[v, v, v]])) == 0.5
 
     def test_random_triplets_near_half(self):
         rng = np.random.default_rng(0)
@@ -172,11 +171,7 @@ class TestAbx:
         a = np.zeros(3)
         b = np.ones(3)
         with pytest.raises(ValueError, match="zero vector"):
-            abx_score([Triplet(a, b, b)])
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Triplet(np.ones(3), np.ones(4), np.ones(3))
+            abx_score(np.array([[a, b, b]]))
 
 
 class TestPoolOverlapping:

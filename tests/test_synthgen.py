@@ -109,34 +109,29 @@ class TestGenerate:
 
     def test_frequency_estimate_recovers_counts_at_zero_noise(self):
         # end-to-end sanity of the soft-count estimator on clean data
-        from dpparse.core import Segment
         from dpparse.density import DensityParams, InstanceIndex
 
         corpus, gold, _ = generate(
             _config(noise_sigma=0.0, n_utterances=120, vocab_size=6, seed=3)
         )
         seg = gold_segmentation(corpus, gold)
-        vecs, segs = [], []
+        vecs, provenance = [], []
         for utt_id, tokens in seg.items():
             frames = corpus.utterance(utt_id).data.astype(np.float64)
             for t in tokens:
                 vecs.append(frames[t.start : t.end].mean(axis=0))
-                segs.append(t)
-        index = InstanceIndex(np.stack(vecs), segs)
+                provenance.append((corpus.position(utt_id), t.start, t.end))
+        index = InstanceIndex(np.stack(vecs), *np.array(provenance).T)
         k = len(vecs)  # retrieve everything: no truncation
         params = DensityParams(k=k, beta=1e6)
         counts: dict[bytes, int] = {}
         for v in vecs:
             counts[v.tobytes()] = counts.get(v.tobytes(), 0) + 1
+        # Each query as an interval of no utterance in the corpus: nothing
+        # is excluded.
+        fresh = np.array([-1]), np.array([0]), np.array([1])
         for i in (0, 5, 17):
-            fresh = Segment("fresh", 0, 1)
-            f = index.kernel_frequencies_arrays(
-                vecs[i][None, :],
-                np.array([index.utt_code(fresh.utterance_id)]),
-                np.array([fresh.start]),
-                np.array([fresh.end]),
-                params,
-            )[0]
+            f = index.kernel_frequencies_arrays(vecs[i][None, :], *fresh, params)[0]
             assert f == pytest.approx(counts[vecs[i].tobytes()], abs=1e-3)
 
 

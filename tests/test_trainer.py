@@ -152,8 +152,7 @@ class TestBuildBase:
         # a present whole-utterance candidate has prior count/(pool size)
         utt = corpus.utterances[0]
         key = utt.symbols.tobytes()
-        seg = Segment(utt.utterance_id, 0, utt.n_blocks)
-        expected = store.count_excluding_overlaps(key, seg) / n_base
+        expected = store.count_excluding_overlaps(key, 0, 0, utt.n_blocks) / n_base
         ordinal = _ordinal(utt, config, 0, utt.n_blocks)
         assert probs[utt.utterance_id][ordinal] == pytest.approx(expected)
 
@@ -172,6 +171,14 @@ class TestInitState:
         )
         with pytest.raises(ValueError, match="tiny"):
             init_state(corpus, _config(min_len=2))
+        # Long enough, but neither one segment of 3 blocks nor two: refused
+        # by name at setup, not in the first iteration.
+        corpus = Corpus(
+            [SymbolSequence(uid, [0] * n) for uid, n in (("a", 4), ("b", 6), ("c", 3))],
+            mode="discrete",
+        )
+        with pytest.raises(ValueError, match=r"3\.\.3 blocks cannot tile: a$"):
+            init_state(corpus, _config(min_len=3, max_len=3))
 
     def test_seed_and_tables(self):
         corpus, _ = _continuous_corpus(n_utterances=12)
@@ -273,7 +280,8 @@ class TestRunIteration:
         store = DiscreteCountStore()
         for seg in state.segmentation.tokens():
             symbols = corpus.utterance(seg.utterance_id).symbols
-            store.add(symbols[seg.start : seg.end].tobytes(), seg)
+            code = corpus.position(seg.utterance_id)
+            store.add(symbols[seg.start : seg.end].tobytes(), code, seg.start, seg.end)
         counts: dict[bytes, int] = {}
         example: dict[bytes, Segment] = {}
         for seg in state.segmentation.tokens():
@@ -289,7 +297,7 @@ class TestRunIteration:
         utt = corpus.utterance(seg.utterance_id)
         ordinal = _ordinal(utt, config, seg.start, seg.end)
         p0 = state.base_probs[seg.utterance_id][ordinal]
-        lexicon_freq = store.count_excluding_overlaps(key, Segment("fresh", 0, 1))
+        lexicon_freq = store.count_excluding_overlaps(key, -1, 0, 1)
         dp = DPParams(n_lexicon=float(n_tokens))
         p_w = lexicon_freq / (n_tokens + dp.alpha0) + dp.alpha0 * p0 / (
             n_tokens + dp.alpha0
