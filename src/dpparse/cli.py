@@ -17,7 +17,7 @@ import numpy as np
 
 from dpparse import io as dpio
 from dpparse.config import load_run_config
-from dpparse.core import Corpus, validate_corpus
+from dpparse.core import Corpus, ms_to_end_block, validate_corpus
 from dpparse.metrics import abx_score, fixed_rate_segmenter, token_boundary_f1
 from dpparse.synthgen import generate, lexicon_lines
 from dpparse.trainer import train
@@ -135,14 +135,19 @@ def cmd_baseline(args) -> int:
 
 def cmd_eval(args) -> int:
     hyp = dpio.read_segmentation(args.segmentation)
-    untiled = [
-        f"{utt_id}: tokens are not contiguous from block 0"
-        for utt_id, segs in hyp.items()
-        if [s.start for s in segs] != [0] + [s.end for s in segs[:-1]]
-    ]
-    _reject(args.segmentation, "segmentation", untiled)
     gold = dpio.read_alignment(args.alignment)
     _reject(args.alignment, "alignment", gold.validate())
+    errors = []
+    for utt_id, segs in hyp.items():
+        words = gold.words.get(utt_id)
+        if [s.start for s in segs] != [0] + [s.end for s in segs[:-1]]:
+            errors.append(f"{utt_id}: tokens are not contiguous from block 0")
+        elif words and segs[-1].end != ms_to_end_block(words[-1][1]):
+            errors.append(
+                f"{utt_id}: tokens end at block {segs[-1].end}, "
+                f"gold words at block {ms_to_end_block(words[-1][1])}"
+            )
+    _reject(args.segmentation, "segmentation", errors)
     report = token_boundary_f1(hyp, gold)
     for line in dpio.report_lines(report):
         print(line)

@@ -46,14 +46,6 @@ class Segment:
     def length(self) -> int:
         return self.end - self.start
 
-    def overlaps(self, other: "Segment") -> bool:
-        """Strict interval intersection; a shared endpoint is not overlap."""
-        return (
-            self.utterance_id == other.utterance_id
-            and self.start < other.end
-            and other.start < self.end
-        )
-
 
 class FrameMatrix:
     """Dense per-utterance matrix of embedding blocks (n_blocks x dim)."""

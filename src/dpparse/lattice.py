@@ -87,18 +87,11 @@ class NBestList:
         return np.array([s for _, s in self.paths], dtype=np.float64)
 
 
-def _hyp_key(hyp):
-    # Higher score first; ties prefer fewer segments, then the
-    # lexicographically smallest boundary sequence.
-    score, n_segs, bounds = hyp
-    return (-score, n_segs, bounds)
-
-
 def nbest(lattice: ScoredLattice, beam: int) -> NBestList:
-    """True top-N complete paths whenever ``beam`` covers all paths.
+    """The ``beam`` best complete paths, best first, for any ``beam``.
 
-    With smaller beams each returned path is still a valid complete path;
-    results are deterministic under the documented tie-breaking.
+    Extending paths by the same arc keeps their order, so each node's beam
+    holds every prefix of the best ``beam`` paths through it.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
@@ -107,24 +100,27 @@ def nbest(lattice: ScoredLattice, beam: int) -> NBestList:
     # Arc (i, j) sits at ordinal first[i] + (j - i - min_len).
     starts, _ends = candidate_bounds(n, min_len, max_len)
     first = np.searchsorted(starts, np.arange(n)).tolist()
-    # hypothesis = (accumulated score, segment count, boundary tuple)
+    # hypothesis = (negated score, segment count, boundary tuple), so plain
+    # tuple order ranks it: higher score first; ties prefer fewer segments,
+    # then the lexicographically smallest boundary sequence.  Negating is
+    # exact: (-s) - a == -(s + a) under round-to-nearest.
     beams: list[list] = [[] for _ in range(n + 1)]
     beams[0] = [(0.0, 0, (0,))]
     for j in range(1, n + 1):
+        # A candidate keeps its predecessor's count and boundaries until it
+        # survives the cut: the arc into j adds one segment and the boundary
+        # j to all of them, and two with equal counts end at different
+        # nodes, so they differ before j.  The order is the same.
         candidates = []
         for i in range(max(0, j - max_len), j - min_len + 1):
-            if not beams[i]:
-                continue
             arc = scores[first[i] + j - i - min_len]
-            for score, n_segs, bounds in beams[i]:
-                candidates.append((score + arc, n_segs + 1, bounds + (j,)))
-        if candidates:
-            candidates.sort(key=_hyp_key)
-            del candidates[beam:]
-        beams[j] = candidates
+            candidates += [(neg - arc, k, b) for neg, k, b in beams[i]]
+        candidates.sort()
+        beams[j] = [(neg, k + 1, b + (j,)) for neg, k, b in candidates[:beam]]
     if not beams[n]:
         raise ValueError(f"no complete segmentation path over {n} blocks")
-    return NBestList([(bounds, score) for score, _, bounds in beams[n]])
+    # 0.0 - neg, not -neg: a zero total stays +0.0, as a plain sum gives it.
+    return NBestList([(bounds, 0.0 - neg) for neg, _, bounds in beams[n]])
 
 
 def sample_path(

@@ -233,9 +233,10 @@ def _keyed_instances(corpus: Corpus, group):
     """Yield (key, code, start, end) per candidate of a discrete group, with
     provenance as in ``_provenance``; equal keys mean equal symbol strings."""
     for utt, starts, ends in group:
-        code, symbols = corpus.position(utt.utterance_id), utt.symbols
+        code = corpus.position(utt.utterance_id)
+        raw, size = utt.symbols.tobytes(), utt.symbols.itemsize
         for a, b in zip(starts.tolist(), ends.tolist()):
-            yield symbols[a:b].tobytes(), code, a, b
+            yield raw[a * size : b * size], code, a, b
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,9 @@ class TestEvalInputs:
             ("gold", "u1\tWORD\t0\t80\nu1\tWORD\t120\t160\n", _HYP),  # gap
             ("hyp", _GOLD, "u1\t0\t80\nu1\t40\t160\n"),  # overlapping tokens
             ("hyp", _GOLD, "u1\t40\t80\nu1\t80\t160\n"),  # not from block 0
+            ("hyp", _GOLD, "u1\t0\t80\n"),  # stops before the last gold word
         ],
-        ids=["gold-overlap", "gold-gap", "hyp-overlap", "hyp-late-start"],
+        ids=["gold-overlap", "gold-gap", "hyp-overlap", "hyp-late-start", "hyp-short"],
     )
     def test_malformed_input_rejected_with_file_named(
         self, tmp_path, capsys, bad, gold, hyp

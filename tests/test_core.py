@@ -15,6 +15,7 @@ from dpparse.core import (
     untileable_utterances,
     validate_corpus,
 )
+from dpparse.density import DiscreteCountStore
 
 
 def _corpus(matrices):
@@ -79,10 +80,13 @@ class TestSegment:
             Segment("u", -1, 2)
 
     def test_overlap_is_strict_intersection(self):
-        a = Segment("u", 0, 2)
-        assert not a.overlaps(Segment("u", 2, 4))  # shared endpoint
-        assert a.overlaps(Segment("u", 1, 3))
-        assert not a.overlaps(Segment("v", 1, 3))  # other utterance
+        # The production rule: a count leaves out instances in the same
+        # utterance (code) whose block interval crosses the queried one.
+        store = DiscreteCountStore()
+        store.add(b"w", 0, 0, 2)
+        assert store.count_excluding_overlaps(b"w", 0, 2, 4) == 1  # shared endpoint
+        assert store.count_excluding_overlaps(b"w", 0, 1, 3) == 0
+        assert store.count_excluding_overlaps(b"w", 1, 1, 3) == 1  # other utterance
 
 
 class TestSegmentation:

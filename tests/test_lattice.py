@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpparse.lattice import ScoredLattice, candidate_bounds, nbest, sample_path
+from dpparse.lattice import (
+    ScoredLattice,
+    candidate_bounds,
+    n_candidates,
+    nbest,
+    sample_path,
+)
 
 from oracles import enumerate_paths
 
@@ -131,6 +137,23 @@ class TestNBest:
         assert [b for b, _ in result.paths] == [b for b, _ in oracle]
         for (_, s1), (_, s2) in zip(result.paths, oracle):
             assert s1 == pytest.approx(s2, abs=1e-9)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_beam_with_ties_matches_oracle(self, data):
+        # Every sum of these scores is exact, so equal totals tie exactly and
+        # the tie-breaks decide which paths a truncated beam keeps.
+        n = data.draw(st.integers(1, 10))
+        min_len = data.draw(st.integers(1, n))
+        max_len = data.draw(st.integers(min_len, n))
+        n_arcs = n_candidates(n, min_len, max_len)
+        arc_scores = st.sampled_from([0.0, -0.5, -1.0, -2.0])
+        scores = data.draw(st.lists(arc_scores, min_size=n_arcs, max_size=n_arcs))
+        lat = ScoredLattice(n, min_len, max_len, scores)
+        oracle = enumerate_paths(n, _arc_dict(lat), min_len, max_len)
+        assume(oracle)
+        beam = data.draw(st.integers(1, len(oracle)))
+        assert nbest(lat, beam).paths == oracle[:beam]
 
     def test_best_score_monotone_in_arc_score(self):
         rng = np.random.default_rng(3)
