@@ -140,13 +140,21 @@ def cmd_eval(args) -> int:
     errors = []
     for utt_id, segs in hyp.items():
         words = gold.words.get(utt_id)
-        if [s.start for s in segs] != [0] + [s.end for s in segs[:-1]]:
+        if not words:
+            errors.append(f"{utt_id}: no gold words in {args.alignment}")
+        elif [s.start for s in segs] != [0] + [s.end for s in segs[:-1]]:
             errors.append(f"{utt_id}: tokens are not contiguous from block 0")
-        elif words and segs[-1].end != ms_to_end_block(words[-1][1]):
+        elif segs[-1].end != ms_to_end_block(words[-1][1]):
             errors.append(
                 f"{utt_id}: tokens end at block {segs[-1].end}, "
                 f"gold words at block {ms_to_end_block(words[-1][1])}"
             )
+    missing = [utt_id for utt_id in gold.words if utt_id not in hyp]
+    if missing:
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        errors.append(
+            "gold utterances with no tokens: " + ", ".join(missing[:10]) + more
+        )
     _reject(args.segmentation, "segmentation", errors)
     report = token_boundary_f1(hyp, gold)
     for line in dpio.report_lines(report):

@@ -11,7 +11,8 @@ ablation runs.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
+from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,30 +239,70 @@ def calibrate_beta(
 # ---------------------------------------------------------------------------
 # discrete exact counts
 
+# Instances of one key are packed as ``code << _START_BITS | start`` into
+# one int64 array, so code must fit in 31 bits and start in 32.
+_START_BITS = 32
+_CODE_LIMIT = 1 << 31
+_START_LIMIT = 1 << _START_BITS
+
+
 class DiscreteCountStore:
     """Multiset of symbol-string keys; each instance keeps its provenance
-    (utterance code, start, end) for overlap exclusion."""
+    (utterance code, start, end) for overlap exclusion.
+
+    Equal keys are equal symbol strings, so every instance of a key has the
+    same length L.  A key maps to (L, sorted ``array('q')`` of its packed
+    ``code << 32 | start``): 8 bytes per instance, plus one key, tuple and
+    array per distinct key.  An instance of the key in utterance ``code``
+    overlaps ``[start, end)`` iff it starts in ``(start - L, end)``, so two
+    bisects give the count that overlap exclusion removes.
+    """
 
     def __init__(self):
         self.total = 0
-        self._counts: dict[bytes, int] = defaultdict(int)
-        self._spans: dict[bytes, dict[int, list[tuple[int, int]]]] = {}
+        self._instances: dict[bytes, tuple[int, array]] = {}
 
     def add(self, key: bytes, code: int, start: int, end: int) -> None:
-        self._counts[key] += 1
+        if not (0 <= code < _CODE_LIMIT and 0 <= start < _START_LIMIT):
+            raise ValueError(
+                f"provenance ({code}, {start}) outside 0 <= code < 2**31, "
+                "0 <= start < 2**32"
+            )
+        packed = code << _START_BITS | start
+        entry = self._instances.get(key)
+        if entry is None:
+            self._instances[key] = (end - start, array("q", (packed,)))
+        else:
+            length, starts = entry
+            if end - start != length:
+                raise ValueError(
+                    f"key {key!r} has length {length}, got [{start}, {end})"
+                )
+            # Adds arrive in corpus order; any other order stays sorted.
+            if packed >= starts[-1]:
+                starts.append(packed)
+            else:
+                insort(starts, packed)
         self.total += 1
-        self._spans.setdefault(key, {}).setdefault(code, []).append((start, end))
 
     def count_excluding_overlaps(
         self, key: bytes, code: int, start: int, end: int
     ) -> int:
-        n = self._counts.get(key, 0)
-        if n == 0:
+        entry = self._instances.get(key)
+        if entry is None:
             return 0
-        spans = self._spans[key].get(code)
-        if spans:
-            n -= sum(1 for s, e in spans if s < end and start < e)
-        return n
+        length, starts = entry
+        # Overlapping instances start in [lo, hi) of utterance ``code``;
+        # clamping to the packable starts keeps the range inside it, and an
+        # empty range finds nothing because the second bisect starts at the
+        # first.
+        lo = start - length + 1
+        if lo < 0:
+            lo = 0
+        hi = end if end < _START_LIMIT else _START_LIMIT
+        base = code << _START_BITS
+        first = bisect_left(starts, base + lo)
+        return len(starts) - (bisect_left(starts, base + hi, first) - first)
 
 
 # ---------------------------------------------------------------------------

@@ -69,3 +69,11 @@ def direct_arc_score(word_prob, len_blocks, alpha0_unused=None, *, epsilon_log,
     return math.log(word_prob + epsilon_log) + sign * direct_length_penalty(
         len_blocks, gamma, delta
     )
+
+
+def count_excluding_overlaps(instances, key, code: int, start: int, end: int):
+    """Instances ``(key, code, start, end)`` with an equal key, less those of
+    utterance ``code`` whose interval strictly intersects ``[start, end)``."""
+    same = [(c, s, e) for k, c, s, e in instances if k == key]
+    crossing = [1 for c, s, e in same if c == code and s < end and start < e]
+    return len(same) - len(crossing)

@@ -216,18 +216,28 @@ _HYP = "u1\t0\t80\nu1\t80\t160\n"
 
 class TestEvalInputs:
     @pytest.mark.parametrize(
-        "bad, gold, hyp",
+        "bad, gold, hyp, named",
         [
-            ("gold", "u1\tWORD\t0\t80\nu1\tWORD\t40\t160\n", _HYP),  # overlap
-            ("gold", "u1\tWORD\t0\t80\nu1\tWORD\t120\t160\n", _HYP),  # gap
-            ("hyp", _GOLD, "u1\t0\t80\nu1\t40\t160\n"),  # overlapping tokens
-            ("hyp", _GOLD, "u1\t40\t80\nu1\t80\t160\n"),  # not from block 0
-            ("hyp", _GOLD, "u1\t0\t80\n"),  # stops before the last gold word
+            ("gold", "u1\tWORD\t0\t80\nu1\tWORD\t40\t160\n", _HYP, "u1"),  # overlap
+            ("gold", "u1\tWORD\t0\t80\nu1\tWORD\t120\t160\n", _HYP, "u1"),  # gap
+            ("hyp", _GOLD, "u1\t0\t80\nu1\t40\t160\n", "u1"),  # overlapping tokens
+            ("hyp", _GOLD, "u1\t40\t80\nu1\t80\t160\n", "u1"),  # not from block 0
+            ("hyp", _GOLD, "u1\t0\t80\n", "u1"),  # stops before the last gold word
+            ("hyp", _GOLD + "u3\tWORD\t0\t80\n", _HYP, "u3"),  # u3 not segmented
+            ("hyp", _GOLD, _HYP + "u2\t0\t40\n", "u2"),  # u2 has no gold words
         ],
-        ids=["gold-overlap", "gold-gap", "hyp-overlap", "hyp-late-start", "hyp-short"],
+        ids=[
+            "gold-overlap",
+            "gold-gap",
+            "hyp-overlap",
+            "hyp-late-start",
+            "hyp-short",
+            "hyp-missing-utterance",
+            "hyp-no-gold",
+        ],
     )
     def test_malformed_input_rejected_with_file_named(
-        self, tmp_path, capsys, bad, gold, hyp
+        self, tmp_path, capsys, bad, gold, hyp, named
     ):
         files = {"gold": tmp_path / "gold.tsv", "hyp": tmp_path / "hyp.tsv"}
         files["gold"].write_text(gold)
@@ -237,6 +247,7 @@ class TestEvalInputs:
         captured = capsys.readouterr()
         what = "alignment" if bad == "gold" else "segmentation"
         assert f"invalid {what} {files[bad]}" in captured.err
+        assert named in captured.err
         assert "token_f1" not in captured.out
 
     def test_ablate_kmeans_rejects_bad_gold_before_training(

@@ -15,7 +15,7 @@ from dpparse.density import (
     calibrate_beta,
 )
 
-from oracles import linear_scan_knn
+from oracles import count_excluding_overlaps, linear_scan_knn
 
 
 # Provenance is (utterance code, start block, end block).  _FRESH is an
@@ -344,6 +344,81 @@ class TestDiscreteCounts:
         store.add(_key(5, 5), 1, 0, 2)
         assert store.count_excluding_overlaps(_key(5, 5), 1, 0, 2) == 1
         assert store.count_excluding_overlaps(_key(5, 5), 2, 0, 2) == 2
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_oracle(self, data):
+        # Keys of 1-3 symbols over 3 symbols, codes 0-3 and starts 0-10, so
+        # keys repeat, intervals cross and endpoints touch.  Adds come in
+        # shuffled order, which exercises the store's sorted insert.
+        word = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+        drawn = data.draw(
+            st.lists(st.tuples(word, st.integers(0, 3), st.integers(0, 10)),
+                     min_size=1, max_size=30)
+        )
+        instances = [(_key(*w), c, s, s + len(w)) for w, c, s in drawn]
+        instances += instances[: data.draw(st.integers(1, len(instances)))]
+        store = DiscreteCountStore()
+        for instance in data.draw(st.permutations(instances)):
+            store.add(*instance)
+        assert store.total == len(instances)
+        queries = [
+            (_key(*w), c, s, s + len(w))
+            for w, c, s in data.draw(
+                st.lists(st.tuples(word, st.integers(0, 4), st.integers(0, 10)))
+            )
+        ]
+        for key, code, start, end in instances:
+            queries.append((key, code, start, end))  # the instance itself
+            queries.append((key, code, end, 2 * end - start))  # shared endpoint
+            queries.append((key, 4, start, end))  # a code with no instances
+        for query in queries:
+            expected = count_excluding_overlaps(instances, *query)
+            assert store.count_excluding_overlaps(*query) == expected, query
+
+    def test_second_length_for_a_key_rejected(self):
+        store = DiscreteCountStore()
+        store.add(_key(5, 5), 0, 0, 2)
+        with pytest.raises(ValueError, match="has length 2"):
+            store.add(_key(5, 5), 1, 0, 3)
+        assert store.total == 1
+        assert store.count_excluding_overlaps(_key(5, 5), *_FRESH) == 1
+
+    @pytest.mark.parametrize(
+        "code, start",
+        [(-1, 0), (2**31, 0), (0, -1), (0, 2**32)],
+        ids=["negative-code", "code-2**31", "negative-start", "start-2**32"],
+    )
+    def test_unpackable_provenance_rejected(self, code, start):
+        store = DiscreteCountStore()
+        with pytest.raises(ValueError, match="outside"):
+            store.add(_key(5), code, start, start + 1)
+        assert store.total == 0
+
+    def test_peak_memory_per_instance(self):
+        # All 78 candidates of 1000 utterances of 12 symbols, drawn as words
+        # of a 50-word Zipfian lexicon as synthgen draws them: 78,000 adds
+        # of 22k distinct keys (the disc-decode base pool has 13k).
+        rng = np.random.default_rng(8)
+        words = [rng.integers(0, 20, size=rng.integers(2, 7)) for _ in range(50)]
+        p = 1.0 / np.arange(1, 51)
+        picks = rng.choice(50, size=(1000, 12), p=p / p.sum())
+        utterances = [
+            np.concatenate([words[w] for w in row])[:12].astype("<i4").tobytes()
+            for row in picks
+        ]
+        store = DiscreteCountStore()
+        tracemalloc.start()
+        try:
+            for code, raw in enumerate(utterances):
+                for a in range(12):
+                    for b in range(a + 1, 13):
+                        store.add(raw[4 * a : 4 * b], code, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.total == 78_000
+        assert peak < 8 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
 
 
 def _cluster_size(points, n_clusters, query, seed):
