@@ -69,6 +69,15 @@ def _reject(path: str, what: str, errors: list[str]) -> None:
         raise ValueError(f"invalid {what} {path}:\n" + "\n".join(errors))
 
 
+def _listed(what: str, utterance_ids: list[str]) -> list[str]:
+    """One error naming up to ten ``utterance_ids``; none when it is empty."""
+    if not utterance_ids:
+        return []
+    n = len(utterance_ids)
+    more = f" and {n - 10} more" if n > 10 else ""
+    return [f"{what}: " + ", ".join(utterance_ids[:10]) + more]
+
+
 def _check_output_dirs(*paths) -> None:
     """Fail before any training when an output file's directory is missing."""
     for path in paths:
@@ -138,23 +147,17 @@ def cmd_eval(args) -> int:
     gold = dpio.read_alignment(args.alignment)
     _reject(args.alignment, "alignment", gold.validate())
     errors = []
-    for utt_id, segs in hyp.items():
+    for utt_id, bounds in hyp.items():
         words = gold.words.get(utt_id)
         if not words:
             errors.append(f"{utt_id}: no gold words in {args.alignment}")
-        elif [s.start for s in segs] != [0] + [s.end for s in segs[:-1]]:
-            errors.append(f"{utt_id}: tokens are not contiguous from block 0")
-        elif segs[-1].end != ms_to_end_block(words[-1][1]):
+        elif bounds[-1] != ms_to_end_block(words[-1][1]):
             errors.append(
-                f"{utt_id}: tokens end at block {segs[-1].end}, "
+                f"{utt_id}: tokens end at block {bounds[-1]}, "
                 f"gold words at block {ms_to_end_block(words[-1][1])}"
             )
     missing = [utt_id for utt_id in gold.words if utt_id not in hyp]
-    if missing:
-        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
-        errors.append(
-            "gold utterances with no tokens: " + ", ".join(missing[:10]) + more
-        )
+    errors += _listed("gold utterances with no tokens", missing)
     _reject(args.segmentation, "segmentation", errors)
     report = token_boundary_f1(hyp, gold)
     for line in dpio.report_lines(report):
@@ -176,7 +179,9 @@ def cmd_ablate_kmeans(args) -> int:
     cfg = _run_config(args)
     corpus = _load_input_corpus(args.input, args.mode)
     gold = dpio.read_alignment(args.alignment)
-    _reject(args.alignment, "alignment", gold.validate())
+    missing = [u.utterance_id for u in corpus if u.utterance_id not in gold.words]
+    errors = gold.validate() + _listed("corpus utterances with no gold words", missing)
+    _reject(args.alignment, "alignment", errors)
     results = {}
     for backend in ("knn", "kmeans"):
         overrides = dict(cfg.values)

@@ -30,17 +30,12 @@ def block_to_ms(block: int) -> float:
 
 @dataclass(frozen=True)
 class Segment:
-    """Half-open block interval [start, end) within one utterance."""
+    """Half-open block interval [start, end) within one utterance: a view of
+    one token of a ``Segmentation``, built by ``Segmentation.tokens()``."""
 
     utterance_id: str
     start: int
     end: int
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(
-                f"invalid segment [{self.start}, {self.end}) in {self.utterance_id!r}"
-            )
 
     @property
     def length(self) -> int:
@@ -121,96 +116,70 @@ class Corpus:
 
 
 class Segmentation:
-    """Per-utterance ordered lists of contiguous, covering segments."""
+    """One boundary tuple per utterance, 0 = b0 < b1 < ... < bk; token i is
+    the block interval [b(i), b(i+1)).  The tuples tile each utterance's
+    prefix by construction; ``validate`` checks them against a corpus."""
 
-    def __init__(self, segments: dict[str, list[Segment]] | None = None):
-        self._segments: dict[str, tuple[Segment, ...]] = {}
-        if segments:
-            for utt_id, segs in segments.items():
-                self.set_utterance(utt_id, segs)
-
-    def set_utterance(self, utterance_id: str, segments) -> None:
-        segs = tuple(segments)
-        for s in segs:
-            if s.utterance_id != utterance_id:
-                raise ValueError(f"segment {s} filed under {utterance_id!r}")
-        self._segments[utterance_id] = segs
-
-    @staticmethod
-    def from_boundaries(per_utterance: dict[str, tuple[int, ...]]) -> "Segmentation":
-        seg = Segmentation()
-        for utt_id, bounds in per_utterance.items():
-            seg.set_utterance(
-                utt_id,
-                [Segment(utt_id, a, b) for a, b in zip(bounds[:-1], bounds[1:])],
-            )
-        return seg
+    def __init__(self, boundaries: dict[str, tuple[int, ...]] | None = None):
+        self._bounds: dict[str, tuple[int, ...]] = {}
+        for utt_id, bounds in (boundaries or {}).items():
+            bounds = tuple(bounds)
+            if (
+                len(bounds) < 2
+                or bounds[0] != 0
+                or any(a >= b for a, b in zip(bounds, bounds[1:]))
+            ):
+                raise ValueError(
+                    f"{utt_id!r}: boundaries {bounds} do not rise strictly from 0"
+                )
+            self._bounds[utt_id] = bounds
 
     def __contains__(self, utterance_id: str):
-        return utterance_id in self._segments
-
-    def __getitem__(self, utterance_id: str) -> tuple[Segment, ...]:
-        return self._segments[utterance_id]
-
-    def get(self, utterance_id: str, default=()):
-        return self._segments.get(utterance_id, default)
+        return utterance_id in self._bounds
 
     def items(self):
-        return self._segments.items()
+        return self._bounds.items()
 
-    def utterance_ids(self):
-        return self._segments.keys()
+    def boundaries(self, utterance_id: str) -> tuple[int, ...]:
+        return self._bounds[utterance_id]
 
     def tokens(self):
-        for segs in self._segments.values():
-            yield from segs
+        for utt_id, bounds in self._bounds.items():
+            for a, b in zip(bounds, bounds[1:]):
+                yield Segment(utt_id, a, b)
 
     @property
     def n_tokens(self) -> int:
-        return sum(len(s) for s in self._segments.values())
-
-    def boundaries(self, utterance_id: str) -> tuple[int, ...]:
-        segs = self._segments[utterance_id]
-        return tuple(s.start for s in segs) + (segs[-1].end,)
+        return sum(len(b) - 1 for b in self._bounds.values())
 
     def mean_token_blocks(self) -> float:
         n = self.n_tokens
         if n == 0:
             return 0.0
-        return sum(s.length for s in self.tokens()) / n
+        return sum(b[-1] for b in self._bounds.values()) / n
 
     def validate(self, corpus: Corpus) -> list[str]:
-        """Return human-readable violations of the covering invariant."""
+        """Return the utterances that are not in ``corpus`` or not covered."""
         errors = []
-        for utt_id, segs in self._segments.items():
+        for utt_id, bounds in self._bounds.items():
             if utt_id not in corpus:
                 errors.append(f"{utt_id}: not in corpus")
                 continue
             n_blocks = corpus.utterance(utt_id).n_blocks
-            if not segs:
-                errors.append(f"{utt_id}: empty segment list")
-                continue
-            if segs[0].start != 0:
-                errors.append(f"{utt_id}: first segment starts at {segs[0].start}")
-            for a, b in zip(segs[:-1], segs[1:]):
-                if b.start != a.end:
-                    errors.append(f"{utt_id}: gap/overlap at block {a.end}")
-            if segs[-1].end != n_blocks:
+            if bounds[-1] != n_blocks:
                 errors.append(
-                    f"{utt_id}: last segment ends at {segs[-1].end}, expected {n_blocks}"
+                    f"{utt_id}: last segment ends at {bounds[-1]}, expected {n_blocks}"
                 )
         return errors
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Segmentation) and self._segments == other._segments
-        )
+        return isinstance(other, Segmentation) and self._bounds == other._bounds
 
     def __len__(self):
-        return len(self._segments)
+        return len(self._bounds)
 
     def __repr__(self):
-        return f"Segmentation({len(self._segments)} utterances, {self.n_tokens} tokens)"
+        return f"Segmentation({len(self._bounds)} utterances, {self.n_tokens} tokens)"
 
 
 @dataclass

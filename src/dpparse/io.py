@@ -17,7 +17,6 @@ from dpparse.core import (
     Corpus,
     FrameMatrix,
     GoldAlignment,
-    Segment,
     Segmentation,
     SymbolSequence,
     block_to_ms,
@@ -178,17 +177,17 @@ def read_alignment(path) -> GoldAlignment:
 def write_segmentation(path, segmentation: Segmentation) -> None:
     """One token per line: utterance id, start ms, end ms (block grid)."""
     with open(path, "w", encoding="utf-8") as f:
-        for utt_id, segs in segmentation.items():
-            for seg in segs:
-                f.write(
-                    f"{utt_id}\t{_fmt_ms(block_to_ms(seg.start))}"
-                    f"\t{_fmt_ms(block_to_ms(seg.end))}\n"
-                )
+        for utt_id, bounds in segmentation.items():
+            ms = [_fmt_ms(block_to_ms(b)) for b in bounds]
+            for start, end in zip(ms, ms[1:]):
+                f.write(f"{utt_id}\t{start}\t{end}\n")
 
 
 def read_segmentation(path) -> Segmentation:
+    """Read a segmentation file; each utterance's tokens, sorted by start,
+    must tile its blocks from 0 (lines of one utterance may be apart)."""
     path = Path(path)
-    per_utt: dict[str, list[Segment]] = {}
+    per_utt: dict[str, list[tuple[int, int, int]]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -202,11 +201,20 @@ def read_segmentation(path) -> Segmentation:
             s, e = ms_to_start_block(s), ms_to_end_block(e)
             if not 0 <= s < e:
                 raise FileFormatError(f"{path}:{lineno}: bad block interval [{s}, {e})")
-            per_utt.setdefault(utt_id, []).append(Segment(utt_id, s, e))
-    seg = Segmentation()
-    for utt_id, segs in per_utt.items():
-        seg.set_utterance(utt_id, sorted(segs, key=lambda s: s.start))
-    return seg
+            per_utt.setdefault(utt_id, []).append((s, e, lineno))
+    bounds = {}
+    for utt_id, tokens in per_utt.items():
+        tokens.sort()
+        edge = 0
+        for s, e, lineno in tokens:
+            if s != edge:
+                raise FileFormatError(
+                    f"invalid segmentation {path}:{lineno}: {utt_id}: token "
+                    f"[{s}, {e}) does not start at block {edge}"
+                )
+            edge = e
+        bounds[utt_id] = (0, *(e for _, e, _ in tokens))
+    return Segmentation(bounds)
 
 
 def _times(path: Path, lineno: int, start: str, end: str) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpparse.core import BLOCK_MS, Corpus, GoldAlignment, Segment, Segmentation
+from dpparse.core import BLOCK_MS, Corpus, GoldAlignment, Segmentation
 
 SNAP_THRESHOLD_MS = 30.0
 
@@ -106,7 +106,7 @@ def token_boundary_f1(hyp: Segmentation, gold: GoldAlignment) -> EvalReport:
     """
     tok_hits = tok_found = tok_hyp = tok_gold = 0
     bnd_hits = bnd_hyp = bnd_gold = 0
-    for utt_id, segs in hyp.items():
+    for utt_id, bounds in hyp.items():
         if utt_id not in gold.words:
             raise ValueError(f"missing gold alignment for {utt_id!r}")
         gold_words = gold.words[utt_id]
@@ -122,9 +122,8 @@ def token_boundary_f1(hyp: Segmentation, gold: GoldAlignment) -> EvalReport:
             def snap(value: float) -> float:
                 return value
 
-        hyp_tokens = [
-            (snap(seg.start * BLOCK_MS), snap(seg.end * BLOCK_MS)) for seg in segs
-        ]
+        snapped = [snap(b * BLOCK_MS) for b in bounds]
+        hyp_tokens = list(zip(snapped, snapped[1:]))
         gold_tokens = set(gold_words)
         tok_hits += sum(1 for t in hyp_tokens if t in gold_tokens)
         tok_found += len(gold_tokens & set(hyp_tokens))
@@ -132,7 +131,7 @@ def token_boundary_f1(hyp: Segmentation, gold: GoldAlignment) -> EvalReport:
         tok_gold += len(gold_words)
         # internal boundaries only; snapped hypothesis edges, deduplicated
         duration = gold_words[-1][1]
-        hyp_bounds = {b for t in hyp_tokens for b in t} - {0.0, duration}
+        hyp_bounds = set(snapped) - {0.0, duration}
         gold_bounds = {w[0] for w in gold_words} - {0.0}
         bnd_hits += len(hyp_bounds & gold_bounds)
         bnd_hyp += len(hyp_bounds)
@@ -165,14 +164,12 @@ def fixed_rate_segmenter(corpus: Corpus, period_blocks: int = 3) -> Segmentation
     """
     if period_blocks < 1:
         raise ValueError("period_blocks must be >= 1")
-    seg = Segmentation()
-    for utt in corpus:
-        bounds = list(range(0, utt.n_blocks, period_blocks)) + [utt.n_blocks]
-        uid = utt.utterance_id
-        seg.set_utterance(
-            uid, [Segment(uid, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        )
-    return seg
+    return Segmentation(
+        {
+            u.utterance_id: (*range(0, u.n_blocks, period_blocks), u.n_blocks)
+            for u in corpus
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

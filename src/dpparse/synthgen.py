@@ -19,7 +19,6 @@ from dpparse.core import (
     Corpus,
     FrameMatrix,
     GoldAlignment,
-    Segment,
     Segmentation,
     SymbolSequence,
 )
@@ -154,36 +153,12 @@ def _prototypes(config: GenConfig, lengths: np.ndarray, rng) -> list:
 
 def gold_segmentation(corpus: Corpus, gold: GoldAlignment) -> Segmentation:
     """Gold alignment expressed on the block grid (valid for synthetic data)."""
-    seg = Segmentation()
+    bounds = {}
     for utt in corpus:
-        uid = utt.utterance_id
-        segs = [
-            Segment(uid, round(s / BLOCK_MS), round(e / BLOCK_MS))
-            for s, e in gold.words[uid]
-        ]
-        seg.set_utterance(uid, segs)
-    return seg
-
-
-def jitter_boundaries(
-    segmentation: Segmentation,
-    rng: np.random.Generator,
-    max_shift: int = 1,
-) -> Segmentation:
-    """Shift internal boundaries by up to ±max_shift blocks, keeping validity."""
-    out = Segmentation()
-    for uid, segs in segmentation.items():
-        bounds = list(segmentation.boundaries(uid))
-        for i in range(1, len(bounds) - 1):
-            lo = bounds[i - 1] + 1
-            hi = bounds[i + 1] - 1  # next boundary still unshifted, stay below it
-            b = bounds[i] + int(rng.integers(-max_shift, max_shift + 1))
-            bounds[i] = min(max(b, lo), hi)
-        out.set_utterance(
-            uid,
-            [Segment(uid, a, b) for a, b in zip(bounds[:-1], bounds[1:])],
-        )
-    return out
+        words = gold.words[utt.utterance_id]
+        edges = [s for s, _ in words] + [words[-1][1]]
+        bounds[utt.utterance_id] = tuple(round(t / BLOCK_MS) for t in edges)
+    return Segmentation(bounds)
 
 
 def lexicon_lines(words: list[WordInfo]) -> list[str]:

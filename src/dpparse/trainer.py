@@ -22,7 +22,6 @@ import numpy as np
 
 from dpparse.core import (
     Corpus,
-    Segment,
     Segmentation,
     untileable_utterances,
     validate_corpus,
@@ -111,13 +110,9 @@ def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
     Utterances longer than ``max_len`` blocks contribute nothing; an
     empty seed is legal (scores then reduce to the base distribution).
     """
-    seg = Segmentation()
-    for utt in corpus:
-        if utt.n_blocks <= max_len:
-            seg.set_utterance(
-                utt.utterance_id, [Segment(utt.utterance_id, 0, utt.n_blocks)]
-            )
-    return seg
+    return Segmentation(
+        {u.utterance_id: (0, u.n_blocks) for u in corpus if u.n_blocks <= max_len}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +179,22 @@ def _token_group(corpus: Corpus, segmentation: Segmentation):
 
     A token of an utterance the corpus lacks, or one that ends past its
     utterance, is rejected here, before any backend counts or embeds it (a
-    ``Segment`` already has 0 <= start < end).
+    ``Segmentation``'s boundaries already rise strictly from 0).
     """
     group = []
-    for utt_id, segs in segmentation.items():
+    for utt_id, bounds in segmentation.items():
         if utt_id not in corpus:
             raise ValueError(
                 f"segmentation names utterance {utt_id!r}, not in the corpus"
             )
         utt = corpus.utterance(utt_id)
-        ends = [s.end for s in segs]
-        if max(ends, default=0) > utt.n_blocks:
-            bad = next(s for s in segs if s.end > utt.n_blocks)
+        if bounds[-1] > utt.n_blocks:
             raise ValueError(
-                f"token {bad} ends past utterance {utt_id!r} of {utt.n_blocks} blocks"
+                f"token [{bounds[-2]}, {bounds[-1]}) ends past utterance "
+                f"{utt_id!r} of {utt.n_blocks} blocks"
             )
-        starts = np.array([s.start for s in segs], dtype=np.int64)
-        group.append((utt, starts, np.array(ends, dtype=np.int64)))
+        b = np.array(bounds, dtype=np.int64)
+        group.append((utt, b[:-1], b[1:]))
     return group
 
 
@@ -451,7 +445,7 @@ def run_iteration(
             paths = nbest(lattice, config.beam)
             rng = _utterance_rng(config.seed, uid, iteration)
             new_bounds[uid] = sample_path(paths, config.temperature, rng)
-    new_seg = Segmentation.from_boundaries(new_bounds)
+    new_seg = Segmentation(new_bounds)
     return dataclasses.replace(
         state,
         iteration=iteration,

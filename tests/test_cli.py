@@ -253,16 +253,28 @@ class TestEvalInputs:
     def test_ablate_kmeans_rejects_bad_gold_before_training(
         self, tmp_path, capsys, monkeypatch
     ):
-        _, manifest = _gen(tmp_path)
-        gold = tmp_path / "gold.tsv"
-        gold.write_text("u1\tWORD\t0\t80\nu1\tWORD\t40\t160\n")
+        out, manifest = _gen(tmp_path)
+        lines = (out / "alignment.tsv").read_text().splitlines(keepends=True)
+        cases = {
+            "overlap.tsv": ("u1\tWORD\t0\t80\nu1\tWORD\t40\t160\n", "u1"),
+            # covers every corpus utterance but u000003
+            "uncovered.tsv": (
+                "".join(l for l in lines if not l.startswith("u000003\t")),
+                "u000003",
+            ),
+        }
         trained = []
         monkeypatch.setattr(
             "dpparse.cli.train", lambda *a, **k: trained.append(a) or Segmentation()
         )
-        argv = ["ablate-kmeans", str(manifest), "--alignment", str(gold)]
-        assert main(argv + ["--n-clusters", "4"]) != 0
-        assert f"invalid alignment {gold}" in capsys.readouterr().err
+        for name, (text, named) in cases.items():
+            gold = tmp_path / name
+            gold.write_text(text)
+            argv = ["ablate-kmeans", str(manifest), "--alignment", str(gold)]
+            assert main(argv + ["--n-clusters", "4"]) != 0
+            err = capsys.readouterr().err
+            assert f"invalid alignment {gold}" in err
+            assert named in err
         assert trained == []
 
 

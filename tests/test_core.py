@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dpparse.core import (
     Corpus,
     FrameMatrix,
-    Segment,
     Segmentation,
     SymbolSequence,
     ms_to_end_block,
@@ -15,7 +14,6 @@ from dpparse.core import (
     untileable_utterances,
     validate_corpus,
 )
-from dpparse.density import DiscreteCountStore
 
 
 def _corpus(matrices):
@@ -74,36 +72,38 @@ class TestPairFrames:
 
 class TestSegment:
     def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            Segment("u", 3, 3)
-        with pytest.raises(ValueError):
-            Segment("u", -1, 2)
-
-    def test_overlap_is_strict_intersection(self):
-        # The production rule: a count leaves out instances in the same
-        # utterance (code) whose block interval crosses the queried one.
-        store = DiscreteCountStore()
-        store.add(b"w", 0, 0, 2)
-        assert store.count_excluding_overlaps(b"w", 0, 2, 4) == 1  # shared endpoint
-        assert store.count_excluding_overlaps(b"w", 0, 1, 3) == 0
-        assert store.count_excluding_overlaps(b"w", 1, 1, 3) == 1  # other utterance
+        # A token is built only from a Segmentation's boundaries, so an
+        # empty, reversed or negative interval is refused there.
+        for bounds in [(0, 3, 3), (0, 3, 2), (-1, 2)]:
+            with pytest.raises(ValueError, match="'u': boundaries"):
+                Segmentation({"u": bounds})
 
 
 class TestSegmentation:
     def test_valid_covering(self):
         corpus = _corpus([np.ones((5, 2))])
-        seg = Segmentation({"u0": [Segment("u0", 0, 2), Segment("u0", 2, 5)]})
+        seg = Segmentation({"u0": (0, 2, 5)})
         assert seg.validate(corpus) == []
         assert seg.boundaries("u0") == (0, 2, 5)
+        assert [(t.start, t.end, t.length) for t in seg.tokens()] == [
+            (0, 2, 2),
+            (2, 5, 3),
+        ]
 
     def test_gap_detected(self):
-        corpus = _corpus([np.ones((5, 2))])
-        seg = Segmentation({"u0": [Segment("u0", 0, 2), Segment("u0", 3, 5)]})
-        assert seg.validate(corpus)
+        # Adjacent tokens share a boundary, so the only gap expressible is
+        # one before the first token; the constructor refuses it.
+        with pytest.raises(ValueError, match="'u0': boundaries"):
+            Segmentation({"u0": (2, 5)})
+
+    def test_constructor_rejects_non_tiling_bounds(self):
+        for bounds in [(1, 3), (0, 2, 2, 5), (0,), ()]:
+            with pytest.raises(ValueError, match="'u0': boundaries"):
+                Segmentation({"u0": bounds})
 
     def test_short_coverage_detected(self):
         corpus = _corpus([np.ones((5, 2))])
-        seg = Segmentation({"u0": [Segment("u0", 0, 2)]})
+        seg = Segmentation({"u0": (0, 2)})
         assert seg.validate(corpus)
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=6))
@@ -111,8 +111,10 @@ class TestSegmentation:
     def test_lengths_reproduce_n_blocks(self, lengths):
         n = sum(lengths)
         bounds = (0,) + tuple(int(b) for b in np.cumsum(lengths))
-        seg = Segmentation.from_boundaries({"u": bounds})
-        assert sum(s.length for s in seg["u"]) == n
+        seg = Segmentation({"u": bounds})
+        assert sum(s.length for s in seg.tokens()) == n
+        assert seg.n_tokens == len(lengths)
+        assert seg.mean_token_blocks() == n / len(lengths)
         assert seg.boundaries("u") == bounds
 
 

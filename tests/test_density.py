@@ -308,6 +308,15 @@ class TestCalibrateBeta:
 
 
 class TestDiscreteCounts:
+    def test_overlap_is_strict_intersection(self):
+        # The production rule: a count leaves out instances in the same
+        # utterance (code) whose block interval crosses the queried one.
+        store = DiscreteCountStore()
+        store.add(b"w", 0, 0, 2)
+        assert store.count_excluding_overlaps(b"w", 0, 2, 4) == 1  # shared endpoint
+        assert store.count_excluding_overlaps(b"w", 0, 1, 3) == 0
+        assert store.count_excluding_overlaps(b"w", 1, 1, 3) == 1  # other utterance
+
     def test_multiset_count(self):
         store = DiscreteCountStore()
         for i in range(3):

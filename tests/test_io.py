@@ -1,8 +1,17 @@
+import re
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpparse import io as dpio
-from dpparse.core import Corpus, FrameMatrix, GoldAlignment, Segment, Segmentation
+from dpparse.core import Corpus, FrameMatrix, GoldAlignment, Segmentation
+
+_BOUNDS = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
+    lambda lengths: tuple(accumulate(lengths, initial=0))
+)
 
 
 def test_frame_file_round_trip(tmp_path):
@@ -59,18 +68,55 @@ def test_alignment_round_trip(tmp_path):
     assert gold.validate() == []
 
 
-def test_segmentation_round_trip(tmp_path):
-    seg = Segmentation(
-        {
-            "a": [Segment("a", 0, 2), Segment("a", 2, 3)],
-            "b": [Segment("b", 0, 5)],
-        }
+@given(
+    st.dictionaries(
+        st.text("abu0_", min_size=1, max_size=6), _BOUNDS, max_size=5
     )
+)
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_segmentation_round_trip(tmp_path, per_utterance):
+    seg = Segmentation(per_utterance)
     path = tmp_path / "seg.tsv"
     dpio.write_segmentation(path, seg)
-    assert dpio.read_segmentation(path) == seg
+    back = dpio.read_segmentation(path)
+    assert back == seg
+    assert list(back.items()) == list(seg.items())  # utterance order kept
     # ms values on the 40ms grid are written as integers
-    assert "\t80\t120" in path.read_text()
+    lines = path.read_text().splitlines()
+    assert len(lines) == seg.n_tokens
+    assert all(re.fullmatch(r"[^\t]+\t\d+\t\d+", line) for line in lines)
+
+
+def test_segmentation_lines_of_an_utterance_may_be_apart(tmp_path):
+    path = tmp_path / "seg.tsv"
+    path.write_text("a\t80\t200\nb\t0\t40\na\t0\t80\n", encoding="utf-8")
+    seg = dpio.read_segmentation(path)
+    assert list(seg.items()) == [("a", (0, 2, 5)), ("b", (0, 1))]
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("u1\t0\t80\nu1\t40\t160\n", 2),
+        ("u1\t0\t80\nu1\t120\t160\n", 2),
+        ("u1\t40\t80\nu1\t80\t160\n", 1),
+        ("u1\t0\t80\nu2\t0\t40\nu1\t0\t80\n", 3),
+    ],
+    ids=["overlap", "gap", "late-start", "duplicate"],
+)
+def test_segmentation_that_does_not_tile_names_file_line_and_utterance(
+    tmp_path, text, lineno
+):
+    path = tmp_path / "seg.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(
+        dpio.FileFormatError, match=rf"invalid segmentation .*seg\.tsv:{lineno}: u1: "
+    ):
+        dpio.read_segmentation(path)
 
 
 def test_text_corpus_round_trip(tmp_path):

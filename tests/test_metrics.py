@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpparse.core import Corpus, FrameMatrix, GoldAlignment, Segment, Segmentation
+from dpparse.core import Corpus, FrameMatrix, GoldAlignment, Segmentation
 from dpparse.metrics import (
     abx_score,
     fixed_rate_segmenter,
@@ -67,7 +67,7 @@ def _gold(words_blocks, utt="u"):
 class TestTokenBoundaryF1:
     def test_perfect_hypothesis(self):
         gold = _gold([(0, 2), (2, 4)])
-        hyp = Segmentation({"u": [Segment("u", 0, 2), Segment("u", 2, 4)]})
+        hyp = Segmentation({"u": (0, 2, 4)})
         r = token_boundary_f1(hyp, gold)
         assert (
             r.token_precision,
@@ -80,7 +80,7 @@ class TestTokenBoundaryF1:
 
     def test_whole_utterance_token_has_no_boundaries(self):
         gold = _gold([(0, 2), (2, 4)])
-        hyp = Segmentation({"u": [Segment("u", 0, 4)]})
+        hyp = Segmentation({"u": (0, 4)})
         r = token_boundary_f1(hyp, gold)
         assert r.token_f1 == 0.0
         assert r.boundary_recall == 0.0
@@ -89,9 +89,7 @@ class TestTokenBoundaryF1:
     def test_hand_counted_example(self):
         # gold [0,2),[2,4); hyp [0,1),[1,2),[2,4)
         gold = _gold([(0, 2), (2, 4)])
-        hyp = Segmentation(
-            {"u": [Segment("u", 0, 1), Segment("u", 1, 2), Segment("u", 2, 4)]}
-        )
+        hyp = Segmentation({"u": (0, 1, 2, 4)})
         r = token_boundary_f1(hyp, gold)
         assert r.token_precision == pytest.approx(1 / 3)
         assert r.token_recall == pytest.approx(1 / 2)
@@ -101,7 +99,7 @@ class TestTokenBoundaryF1:
         assert r.boundary_f1 == pytest.approx(2 / 3)
 
     def test_missing_gold_rejected(self):
-        hyp = Segmentation({"v": [Segment("v", 0, 1)]})
+        hyp = Segmentation({"v": (0, 1)})
         with pytest.raises(ValueError, match="missing gold"):
             token_boundary_f1(hyp, GoldAlignment(words={"u": [(0.0, 40.0)]}))
 
@@ -112,7 +110,7 @@ class TestTokenBoundaryF1:
             phones={"u": _phones([0.0, 40.0, 80.0, 120.0, 160.0])},
         )
         # hyp token edges at 0/80/160 exactly: perfect after snapping
-        hyp = Segmentation({"u": [Segment("u", 0, 2), Segment("u", 2, 4)]})
+        hyp = Segmentation({"u": (0, 2, 4)})
         assert token_boundary_f1(hyp, gold).token_f1 == 1.0
 
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=8), st.integers(0, 10**6))
@@ -121,7 +119,7 @@ class TestTokenBoundaryF1:
         bounds = (0,) + tuple(int(b) for b in np.cumsum(lengths))
         words = list(zip(bounds[:-1], bounds[1:]))
         gold = _gold(words)
-        hyp = Segmentation({"u": [Segment("u", a, b) for a, b in words]})
+        hyp = Segmentation({"u": bounds})
         r = token_boundary_f1(hyp, gold)
         assert r.token_f1 == 1.0 and r.boundary_f1 in (1.0, 0.0)
         # boundary F1 is 0/0 -> 0 only for single-word utterances
@@ -134,11 +132,11 @@ class TestFixedRate:
 
     def test_residue_becomes_short_last_token(self):
         seg = fixed_rate_segmenter(self._corpus(7), 3)
-        assert [s.length for s in seg["u"]] == [3, 3, 1]
+        assert seg.boundaries("u") == (0, 3, 6, 7)
 
     def test_exact_multiple(self):
         seg = fixed_rate_segmenter(self._corpus(3), 3)
-        assert [s.length for s in seg["u"]] == [3]
+        assert seg.boundaries("u") == (0, 3)
 
     def test_covers_corpus(self):
         corpus = self._corpus(11)

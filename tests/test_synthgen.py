@@ -7,7 +7,6 @@ from dpparse.synthgen import (
     GenConfig,
     generate,
     gold_segmentation,
-    jitter_boundaries,
     zipf_probabilities,
 )
 
@@ -49,11 +48,9 @@ class TestGenerate:
         corpus, gold, _ = generate(cfg)
         seg = gold_segmentation(corpus, gold)
         patterns: dict[bytes, int] = {}
-        for utt_id, segs in seg.items():
-            frames = corpus.utterance(utt_id).data
-            for s in segs:
-                key = frames[s.start : s.end].tobytes()
-                patterns[key] = patterns.get(key, 0) + 1
+        for s in seg.tokens():
+            key = corpus.utterance(s.utterance_id).data[s.start : s.end].tobytes()
+            patterns[key] = patterns.get(key, 0) + 1
         # every token is a bit-exact copy of one of vocab_size prototypes
         assert len(patterns) <= cfg.vocab_size
         assert max(patterns.values()) >= 2
@@ -101,10 +98,9 @@ class TestGenerate:
         )
         seg = gold_segmentation(corpus, gold)
         patterns = set()
-        for utt_id, segs in seg.items():
-            symbols = corpus.utterance(utt_id).symbols
-            for s in segs:
-                patterns.add(symbols[s.start : s.end].tobytes())
+        for s in seg.tokens():
+            symbols = corpus.utterance(s.utterance_id).symbols
+            patterns.add(symbols[s.start : s.end].tobytes())
         assert len(patterns) <= 30
 
     def test_frequency_estimate_recovers_counts_at_zero_noise(self):
@@ -116,11 +112,10 @@ class TestGenerate:
         )
         seg = gold_segmentation(corpus, gold)
         vecs, provenance = [], []
-        for utt_id, tokens in seg.items():
-            frames = corpus.utterance(utt_id).data.astype(np.float64)
-            for t in tokens:
-                vecs.append(frames[t.start : t.end].mean(axis=0))
-                provenance.append((corpus.position(utt_id), t.start, t.end))
+        for t in seg.tokens():
+            frames = corpus.utterance(t.utterance_id).data.astype(np.float64)
+            vecs.append(frames[t.start : t.end].mean(axis=0))
+            provenance.append((corpus.position(t.utterance_id), t.start, t.end))
         index = InstanceIndex(np.stack(vecs), *np.array(provenance).T)
         k = len(vecs)  # retrieve everything: no truncation
         params = DensityParams(k=k, beta=1e6)
@@ -133,25 +128,6 @@ class TestGenerate:
         for i in (0, 5, 17):
             f = index.kernel_frequencies_arrays(vecs[i][None, :], *fresh, params)[0]
             assert f == pytest.approx(counts[vecs[i].tobytes()], abs=1e-3)
-
-
-class TestJitter:
-    def test_jittered_segmentation_stays_valid(self):
-        corpus, gold, _ = generate(_config(n_utterances=40))
-        seg = gold_segmentation(corpus, gold)
-        rng = np.random.default_rng(0)
-        jittered = jitter_boundaries(seg, rng, max_shift=1)
-        assert jittered.validate(corpus) == []
-
-    def test_shifts_bounded_by_one_block(self):
-        corpus, gold, _ = generate(_config(n_utterances=40, seed=11))
-        seg = gold_segmentation(corpus, gold)
-        jittered = jitter_boundaries(seg, np.random.default_rng(1), max_shift=1)
-        for utt_id in seg.utterance_ids():
-            b1 = np.array(seg.boundaries(utt_id))
-            b2 = np.array(jittered.boundaries(utt_id))
-            assert b1.shape == b2.shape
-            assert np.all(np.abs(b1 - b2) <= 1)
 
 
 def test_config_validation():

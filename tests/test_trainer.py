@@ -74,8 +74,8 @@ class TestInitSegmentation:
 
     def test_threshold_rule(self):
         seg = init_segmentation(self._corpus([5, 15, 30]), max_len=20)
-        assert set(seg.utterance_ids()) == {"u0", "u1"}
-        assert seg["u0"] == (Segment("u0", 0, 5),)
+        assert [uid for uid, _ in seg.items()] == ["u0", "u1"]
+        assert seg.boundaries("u0") == (0, 5)
         assert seg.n_tokens == 2
 
     def test_all_long_gives_empty_seed(self):
@@ -257,16 +257,16 @@ class TestRunIteration:
         corpus, config, state = self._initialized_then_uncountable(mode, monkeypatch)
         utt = corpus.utterances[0]
         uid, n = utt.utterance_id, utt.n_blocks
-        bad = Segment(uid, n - 1, n + 2)
-        seg = Segmentation({uid: [Segment(uid, 0, n - 1), bad]})
+        seg = Segmentation({uid: (0, n - 1, n + 2)})
         state = dataclasses.replace(state, segmentation=seg)
-        with pytest.raises(ValueError, match=re.escape(f"token {bad} ends past")):
+        message = f"token [{n - 1}, {n + 2}) ends past utterance {uid!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_iteration(state, corpus, config)
 
     @pytest.mark.parametrize("mode", ["continuous", "discrete"])
     def test_utterance_missing_from_corpus_rejected(self, mode, monkeypatch):
         corpus, config, state = self._initialized_then_uncountable(mode, monkeypatch)
-        seg = Segmentation({"zz": [Segment("zz", 0, 2)]})
+        seg = Segmentation({"zz": (0, 2)})
         state = dataclasses.replace(state, segmentation=seg)
         with pytest.raises(ValueError, match="utterance 'zz', not in the corpus"):
             run_iteration(state, corpus, config)
