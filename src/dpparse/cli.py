@@ -8,6 +8,7 @@ do not depend on scheduling or --workers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 
 from dpparse import io as dpio
 from dpparse.config import load_run_config
-from dpparse.core import Corpus, ms_to_end_block, validate_corpus
+from dpparse.core import BLOCK_MS, Corpus, ms_to_end_block, validate_corpus
 from dpparse.metrics import abx_score, fixed_rate_segmenter, token_boundary_f1
 from dpparse.synthgen import generate, lexicon_lines
 from dpparse.trainer import train
@@ -25,7 +26,8 @@ from dpparse.trainer import train
 logger = logging.getLogger("dpparse")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
+    """The flags that settings are read from, and --mode."""
     parser.add_argument("--config", help="config file (section.key = value lines)")
     parser.add_argument(
         "--set",
@@ -37,10 +39,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
+    _add_mode(parser)
+
+
+def _add_mode(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode", choices=("continuous", "discrete"), default="continuous"
     )
-    parser.add_argument("--verbose", action="store_true")
 
 
 def _run_config(args) -> "RunConfig":
@@ -76,6 +81,17 @@ def _listed(what: str, utterance_ids: list[str]) -> list[str]:
     n = len(utterance_ids)
     more = f" and {n - 10} more" if n > 10 else ""
     return [f"{what}: " + ", ".join(utterance_ids[:10]) + more]
+
+
+def _gold_end_errors(gold, ends: dict[str, int], what: str) -> list[str]:
+    """One error per utterance of ``ends`` whose last block is not the end
+    block of its last gold word; utterances with no gold words are skipped."""
+    gold_ends = {u: ms_to_end_block(words[-1][1]) for u, words in gold.words.items()}
+    return [
+        f"{u}: {what} at block {end}, gold words at block {gold_ends[u]}"
+        for u, end in ends.items()
+        if u in gold_ends and end != gold_ends[u]
+    ]
 
 
 def _check_output_dirs(*paths) -> None:
@@ -130,7 +146,7 @@ def cmd_segment(args) -> int:
 
 def cmd_baseline(args) -> int:
     corpus = _load_input_corpus(args.input, args.mode)
-    period_blocks = max(1, round(args.period_ms / 40.0))
+    period_blocks = max(1, round(args.period_ms / BLOCK_MS))
     segmentation = fixed_rate_segmenter(corpus, period_blocks)
     dpio.write_segmentation(args.out, segmentation)
     logger.info(
@@ -146,16 +162,13 @@ def cmd_eval(args) -> int:
     hyp = dpio.read_segmentation(args.segmentation)
     gold = dpio.read_alignment(args.alignment)
     _reject(args.alignment, "alignment", gold.validate())
-    errors = []
-    for utt_id, bounds in hyp.items():
-        words = gold.words.get(utt_id)
-        if not words:
-            errors.append(f"{utt_id}: no gold words in {args.alignment}")
-        elif bounds[-1] != ms_to_end_block(words[-1][1]):
-            errors.append(
-                f"{utt_id}: tokens end at block {bounds[-1]}, "
-                f"gold words at block {ms_to_end_block(words[-1][1])}"
-            )
+    ends = {utt_id: bounds[-1] for utt_id, bounds in hyp.items()}
+    errors = [
+        f"{utt_id}: no gold words in {args.alignment}"
+        for utt_id in ends
+        if utt_id not in gold.words
+    ]
+    errors += _gold_end_errors(gold, ends, "tokens end")
     missing = [utt_id for utt_id in gold.words if utt_id not in hyp]
     errors += _listed("gold utterances with no tokens", missing)
     _reject(args.segmentation, "segmentation", errors)
@@ -181,14 +194,15 @@ def cmd_ablate_kmeans(args) -> int:
     gold = dpio.read_alignment(args.alignment)
     missing = [u.utterance_id for u in corpus if u.utterance_id not in gold.words]
     errors = gold.validate() + _listed("corpus utterances with no gold words", missing)
+    ends = {u.utterance_id: u.n_blocks for u in corpus}
+    errors += _gold_end_errors(gold, ends, "utterance ends")
     _reject(args.alignment, "alignment", errors)
+    base_cfg = cfg.trainer_config(args.mode)
     results = {}
     for backend in ("knn", "kmeans"):
-        overrides = dict(cfg.values)
-        overrides["trainer.frequency_backend"] = backend
-        if backend == "kmeans":
-            overrides["trainer.kmeans_clusters"] = args.n_clusters
-        trainer_cfg = type(cfg)(overrides).trainer_config(args.mode)
+        trainer_cfg = dataclasses.replace(
+            base_cfg, frequency_backend=backend, kmeans_clusters=args.n_clusters
+        )
         segmentation = train(corpus, trainer_cfg)
         report = token_boundary_f1(segmentation, gold)
         results[backend] = report.token_f1
@@ -220,47 +234,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic corpus with gold alignment")
-    p.add_argument("--out-dir", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--verbose", action="store_true")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("segment", help="train and write a segmentation")
+    p = command("gen", cmd_gen, "generate a synthetic corpus with gold alignment")
+    p.add_argument("--out-dir", required=True)
+    _add_config(p)
+
+    p = command("segment", cmd_segment, "train and write a segmentation")
     p.add_argument("input", help="manifest (continuous) or text corpus (discrete)")
     p.add_argument("--out", required=True, help="segmentation output file")
     p.add_argument("--log", help="per-iteration run log")
-    _add_common(p)
-    p.set_defaults(func=cmd_segment)
+    _add_config(p)
 
-    p = sub.add_parser("baseline", help="fixed-rate segmenter, content ignored")
+    p = command("baseline", cmd_baseline, "fixed-rate segmenter, content ignored")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--period-ms", type=float, default=120.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_baseline)
+    _add_mode(p)
 
-    p = sub.add_parser("eval", help="token/boundary F1 against a gold alignment")
+    p = command("eval", cmd_eval, "token/boundary F1 against a gold alignment")
     p.add_argument("segmentation")
     p.add_argument("--alignment", required=True)
     p.add_argument("--out", help="write the report here as well")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("abx", help="ABX discrimination score over a triplet file")
+    p = command("abx", cmd_abx, "ABX discrimination score over a triplet file")
     p.add_argument("triplets")
-    _add_common(p)
-    p.set_defaults(func=cmd_abx)
 
-    p = sub.add_parser(
+    p = command(
         "ablate-kmeans",
-        help="train with kNN and k-means frequency backends, report both",
+        cmd_ablate_kmeans,
+        "train with kNN and k-means frequency backends, report both",
     )
     p.add_argument("input")
     p.add_argument("--alignment", required=True)
     p.add_argument("--n-clusters", type=int, required=True)
     p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate_kmeans)
+    _add_config(p)
 
     return parser
 
@@ -268,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

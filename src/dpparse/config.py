@@ -1,13 +1,15 @@
 """Run configuration: defaults, config files, and flag overrides.
 
-Config files are line-based ``section.key = value`` text (comments start
-with ``#``); flags override the file, the file overrides defaults, and
-unknown keys are rejected so experiment records stay trustworthy.
+A key is ``section.field`` of one of the settings dataclasses, and its
+default is the field's default.  Config files are line-based
+``section.key = value`` text (comments start with ``#``); flags override
+the file, the file overrides defaults, and unknown keys are rejected so
+experiment records stay trustworthy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from dpparse.density import DensityParams
 from dpparse.scoring import DPParams
@@ -38,41 +40,36 @@ def _auto_float(text: str):
     return float(text)
 
 
+DELTA_BY_MODE = {"continuous": 4.0, "discrete": 2.0}
+
+_SECTIONS = {
+    "trainer": TrainerConfig,
+    "dp": DPParams,
+    "density": DensityParams,
+    "gen": GenConfig,
+}
+# Fields that RunConfig fills in itself: the nested settings, the run's mode
+# and, for the generator, trainer.seed.
+_NOT_KEYS = {"trainer.dp", "trainer.density", "gen.seed", "gen.mode"}
+
+
+def _parser(default):
+    if isinstance(default, bool):
+        return _bool
+    if default is None:
+        return _optional_int
+    return type(default)
+
+
 # key -> (parser, default)
 _SCHEMA: dict[str, tuple] = {
-    "trainer.n_iterations": (int, 10),
-    "trainer.beam": (int, 10),
-    "trainer.l0_subsample": (int, 1_000_000),
-    "trainer.seed": (int, 0),
-    "trainer.workers": (_optional_int, None),
-    "trainer.min_len": (int, 1),
-    "trainer.max_len": (int, 20),
-    "trainer.temperature": (float, 1.0),
-    "trainer.frequency_backend": (str, "knn"),
-    "trainer.kmeans_clusters": (int, 0),
-    "trainer.calibration_sample": (int, 10_000),
-    "trainer.normalize": (_bool, False),
-    "dp.alpha0": (float, 100.0),
-    "dp.gamma": (float, 1.8),
-    "dp.delta": (_auto_float, "auto"),
-    "dp.epsilon_log": (float, 1e-10),
-    "dp.penalty_sign": (float, -1.0),
-    "density.k": (int, 100),
-    "density.beta": (float, 1.0),
-    "density.epsilon_f": (float, 1e-3),
-    "gen.vocab_size": (int, 50),
-    "gen.n_utterances": (int, 2000),
-    "gen.dim": (int, 16),
-    "gen.zipf_exponent": (float, 1.0),
-    "gen.word_len_min": (int, 2),
-    "gen.word_len_max": (int, 6),
-    "gen.words_per_utterance_min": (int, 2),
-    "gen.words_per_utterance_max": (int, 4),
-    "gen.noise_sigma": (float, 0.1),
-    "gen.alphabet_size": (int, 20),
+    f"{section}.{f.name}": (_parser(f.default), f.default)
+    for section, cls in _SECTIONS.items()
+    for f in fields(cls)
+    if f"{section}.{f.name}" not in _NOT_KEYS
 }
-
-DELTA_BY_MODE = {"continuous": 4.0, "discrete": 2.0}
+# "auto" stands for DELTA_BY_MODE of the run's mode.
+_SCHEMA["dp.delta"] = (_auto_float, "auto")
 
 
 @dataclass
@@ -89,55 +86,25 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
+    def _section(self, section: str) -> dict:
+        """The settings of one section, by field name."""
+        prefix = section + "."
+        return {
+            k[len(prefix) :]: v for k, v in self.values.items() if k.startswith(prefix)
+        }
+
     def trainer_config(self, mode: str) -> TrainerConfig:
-        v = self.values
-        delta = v["dp.delta"]
-        if delta == "auto":
-            delta = DELTA_BY_MODE[mode]
-        dp = DPParams(
-            alpha0=v["dp.alpha0"],
-            gamma=v["dp.gamma"],
-            delta=delta,
-            epsilon_log=v["dp.epsilon_log"],
-            penalty_sign=v["dp.penalty_sign"],
-        )
-        density = DensityParams(
-            k=v["density.k"], beta=v["density.beta"], epsilon_f=v["density.epsilon_f"]
-        )
+        dp = self._section("dp")
+        if dp["delta"] == "auto":
+            dp["delta"] = DELTA_BY_MODE[mode]
         return TrainerConfig(
-            n_iterations=v["trainer.n_iterations"],
-            beam=v["trainer.beam"],
-            l0_subsample=v["trainer.l0_subsample"],
-            seed=v["trainer.seed"],
-            workers=v["trainer.workers"],
-            min_len=v["trainer.min_len"],
-            max_len=v["trainer.max_len"],
-            temperature=v["trainer.temperature"],
-            frequency_backend=v["trainer.frequency_backend"],
-            kmeans_clusters=v["trainer.kmeans_clusters"],
-            calibration_sample=v["trainer.calibration_sample"],
-            normalize=v["trainer.normalize"],
-            dp=dp,
-            density=density,
+            **self._section("trainer"),
+            dp=DPParams(**dp),
+            density=DensityParams(**self._section("density")),
         )
 
     def gen_config(self, mode: str) -> GenConfig:
-        v = self.values
-        return GenConfig(
-            vocab_size=v["gen.vocab_size"],
-            n_utterances=v["gen.n_utterances"],
-            dim=v["gen.dim"],
-            zipf_exponent=v["gen.zipf_exponent"],
-            word_len_range=(v["gen.word_len_min"], v["gen.word_len_max"]),
-            words_per_utterance_range=(
-                v["gen.words_per_utterance_min"],
-                v["gen.words_per_utterance_max"],
-            ),
-            noise_sigma=v["gen.noise_sigma"],
-            seed=v["trainer.seed"],
-            mode=mode,
-            alphabet_size=v["gen.alphabet_size"],
-        )
+        return GenConfig(**self._section("gen"), seed=self["trainer.seed"], mode=mode)
 
 
 def _parse_pair(key: str, raw: str):

@@ -44,23 +44,30 @@ def write_frame_file(path, frames: FrameMatrix) -> None:
         f.write(data.tobytes())
 
 
-def read_frame_file(path, utterance_id: str) -> FrameMatrix:
+def _read_float_file(path, magic: bytes, what: str, per_row: int):
+    """Check a binary file's magic, version and payload size; return its
+    (rows, dim) header fields and the payload as flat little-endian float32.
+    A row holds ``per_row`` vectors of ``dim`` values."""
     path = Path(path)
     with open(path, "rb") as f:
         header = f.read(16)
-        if len(header) < 16 or header[:4] != FRAME_MAGIC:
-            raise FileFormatError(f"{path}: bad frame-file magic")
-        version, n_blocks, dim = struct.unpack("<III", header[4:])
+        if len(header) < 16 or header[:4] != magic:
+            raise FileFormatError(f"{path}: bad {what} magic")
+        version, rows, dim = struct.unpack("<III", header[4:])
         if version != FORMAT_VERSION:
             raise FileFormatError(f"{path}: unsupported version {version}")
         payload = f.read()
-    expected = n_blocks * dim * 4
+    expected = rows * per_row * dim * 4
     if len(payload) != expected:
         raise FileFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
-    data = np.frombuffer(payload, dtype="<f4").reshape(n_blocks, dim)
-    return FrameMatrix(utterance_id, data)
+    return rows, dim, np.frombuffer(payload, dtype="<f4")
+
+
+def read_frame_file(path, utterance_id: str) -> FrameMatrix:
+    n_blocks, dim, data = _read_float_file(path, FRAME_MAGIC, "frame-file", 1)
+    return FrameMatrix(utterance_id, data.reshape(n_blocks, dim))
 
 
 def write_manifest(path, entries: list[tuple[str, str]]) -> None:
@@ -247,21 +254,8 @@ def write_triplets(path, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
 
 
 def read_triplets(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    path = Path(path)
-    with open(path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16 or header[:4] != TRIPLET_MAGIC:
-            raise FileFormatError(f"{path}: bad triplet-file magic")
-        version, n, dim = struct.unpack("<III", header[4:])
-        if version != FORMAT_VERSION:
-            raise FileFormatError(f"{path}: unsupported version {version}")
-        payload = f.read()
-    expected = n * 3 * dim * 4
-    if len(payload) != expected:
-        raise FileFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    stacked = np.frombuffer(payload, dtype="<f4").reshape(n, 3, dim)
+    n, dim, data = _read_float_file(path, TRIPLET_MAGIC, "triplet-file", 3)
+    stacked = data.reshape(n, 3, dim)
     return stacked[:, 0], stacked[:, 1], stacked[:, 2]
 
 

@@ -11,7 +11,7 @@ edges.  Boundary precision/recall cover internal boundaries only
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,20 +36,7 @@ class EvalReport:
     n_boundary_hits: int
 
     def as_dict(self) -> dict:
-        return {
-            "token_precision": round(self.token_precision, 6),
-            "token_recall": round(self.token_recall, 6),
-            "token_f1": round(self.token_f1, 6),
-            "boundary_precision": round(self.boundary_precision, 6),
-            "boundary_recall": round(self.boundary_recall, 6),
-            "boundary_f1": round(self.boundary_f1, 6),
-            "n_hyp_tokens": self.n_hyp_tokens,
-            "n_gold_tokens": self.n_gold_tokens,
-            "n_token_hits": self.n_token_hits,
-            "n_hyp_boundaries": self.n_hyp_boundaries,
-            "n_gold_boundaries": self.n_gold_boundaries,
-            "n_boundary_hits": self.n_boundary_hits,
-        }
+        return {k: round(v, 6) for k, v in asdict(self).items()}
 
 
 def _f1(precision: float, recall: float) -> float:

@@ -21,14 +21,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DPParams:
-    """Dirichlet-process weights plus the running lexicon mass."""
+    """Dirichlet-process concentration and the length term's shape."""
 
     alpha0: float = 100.0
     gamma: float = 1.8
     delta: float = 4.0
     epsilon_log: float = 1e-10
     penalty_sign: float = -1.0
-    n_lexicon: float = 0.0
 
     def __post_init__(self):
         if not self.alpha0 > 0:
@@ -41,15 +40,17 @@ class DPParams:
             raise ValueError("epsilon_log must be > 0")
         if self.penalty_sign not in (-1.0, 1.0):
             raise ValueError("penalty_sign must be -1 or +1")
-        if self.n_lexicon < 0:
-            raise ValueError("n_lexicon must be >= 0")
 
 
 def word_probabilities(
-    lexicon_freqs: np.ndarray, base_probs: np.ndarray, params: DPParams
+    lexicon_freqs: np.ndarray,
+    base_probs: np.ndarray,
+    n_lexicon: float,
+    params: DPParams,
 ) -> np.ndarray:
-    """Dirichlet-process mix of lexicon soft counts and base priors."""
-    denom = params.n_lexicon + params.alpha0
+    """Dirichlet-process mix of lexicon soft counts and base priors, where
+    ``n_lexicon`` is the lexicon's token mass."""
+    denom = n_lexicon + params.alpha0
     return lexicon_freqs / denom + params.alpha0 * base_probs / denom
 
 

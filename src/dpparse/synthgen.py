@@ -26,12 +26,14 @@ from dpparse.core import (
 
 @dataclass(frozen=True)
 class GenConfig:
-    vocab_size: int
-    n_utterances: int
+    vocab_size: int = 50
+    n_utterances: int = 2000
     dim: int = 16
     zipf_exponent: float = 1.0
-    word_len_range: tuple[int, int] = (2, 6)
-    words_per_utterance_range: tuple[int, int] = (2, 4)
+    word_len_min: int = 2
+    word_len_max: int = 6
+    words_per_utterance_min: int = 2
+    words_per_utterance_max: int = 4
     noise_sigma: float = 0.1
     seed: int = 0
     mode: str = "continuous"
@@ -42,12 +44,10 @@ class GenConfig:
             raise ValueError("vocab_size must be >= 1")
         if self.n_utterances < 1:
             raise ValueError("n_utterances must be >= 1")
-        lo, hi = self.word_len_range
-        if not 1 <= lo <= hi <= 20:
+        if not 1 <= self.word_len_min <= self.word_len_max <= 20:
             raise ValueError("word lengths must fit the 1..20 block bounds")
-        wlo, whi = self.words_per_utterance_range
-        if not 1 <= wlo <= whi:
-            raise ValueError("bad words_per_utterance_range")
+        if not 1 <= self.words_per_utterance_min <= self.words_per_utterance_max:
+            raise ValueError("bad words_per_utterance_min/max")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.zipf_exponent < 0:
@@ -76,11 +76,11 @@ def zipf_probabilities(vocab_size: int, exponent: float) -> np.ndarray:
 def generate(config: GenConfig) -> tuple[Corpus, GoldAlignment, list[WordInfo]]:
     """Sample a corpus, its gold alignment, and the lexicon description."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    lo, hi = config.word_len_range
+    lo, hi = config.word_len_min, config.word_len_max
     lengths = rng.integers(lo, hi + 1, size=config.vocab_size)
     prototypes = _prototypes(config, lengths, rng)
     probs = zipf_probabilities(config.vocab_size, config.zipf_exponent)
-    wlo, whi = config.words_per_utterance_range
+    wlo, whi = config.words_per_utterance_min, config.words_per_utterance_max
 
     utterances = []
     gold = GoldAlignment()

@@ -21,6 +21,7 @@ from typing import Protocol
 import numpy as np
 
 from dpparse.core import (
+    BLOCK_MS,
     Corpus,
     Segmentation,
     untileable_utterances,
@@ -101,7 +102,6 @@ class TrainerState:
     base_probs: dict[str, np.ndarray]
     beta: float | None
     n_base: int
-    n_lexicon: int  # token mass of the last iteration's lexicon
 
 
 def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
@@ -411,7 +411,6 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
         base_probs=base_probs,
         beta=beta,
         n_base=n_base,
-        n_lexicon=0,
     )
 
 
@@ -428,7 +427,6 @@ def run_iteration(
     n_lexicon = state.segmentation.n_tokens
     lexicon = tables.build_lexicon(state.segmentation) if n_lexicon else None
     iteration = state.iteration + 1
-    dp = dataclasses.replace(config.dp, n_lexicon=float(n_lexicon))
     new_bounds: dict[str, tuple[int, ...]] = {}
     for group in _utterance_groups(corpus, config):
         if lexicon is None:
@@ -437,20 +435,18 @@ def run_iteration(
             lex_freqs = tables.lexicon_frequencies(lexicon, group, state.beta)
         for (utt, starts, ends), lex in zip(group, _split(group, lex_freqs)):
             uid = utt.utterance_id
-            word_probs = word_probabilities(lex, state.base_probs[uid], dp)
-            arc = arc_scores_batch(word_probs, ends - starts, dp)
+            word_probs = word_probabilities(
+                lex, state.base_probs[uid], n_lexicon, config.dp
+            )
+            arc = arc_scores_batch(word_probs, ends - starts, config.dp)
             lattice = ScoredLattice(
                 utt.n_blocks, config.min_len, config.max_len, arc.tolist()
             )
             paths = nbest(lattice, config.beam)
             rng = _utterance_rng(config.seed, uid, iteration)
             new_bounds[uid] = sample_path(paths, config.temperature, rng)
-    new_seg = Segmentation(new_bounds)
     return dataclasses.replace(
-        state,
-        iteration=iteration,
-        segmentation=new_seg,
-        n_lexicon=n_lexicon,
+        state, iteration=iteration, segmentation=Segmentation(new_bounds)
     )
 
 
@@ -476,7 +472,7 @@ def train(corpus: Corpus, config: TrainerConfig, log_stream=None) -> Segmentatio
         seg = state.segmentation
         line = (
             f"iteration={state.iteration} tokens={seg.n_tokens} "
-            f"mean_token_ms={seg.mean_token_blocks() * 40.0:.1f} "
+            f"mean_token_ms={seg.mean_token_blocks() * BLOCK_MS:.1f} "
             f"wall_s={time.perf_counter() - t_iter:.2f}"
         )
         logger.info("%s", line)

@@ -5,8 +5,11 @@ import pytest
 
 from dpparse import io as dpio
 from dpparse.cli import main
-from dpparse.config import load_run_config, read_config_file
+from dpparse.config import _SCHEMA, DELTA_BY_MODE, load_run_config, read_config_file
 from dpparse.core import Segmentation
+from dpparse.scoring import DPParams
+from dpparse.synthgen import GenConfig
+from dpparse.trainer import TrainerConfig
 
 
 def _gen(tmp_path, mode="continuous", extra=()):
@@ -52,6 +55,36 @@ class TestConfig:
         assert cfg["trainer.min_len"] == 1
         assert cfg["trainer.max_len"] == 20
 
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_defaults_are_the_dataclass_defaults(self, mode):
+        cfg = load_run_config()
+        expected = TrainerConfig(dp=DPParams(delta=DELTA_BY_MODE[mode]))
+        assert cfg.trainer_config(mode) == expected
+        assert cfg.gen_config(mode) == GenConfig(mode=mode)
+
+    def test_key_names_unchanged(self):
+        sections = {
+            "trainer": "n_iterations beam l0_subsample seed workers min_len max_len "
+            "temperature frequency_backend kmeans_clusters calibration_sample "
+            "normalize",
+            "dp": "alpha0 gamma delta epsilon_log penalty_sign",
+            "density": "k beta epsilon_f",
+            "gen": "vocab_size n_utterances dim zipf_exponent word_len_min "
+            "word_len_max words_per_utterance_min words_per_utterance_max "
+            "noise_sigma alphabet_size",
+        }
+        names = {f"{s}.{f}" for s, fields in sections.items() for f in fields.split()}
+        assert set(_SCHEMA) == names
+
+    @pytest.mark.parametrize("key", list(_SCHEMA))
+    def test_key_set_to_its_default_changes_nothing(self, key):
+        default = _SCHEMA[key][1]
+        cfg = load_run_config(overrides=[f"{key}={default}"])
+        plain = load_run_config()
+        for mode in ("continuous", "discrete"):
+            assert cfg.trainer_config(mode) == plain.trainer_config(mode)
+            assert cfg.gen_config(mode) == plain.gen_config(mode)
+
     def test_delta_resolved_by_mode(self):
         cfg = load_run_config()
         assert cfg.trainer_config("continuous").dp.delta == 4.0
@@ -80,6 +113,23 @@ class TestConfig:
         path.write_text("trainer.beam = fast\n")
         with pytest.raises(ValueError, match="run.cfg:1"):
             read_config_file(path)
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "seg.tsv", "--alignment", "gold.tsv", "--seed", "1"],
+            ["abx", "t.dppt", "--seed", "1"],
+            ["baseline", "manifest.tsv", "--out", "b.tsv", "--set", "dp.gamma=0"],
+        ],
+        ids=["eval-seed", "abx-seed", "baseline-set"],
+    )
+    def test_unread_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGenSegmentEval:
@@ -255,12 +305,18 @@ class TestEvalInputs:
     ):
         out, manifest = _gen(tmp_path)
         lines = (out / "alignment.tsv").read_text().splitlines(keepends=True)
+        last_word = [l for l in lines if l.startswith("u000000\tWORD\t")][-1]
         cases = {
             "overlap.tsv": ("u1\tWORD\t0\t80\nu1\tWORD\t40\t160\n", "u1"),
             # covers every corpus utterance but u000003
             "uncovered.tsv": (
                 "".join(l for l in lines if not l.startswith("u000003\t")),
                 "u000003",
+            ),
+            # u000000's last word left out: its words stop short of its end
+            "short.tsv": (
+                "".join(l for l in lines if l != last_word),
+                "u000000: utterance ends at block",
             ),
         }
         trained = []

@@ -40,6 +40,48 @@ def test_frame_file_truncated_payload(tmp_path):
         dpio.read_frame_file(path, "utt")
 
 
+def _write_frames(path):
+    dpio.write_frame_file(path, FrameMatrix("u", np.ones((4, 3), dtype=np.float32)))
+
+
+def _write_triplets(path):
+    a = np.ones((4, 3), dtype=np.float32)
+    dpio.write_triplets(path, a, a, a)
+
+
+_BINARY_FORMATS = {
+    "frames": (
+        _write_frames,
+        lambda path: dpio.read_frame_file(path, "u"),
+        "frame-file",
+    ),
+    "triplets": (_write_triplets, dpio.read_triplets, "triplet-file"),
+}
+# Each corruption maps a valid file's bytes to a broken one, and names the
+# error message it must raise.
+_CORRUPTIONS = {
+    "bad-magic": (lambda data: b"EVIL" + data[4:], "bad {what} magic"),
+    "wrong-version": (
+        lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:],
+        "unsupported version 2",
+    ),
+    "truncated": (lambda data: data[:-4], r"payload is \d+ bytes, expected \d+"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(_CORRUPTIONS))
+@pytest.mark.parametrize("fmt", list(_BINARY_FORMATS))
+def test_binary_header_errors_name_file(tmp_path, fmt, corruption):
+    write, read, what = _BINARY_FORMATS[fmt]
+    corrupt, message = _CORRUPTIONS[corruption]
+    path = tmp_path / f"{fmt}.bin"
+    write(path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    pattern = re.escape(f"{path}: ") + message.format(what=what)
+    with pytest.raises(dpio.FileFormatError, match=pattern):
+        read(path)
+
+
 def test_manifest_and_corpus_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     utts = [FrameMatrix(f"u{i}", rng.normal(size=(4 + i, 3)).astype(np.float32)) for i in range(3)]

@@ -13,10 +13,10 @@ from dpparse.trainer import TrainerConfig, build_base
 from oracles import direct_arc_score, direct_length_penalty, direct_word_probability
 
 
-def _word_probability(lexicon_freq, base_prob, params):
+def _word_probability(lexicon_freq, base_prob, n_lexicon, params):
     """word_probabilities on one row."""
     lex, base = np.array([lexicon_freq]), np.array([base_prob])
-    return word_probabilities(lex, base, params)[0]
+    return word_probabilities(lex, base, n_lexicon, params)[0]
 
 
 def _length_term(lengths, gamma, delta):
@@ -83,17 +83,17 @@ class TestBaseProbability:
 
 class TestWordProbability:
     def test_empty_lexicon_reduces_to_prior(self):
-        params = DPParams(alpha0=100.0, n_lexicon=0.0)
-        assert _word_probability(0.0, 0.37, params) == pytest.approx(0.37, rel=1e-12)
+        params = DPParams(alpha0=100.0)
+        assert _word_probability(0.0, 0.37, 0.0, params) == pytest.approx(0.37, rel=1e-12)
 
     def test_hand_value(self):
-        params = DPParams(alpha0=100.0, n_lexicon=1000.0)
-        got = _word_probability(5.0, 0.001, params)
+        params = DPParams(alpha0=100.0)
+        got = _word_probability(5.0, 0.001, 1000.0, params)
         assert got == pytest.approx(5.1 / 1100, rel=1e-12)
 
     def test_small_alpha_limit_is_relative_frequency(self):
-        params = DPParams(alpha0=1e-9, n_lexicon=200.0)
-        got = _word_probability(50.0, 0.9, params)
+        params = DPParams(alpha0=1e-9)
+        got = _word_probability(50.0, 0.9, 200.0, params)
         assert got == pytest.approx(50.0 / 200.0, rel=1e-6)
 
     @given(
@@ -104,11 +104,11 @@ class TestWordProbability:
     )
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_freq_and_prior(self, freq, prior, alpha0, mass):
-        params = DPParams(alpha0=alpha0, n_lexicon=mass)
-        base = _word_probability(freq, prior, params)
-        assert _word_probability(freq + 1.0, prior, params) >= base
+        params = DPParams(alpha0=alpha0)
+        base = _word_probability(freq, prior, mass, params)
+        assert _word_probability(freq + 1.0, prior, mass, params) >= base
         if prior <= 0.999:
-            assert _word_probability(freq, prior + 0.001, params) >= base
+            assert _word_probability(freq, prior + 0.001, mass, params) >= base
 
 
 class TestLengthPenalty:
@@ -160,7 +160,7 @@ class TestArcScore:
         assert np.all(np.isfinite(arc_scores_batch(probs, lens, params)))
 
     def test_batch_matches_scalar(self):
-        params = DPParams(gamma=0.0, n_lexicon=10.0)
+        params = DPParams(gamma=0.0)
         probs = np.array([0.0, 0.3, 1.0])
         lens = np.array([1, 5, 20])
         batch = arc_scores_batch(probs, lens, params)
@@ -188,7 +188,7 @@ def test_formula_oracle_agreement():
         freq = float(rng.uniform(0, max(n_lex, 1)))
         prior = float(rng.uniform(0, 1))
         alpha0 = float(rng.uniform(1e-3, 1e4))
-        params = DPParams(alpha0=alpha0, n_lexicon=n_lex)
-        mine = _word_probability(freq, prior, params)
+        params = DPParams(alpha0=alpha0)
+        mine = _word_probability(freq, prior, n_lex, params)
         oracle = direct_word_probability(freq, prior, alpha0, n_lex)
         assert mine == pytest.approx(oracle, rel=1e-12)

@@ -17,8 +17,10 @@ def _config(**kw):
         n_utterances=50,
         dim=8,
         zipf_exponent=1.0,
-        word_len_range=(2, 4),
-        words_per_utterance_range=(2, 3),
+        word_len_min=2,
+        word_len_max=4,
+        words_per_utterance_min=2,
+        words_per_utterance_max=3,
         noise_sigma=0.1,
         seed=7,
     )
@@ -134,8 +136,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _config(vocab_size=0)
     with pytest.raises(ValueError):
-        _config(word_len_range=(0, 4))
+        _config(word_len_min=0)
     with pytest.raises(ValueError):
-        _config(word_len_range=(5, 25))
+        _config(word_len_min=5, word_len_max=25)
     with pytest.raises(ValueError):
         _config(noise_sigma=-0.1)

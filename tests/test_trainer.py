@@ -8,7 +8,7 @@ from dpparse.core import Corpus, FrameMatrix, Segment, Segmentation, SymbolSeque
 from dpparse.density import DensityParams, DiscreteCountStore, InstanceIndex
 from dpparse.embed import UtteranceEmbedder
 from dpparse.lattice import candidate_bounds
-from dpparse.scoring import DPParams
+from dpparse.scoring import DPParams, word_probabilities
 from dpparse.synthgen import GenConfig, generate
 from dpparse.trainer import (
     TrainerConfig,
@@ -27,8 +27,10 @@ def _continuous_corpus(seed=0, n_utterances=60, vocab=8):
         n_utterances=n_utterances,
         dim=8,
         zipf_exponent=1.0,
-        word_len_range=(2, 4),
-        words_per_utterance_range=(2, 3),
+        word_len_min=2,
+        word_len_max=4,
+        words_per_utterance_min=2,
+        words_per_utterance_max=3,
         noise_sigma=0.05,
         seed=seed,
     )
@@ -42,8 +44,10 @@ def _discrete_corpus(seed=0, n_utterances=120, vocab=6):
         n_utterances=n_utterances,
         dim=8,
         zipf_exponent=1.0,
-        word_len_range=(2, 3),
-        words_per_utterance_range=(2, 3),
+        word_len_min=2,
+        word_len_max=3,
+        words_per_utterance_min=2,
+        words_per_utterance_max=3,
         noise_sigma=0.0,
         seed=seed,
         mode="discrete",
@@ -184,7 +188,6 @@ class TestInitState:
         corpus, _ = _continuous_corpus(n_utterances=12)
         state = init_state(corpus, _config())
         assert state.iteration == 0
-        assert state.n_lexicon == 0
         assert state.segmentation.n_tokens == len(corpus)  # all short
 
 
@@ -198,14 +201,25 @@ class TestRunIteration:
             assert state.segmentation.validate(corpus) == []
             assert len(state.segmentation) == len(corpus)
 
-    def test_lexicon_mass_lags_one_iteration(self):
+    def test_lexicon_mass_lags_one_iteration(self, monkeypatch):
         corpus, _ = _continuous_corpus(n_utterances=25)
         config = _config()
-        state0 = init_state(corpus, config)
-        state1 = run_iteration(state0, corpus, config)
-        assert state1.n_lexicon == state0.segmentation.n_tokens
-        state2 = run_iteration(state1, corpus, config)
-        assert state2.n_lexicon == state1.segmentation.n_tokens
+        masses = []
+
+        def recording(lexicon_freqs, base_probs, n_lexicon, params):
+            masses.append(n_lexicon)
+            return word_probabilities(lexicon_freqs, base_probs, n_lexicon, params)
+
+        monkeypatch.setattr("dpparse.trainer.word_probabilities", recording)
+        state = init_state(corpus, config)
+        for _ in range(2):
+            masses.clear()
+            previous = state.segmentation
+            state = run_iteration(state, corpus, config)
+            # one call per utterance, each with the mass of the segmentation
+            # the iteration started from, not the one it produced
+            assert masses == [previous.n_tokens] * len(corpus)
+            assert state.segmentation.n_tokens != previous.n_tokens
 
     def test_deterministic_rerun(self):
         corpus, _ = _continuous_corpus(n_utterances=20)
@@ -298,7 +312,7 @@ class TestRunIteration:
         ordinal = _ordinal(utt, config, seg.start, seg.end)
         p0 = state.base_probs[seg.utterance_id][ordinal]
         lexicon_freq = store.count_excluding_overlaps(key, -1, 0, 1)
-        dp = DPParams(n_lexicon=float(n_tokens))
+        dp = DPParams()
         p_w = lexicon_freq / (n_tokens + dp.alpha0) + dp.alpha0 * p0 / (
             n_tokens + dp.alpha0
         )
