@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from array import array
 from bisect import bisect_left, insort
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,22 +248,28 @@ _START_LIMIT = 1 << _START_BITS
 
 
 class DiscreteCountStore:
-    """Multiset of symbol-string keys; each instance keeps its provenance
-    (utterance code, start, end) for overlap exclusion.
+    """Multiset of keys; each instance keeps its provenance (utterance code,
+    start, end) for overlap exclusion.
 
-    Equal keys are equal symbol strings, so every instance of a key has the
-    same length L.  A key maps to (L, sorted ``array('q')`` of its packed
-    ``code << 32 | start``): 8 bytes per instance, plus one key, tuple and
-    array per distinct key.  An instance of the key in utterance ``code``
-    overlaps ``[start, end)`` iff it starts in ``(start - L, end)``, so two
-    bisects give the count that overlap exclusion removes.
+    A key names one symbol string (the trainer keys by candidate type id),
+    so every instance of a key has the same length L.  A key maps to (L,
+    sorted ``array('q')`` of its packed ``code << 32 | start``): 8 bytes per
+    instance, plus one key, tuple and array per distinct key.  An instance
+    of the key in utterance ``code`` overlaps ``[start, end)`` iff it starts
+    in ``(start - L, end)``, so two bisects give the count that overlap
+    exclusion removes.  A key the store does not hold counts 0, so callers
+    may skip the keys missing from ``keys()``.
     """
 
     def __init__(self):
         self.total = 0
-        self._instances: dict[bytes, tuple[int, array]] = {}
+        self._instances: dict[Hashable, tuple[int, array]] = {}
 
-    def add(self, key: bytes, code: int, start: int, end: int) -> None:
+    def keys(self):
+        """The keys with at least one instance."""
+        return self._instances.keys()
+
+    def add(self, key: Hashable, code: int, start: int, end: int) -> None:
         if not (0 <= code < _CODE_LIMIT and 0 <= start < _START_LIMIT):
             raise ValueError(
                 f"provenance ({code}, {start}) outside 0 <= code < 2**31, "
@@ -286,7 +293,7 @@ class DiscreteCountStore:
         self.total += 1
 
     def count_excluding_overlaps(
-        self, key: bytes, code: int, start: int, end: int
+        self, key: Hashable, code: int, start: int, end: int
     ) -> int:
         entry = self._instances.get(key)
         if entry is None:

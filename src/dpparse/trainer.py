@@ -5,7 +5,9 @@ segmentation and (2) re-segments every utterance by sampling from the
 N-best paths of its scored lattice.  The whole corpus is one batch: the
 lexicon is frozen while utterances are decoded, so results do not depend
 on utterance processing order or worker count.  Per-utterance RNG
-streams are derived from (seed, iteration, utterance id).
+streams are derived from (seed, iteration, utterance id).  In discrete
+mode, setup gives every candidate a type id (``candidate_types``) that
+keys the count stores.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import hashlib
 import logging
 import time
 from dataclasses import dataclass, field
-from itertools import starmap
 from typing import Protocol
 
 import numpy as np
@@ -48,6 +49,9 @@ logger = logging.getLogger(__name__)
 
 # Queries are flushed to the kNN index in groups of roughly this many rows.
 _GROUP_QUERIES = 16384
+
+# Discrete candidates are counted in slices of this many.
+_COUNT_SLICE = 2048
 
 # What candidates are counted against: the base store built once from the
 # sampled candidate pool, and the lexicon rebuilt from each segmentation.
@@ -93,15 +97,36 @@ class TrainerConfig:
             raise ValueError("calibration_sample must be >= 100")
 
 
+@dataclass(frozen=True)
+class CandidateTypes:
+    """Type id of every candidate of a discrete corpus.
+
+    ``ids`` holds one int32 id per candidate in corpus candidate order
+    (utterance order, then ``candidate_bounds`` order); two candidates share
+    an id iff they cover equal symbol strings, and the ids are dense in
+    ``0 .. n_types - 1``.  The candidates of the utterance at corpus
+    position ``p`` are ``ids[offsets[p] : offsets[p + 1]]``.
+    """
+
+    ids: np.ndarray
+    offsets: np.ndarray
+    n_types: int
+
+
 @dataclass
 class TrainerState:
-    """Everything carried between iterations."""
+    """Everything carried between iterations.
+
+    ``types`` are computed once, in ``init_state``, for a discrete corpus
+    (None for a continuous one).
+    """
 
     iteration: int
     segmentation: Segmentation
     base_probs: dict[str, np.ndarray]
     beta: float | None
     n_base: int
+    types: CandidateTypes | None
 
 
 def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
@@ -174,14 +199,15 @@ def _sampled_group(corpus: Corpus, config: TrainerConfig, sampled: np.ndarray):
         offset += len(starts)
 
 
-def _token_group(corpus: Corpus, segmentation: Segmentation):
-    """The tokens of a segmentation, in ``segmentation.tokens()`` order.
+def _token_bounds(corpus: Corpus, segmentation: Segmentation):
+    """(position, utterance, boundaries) per utterance of a segmentation, in
+    ``segmentation.tokens()`` order.
 
     A token of an utterance the corpus lacks, or one that ends past its
     utterance, is rejected here, before any backend counts or embeds it (a
     ``Segmentation``'s boundaries already rise strictly from 0).
     """
-    group = []
+    checked = []
     for utt_id, bounds in segmentation.items():
         if utt_id not in corpus:
             raise ValueError(
@@ -193,6 +219,14 @@ def _token_group(corpus: Corpus, segmentation: Segmentation):
                 f"token [{bounds[-2]}, {bounds[-1]}) ends past utterance "
                 f"{utt_id!r} of {utt.n_blocks} blocks"
             )
+        checked.append((corpus.position(utt_id), utt, bounds))
+    return checked
+
+
+def _token_group(corpus: Corpus, segmentation: Segmentation):
+    """The tokens of a segmentation as a group, checked by ``_token_bounds``."""
+    group = []
+    for _code, utt, bounds in _token_bounds(corpus, segmentation):
         b = np.array(bounds, dtype=np.int64)
         group.append((utt, b[:-1], b[1:]))
     return group
@@ -223,14 +257,57 @@ def _provenance(corpus: Corpus, group):
     return np.concatenate(codes), np.concatenate(starts), np.concatenate(ends)
 
 
-def _keyed_instances(corpus: Corpus, group):
-    """Yield (key, code, start, end) per candidate of a discrete group, with
-    provenance as in ``_provenance``; equal keys mean equal symbol strings."""
-    for utt, starts, ends in group:
-        code = corpus.position(utt.utterance_id)
-        raw, size = utt.symbols.tobytes(), utt.symbols.itemsize
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            yield raw[a * size : b * size], code, a, b
+def _ordinals(n_blocks, starts, lengths, min_len: int, max_len: int):
+    """Position of candidate [start, start + length) among the candidates of
+    its ``n_blocks``-block utterance, in ``candidate_bounds`` order.
+
+    Each start before ``start`` holds ``max_len - min_len + 1`` candidates
+    while ``max_len`` blocks fit after it (the first ``full`` starts), then
+    one candidate fewer per start.
+    """
+    full = np.clip(n_blocks - max_len + 1, 0, starts)
+    rest = starts - full
+    return (
+        full * (max_len - min_len + 1)
+        + rest * (n_blocks - min_len + 1)
+        - rest * (full + starts - 1) // 2
+        + lengths
+        - min_len
+    )
+
+
+def candidate_types(corpus: Corpus, min_len: int, max_len: int) -> CandidateTypes:
+    """Type ids of every candidate of a discrete corpus (see
+    ``CandidateTypes``).
+
+    Per length L, the candidates' symbol windows are gathered as one
+    ``(rows, L)`` array whose rows are viewed as opaque ``4 L``-byte strings
+    and numbered by ``np.unique``; ids of longer strings follow.
+    """
+    n_blocks = np.array([u.n_blocks for u in corpus], dtype=np.int64)
+    counts = [n_candidates(n, min_len, max_len) for n in n_blocks.tolist()]
+    offsets = np.cumsum([0, *counts], dtype=np.int64)
+    symbols = np.concatenate([u.symbols for u in corpus] or [np.empty(0, "<i4")])
+    first_block = np.cumsum(n_blocks) - n_blocks
+    ids = np.empty(offsets[-1], dtype=np.int32)
+    n_types = 0
+    for length in range(min_len, max_len + 1):
+        utts = np.flatnonzero(n_blocks >= length)
+        if not len(utts):
+            break
+        n_starts = n_blocks[utts] - length + 1
+        utt = np.repeat(utts, n_starts)
+        first_row = np.cumsum(n_starts) - n_starts
+        starts = np.arange(len(utt)) - np.repeat(first_row, n_starts)
+        windows = symbols[(first_block[utt] + starts)[:, None] + np.arange(length)]
+        strings = windows.view(np.dtype((np.void, windows.itemsize * length)))
+        unique, inverse = np.unique(strings.ravel(), return_inverse=True)
+        ordinals = offsets[utt] + _ordinals(
+            n_blocks[utt], starts, length, min_len, max_len
+        )
+        ids[ordinals] = inverse + n_types
+        n_types += len(unique)
+    return CandidateTypes(ids, offsets, n_types)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +331,9 @@ class FrequencyTables(Protocol):
         self, lexicon: Store, group, beta: float | None
     ) -> np.ndarray:
         """Frequency of each candidate of ``group`` in a base store or a
-        lexicon.  The kNN and discrete backends leave out instances that
-        overlap the candidate in time."""
+        lexicon.  ``group`` is one of ``_utterance_groups``: consecutive
+        corpus utterances with all their candidates.  The kNN and discrete
+        backends leave out instances that overlap the candidate in time."""
 
 
 class _KnnTables:
@@ -325,34 +403,88 @@ class _KMeansTables:
 
 
 class _DiscreteTables:
-    """Text-mode stores: exact multiset counts with overlap exclusion."""
+    """Text-mode stores: exact multiset counts with overlap exclusion, keyed
+    by candidate type id (a lexicon token is a candidate, so it has one)."""
 
-    def __init__(self, corpus: Corpus, config: TrainerConfig):
+    def __init__(self, corpus: Corpus, config: TrainerConfig, types: CandidateTypes):
         self.corpus = corpus
         self.config = config
+        self.types = types
 
     def build_base(self, sampled: np.ndarray):
-        return self._store(_sampled_group(self.corpus, self.config, sampled)), None
+        store = DiscreteCountStore()
+        add = store.add
+        ids = self.types.ids[sampled]
+        done = 0
+        for utt, starts, ends in _sampled_group(self.corpus, self.config, sampled):
+            code = self.corpus.position(utt.utterance_id)
+            keys = ids[done : done + len(starts)].tolist()
+            for key, a, b in zip(keys, starts.tolist(), ends.tolist()):
+                add(key, code, a, b)
+            done += len(starts)
+        return store, None
 
     def build_lexicon(self, segmentation: Segmentation):
-        return self._store(_token_group(self.corpus, segmentation))
-
-    def _store(self, group) -> DiscreteCountStore:
+        config = self.config
+        codes, sizes, starts, ends = [], [], [], []
+        for code, utt, bounds in _token_bounds(self.corpus, segmentation):
+            codes += [code] * (len(bounds) - 1)
+            sizes += [utt.n_blocks] * (len(bounds) - 1)
+            starts += bounds[:-1]
+            ends += bounds[1:]
+        lengths = np.subtract(ends, starts)
+        bad = np.flatnonzero((lengths < config.min_len) | (lengths > config.max_len))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"token [{starts[i]}, {ends[i]}) of utterance "
+                f"{self.corpus.utterances[codes[i]].utterance_id!r} is not "
+                f"{config.min_len}..{config.max_len} blocks long"
+            )
+        ordinals = self.types.offsets[codes] + _ordinals(
+            np.array(sizes), np.array(starts), lengths, config.min_len, config.max_len
+        )
         store = DiscreteCountStore()
-        for instance in _keyed_instances(self.corpus, group):
-            store.add(*instance)
+        add = store.add
+        for key, code, a, b in zip(
+            self.types.ids[ordinals].tolist(), codes, starts, ends
+        ):
+            add(key, code, a, b)
         return store
 
     def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
-        counts = starmap(
-            lexicon.count_excluding_overlaps, _keyed_instances(self.corpus, group)
-        )
-        return np.fromiter(counts, dtype=np.float64)
+        # A type the store does not hold counts 0, so only the candidates of
+        # held types are asked.
+        offsets = self.types.offsets
+        first = offsets[self.corpus.position(group[0][0].utterance_id)]
+        starts = np.concatenate([s for _, s, _ in group])
+        ends = np.concatenate([e for _, _, e in group])
+        types = self.types.ids[first : first + len(starts)]
+        held = np.zeros(self.types.n_types, dtype=bool)
+        held[np.fromiter(lexicon.keys(), dtype=np.int64)] = True
+        asked = np.flatnonzero(held[types])
+        freqs = np.zeros(len(types))
+        # Asked in slices: the Python ints of a whole group's provenance
+        # would add about 1.2 MB to the setup's peak memory.
+        for lo in range(0, len(asked), _COUNT_SLICE):
+            part = asked[lo : lo + _COUNT_SLICE]
+            codes = np.searchsorted(offsets, first + part, side="right") - 1
+            counts = map(
+                lexicon.count_excluding_overlaps,
+                types[part].tolist(),
+                codes.tolist(),
+                starts[part].tolist(),
+                ends[part].tolist(),
+            )
+            freqs[part] = np.fromiter(counts, dtype=np.float64, count=len(part))
+        return freqs
 
 
-def _tables_for(corpus: Corpus, config: TrainerConfig) -> FrequencyTables:
+def _tables_for(
+    corpus: Corpus, config: TrainerConfig, types: CandidateTypes | None
+) -> FrequencyTables:
     if corpus.mode == "discrete":
-        return _DiscreteTables(corpus, config)
+        return _DiscreteTables(corpus, config, types)
     if config.frequency_backend == "kmeans":
         return _KMeansTables(corpus, config)
     return _KnnTables(corpus, config)
@@ -361,13 +493,16 @@ def _tables_for(corpus: Corpus, config: TrainerConfig) -> FrequencyTables:
 # ---------------------------------------------------------------------------
 # spec operations
 
-def build_base(corpus: Corpus, config: TrainerConfig):
+def build_base(
+    corpus: Corpus, config: TrainerConfig, types: CandidateTypes | None = None
+):
     """Subsample the candidate pool, build the base store, cache priors.
 
     Returns (base_index, base_probs, beta, n_base).  A candidate's prior
     is its frequency in the base store over the pool size ``n_base``; the
     priors are constant across iterations and cached per utterance in
-    ``candidate_bounds`` order.
+    ``candidate_bounds`` order.  A discrete corpus's candidate ``types``
+    are computed here when not given.
     """
     total = sum(
         n_candidates(u.n_blocks, config.min_len, config.max_len) for u in corpus
@@ -380,7 +515,9 @@ def build_base(corpus: Corpus, config: TrainerConfig):
         sampled = np.sort(rng.choice(total, size=n_base, replace=False))
     else:
         sampled = np.arange(total)
-    tables = _tables_for(corpus, config)
+    if corpus.mode == "discrete" and types is None:
+        types = candidate_types(corpus, config.min_len, config.max_len)
+    tables = _tables_for(corpus, config, types)
     base_index, beta = tables.build_base(sampled)
     base_probs = {}
     for group in _utterance_groups(corpus, config):
@@ -404,13 +541,17 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
     if corpus.mode == "discrete" and config.frequency_backend == "kmeans":
         raise ValueError("kmeans backend applies to continuous corpora only")
     seed_seg = init_segmentation(corpus, config.max_len)
-    _base_index, base_probs, beta, n_base = build_base(corpus, config)
+    types = None
+    if corpus.mode == "discrete":
+        types = candidate_types(corpus, config.min_len, config.max_len)
+    _base_index, base_probs, beta, n_base = build_base(corpus, config, types)
     return TrainerState(
         iteration=0,
         segmentation=seed_seg,
         base_probs=base_probs,
         beta=beta,
         n_base=n_base,
+        types=types,
     )
 
 
@@ -423,7 +564,7 @@ def run_iteration(
     been decoded; its token count becomes the lexicon mass of the NEXT
     iteration, never this one.
     """
-    tables = _tables_for(corpus, config)
+    tables = _tables_for(corpus, config, state.types)
     n_lexicon = state.segmentation.n_tokens
     lexicon = tables.build_lexicon(state.segmentation) if n_lexicon else None
     iteration = state.iteration + 1

@@ -1,11 +1,15 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpparse.core import Corpus, FrameMatrix, SymbolSequence
+from dpparse.density import DiscreteCountStore
 from dpparse.embed import UtteranceEmbedder
-from dpparse.trainer import TrainerConfig, build_base
+from dpparse.lattice import candidate_bounds
+from dpparse.trainer import TrainerConfig, build_base, candidate_types
 
 
 def _embed(fm, start, end, normalize=False):
@@ -74,22 +78,42 @@ class TestBatchEmbedder:
         assert np.allclose(raw, [3.0, 4.0])
 
 
+@dataclass
+class _BaseStore:
+    """A discrete base store and the type table that keys it."""
+
+    store: DiscreteCountStore
+    type_of: dict[bytes, int]  # symbol string -> candidate type id
+
+    @property
+    def total(self):
+        return self.store.total
+
+
 def _base_store(*utterances, max_len=3):
     """The discrete base store of every candidate of ``utterances``."""
     corpus = Corpus(
         [SymbolSequence(f"u{i}", s) for i, s in enumerate(utterances)],
         mode="discrete",
     )
-    store, _probs, _beta, _n_base = build_base(corpus, TrainerConfig(max_len=max_len))
-    return store
+    config = TrainerConfig(max_len=max_len)
+    types = candidate_types(corpus, config.min_len, config.max_len)
+    store, _probs, _beta, _n_base = build_base(corpus, config, types)
+    type_of = {}
+    for utt, first in zip(corpus, types.offsets.tolist()):
+        starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
+        for ordinal, (a, b) in enumerate(zip(starts, ends), start=first):
+            type_of[utt.symbols[a:b].tobytes()] = int(types.ids[ordinal])
+    return _BaseStore(store, type_of)
 
 
-def _count(store, symbols, provenance=(-1, 0, 1)):
-    """Instances of ``symbols`` in ``store`` that do not overlap
+def _count(base, symbols, provenance=(-1, 0, 1)):
+    """Instances of ``symbols`` in ``base`` that do not overlap
     ``provenance`` (utterance position, start, end); by default an
-    interval of no utterance in the store."""
-    key = np.array(symbols, dtype="<i4").tobytes()
-    return store.count_excluding_overlaps(key, *provenance)
+    interval of no utterance in the store.  The key is the type id the
+    type table gives the symbol string."""
+    key = base.type_of[np.array(symbols, dtype="<i4").tobytes()]
+    return base.store.count_excluding_overlaps(key, *provenance)
 
 
 class TestDiscreteKeys:

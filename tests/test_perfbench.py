@@ -1,9 +1,12 @@
-"""The benchmark's self-check, run against the current sources.
+"""The benchmark's self-check and a recorded output, against the current
+sources.
 
 perfbench wraps dpparse entry points by name and counts their calls, so
 renaming or removing one fails here instead of first in a benchmark run.
 """
 
+import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +24,20 @@ def test_selfcheck_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selfcheck passed" in proc.stdout
+
+
+def test_disc_decode_digest_reproduces(tmp_path, monkeypatch):
+    # One disc-decode pass writes the segmentation recorded in
+    # perfbench/baseline.json.  Discrete counts are integers, so any change
+    # to how they are kept must reproduce it bit for bit.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    pipeline = importlib.import_module("pipeline")
+    workloads = importlib.import_module("workloads")
+    workload, seed = workloads.WORKLOADS["disc-decode"], 201
+    corpus, gold = workloads.workload_corpus(workload, seed)
+    input_path = workloads.write_inputs(corpus, gold, tmp_path / "inputs")
+    config = workload.trainer_config(seed, 1)
+    result = pipeline.run_pass(input_path, workload.mode, config, tmp_path / "seg.tsv")
+    baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
+    recorded = baseline["workloads"]["disc-decode"]["seeds"][str(seed)]
+    assert result.digest == recorded["digest_sha256"]

@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpparse import trainer
 from dpparse.core import Corpus, FrameMatrix, Segment, Segmentation, SymbolSequence
 from dpparse.density import DensityParams, DiscreteCountStore, InstanceIndex
 from dpparse.embed import UtteranceEmbedder
@@ -13,12 +16,15 @@ from dpparse.synthgen import GenConfig, generate
 from dpparse.trainer import (
     TrainerConfig,
     build_base,
+    candidate_types,
     init_segmentation,
     init_state,
     n_candidates,
     run_iteration,
     train,
 )
+
+from oracles import count_excluding_overlaps
 
 
 def _continuous_corpus(seed=0, n_utterances=60, vocab=8):
@@ -64,10 +70,25 @@ def _ordinal(utt, config, start, end):
     return ordinal
 
 
+def _string_instances(corpus, min_len, max_len):
+    """(symbol string, code, start, end) of every candidate, in corpus
+    candidate order."""
+    instances = []
+    for code, utt in enumerate(corpus):
+        starts, ends = candidate_bounds(utt.n_blocks, min_len, max_len)
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            instances.append((utt.symbols[a:b].tobytes(), code, a, b))
+    return instances
+
+
 def _config(**kw):
     base = dict(n_iterations=2, beam=5, seed=0, workers=2)
     base.update(kw)
     return TrainerConfig(**base)
+
+
+def _fail(*_args):
+    raise AssertionError("token counted or embedded before the check")
 
 
 class TestInitSegmentation:
@@ -153,12 +174,45 @@ class TestBuildBase:
         assert isinstance(store, DiscreteCountStore)
         assert beta is None
         assert n_base == store.total
-        # a present whole-utterance candidate has prior count/(pool size)
-        utt = corpus.utterances[0]
-        key = utt.symbols.tobytes()
-        expected = store.count_excluding_overlaps(key, 0, 0, utt.n_blocks) / n_base
-        ordinal = _ordinal(utt, config, 0, utt.n_blocks)
-        assert probs[utt.utterance_id][ordinal] == pytest.approx(expected)
+        # Every candidate's prior is its count among the pool's instances
+        # with the same symbol string, less those that overlap it, over the
+        # pool size (here the pool is every candidate).
+        pool = _string_instances(corpus, config.min_len, config.max_len)
+        expected = np.array([count_excluding_overlaps(pool, *c) for c in pool])
+        priors = np.concatenate([probs[u.utterance_id] for u in corpus])
+        assert np.array_equal(priors, expected / n_base)
+        assert np.count_nonzero(expected >= 1) > len(pool) // 4
+
+
+class TestCandidateTypes:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ids_equal_iff_strings_equal(self, data):
+        alphabet = data.draw(st.integers(1, 4))
+        utterances = data.draw(
+            st.lists(
+                st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=15),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        min_len = data.draw(st.integers(1, 4))
+        max_len = data.draw(st.integers(min_len, 18))  # may pass every utterance
+        corpus = Corpus(
+            [SymbolSequence(f"u{i}", s) for i, s in enumerate(utterances)],
+            mode="discrete",
+        )
+        types = candidate_types(corpus, min_len, max_len)
+        counts = [n_candidates(u.n_blocks, min_len, max_len) for u in corpus]
+        assert types.offsets.tolist() == np.cumsum([0, *counts]).tolist()
+        strings = [s for s, *_ in _string_instances(corpus, min_len, max_len)]
+        ids = types.ids.tolist()
+        assert len(ids) == len(strings)
+        id_of = {}
+        for string, type_id in zip(strings, ids):
+            assert id_of.setdefault(string, type_id) == type_id
+        assert len(set(id_of.values())) == len(id_of)  # distinct strings
+        assert sorted(id_of.values()) == list(range(types.n_types))
 
 
 class TestInitState:
@@ -258,12 +312,8 @@ class TestRunIteration:
             corpus, _ = _discrete_corpus(n_utterances=40)
         config = _config()
         state = init_state(corpus, config)
-
-        def fail(*_args):
-            raise AssertionError("token counted or embedded before the check")
-
-        monkeypatch.setattr(DiscreteCountStore, "add", fail)
-        monkeypatch.setattr(UtteranceEmbedder, "embed_many", fail)
+        monkeypatch.setattr(DiscreteCountStore, "add", _fail)
+        monkeypatch.setattr(UtteranceEmbedder, "embed_many", _fail)
         return corpus, config, state
 
     @pytest.mark.parametrize("mode", ["continuous", "discrete"])
@@ -284,6 +334,60 @@ class TestRunIteration:
         state = dataclasses.replace(state, segmentation=seg)
         with pytest.raises(ValueError, match="utterance 'zz', not in the corpus"):
             run_iteration(state, corpus, config)
+
+    def test_token_of_inadmissible_length_rejected(self, monkeypatch):
+        corpus, _ = _discrete_corpus(n_utterances=40)
+        config = _config(min_len=2, max_len=4)
+        state = init_state(corpus, config)
+        monkeypatch.setattr(DiscreteCountStore, "add", _fail)
+        utt = corpus.utterances[0]
+        seg = Segmentation({utt.utterance_id: (0, 1, utt.n_blocks)})
+        state = dataclasses.replace(state, segmentation=seg)
+        message = f"token [0, 1) of utterance {utt.utterance_id!r} is not 2..4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_iteration(state, corpus, config)
+
+    def test_lexicon_asked_only_about_held_types(self, monkeypatch):
+        # Small groups and count slices, so that both boundaries are crossed.
+        monkeypatch.setattr(trainer, "_GROUP_QUERIES", 100)
+        monkeypatch.setattr(trainer, "_COUNT_SLICE", 7)
+        corpus, _ = _discrete_corpus(n_utterances=40)
+        config = _config(max_len=6)
+        rng = np.random.default_rng(5)
+        bounds = {}
+        for utt in corpus:
+            cuts = [0]
+            while cuts[-1] < utt.n_blocks:
+                cuts.append(min(utt.n_blocks, cuts[-1] + int(rng.integers(1, 4))))
+            bounds[utt.utterance_id] = tuple(cuts)
+        seg = Segmentation(bounds)
+        types = candidate_types(corpus, config.min_len, config.max_len)
+        tables = trainer._tables_for(corpus, config, types)
+        lexicon = tables.build_lexicon(seg)
+        asked = []
+        count = DiscreteCountStore.count_excluding_overlaps
+
+        def counting(store, key, code, start, end):
+            asked.append((code, start, end))
+            return count(store, key, code, start, end)
+
+        monkeypatch.setattr(DiscreteCountStore, "count_excluding_overlaps", counting)
+        groups = list(trainer._utterance_groups(corpus, config))
+        assert len(groups) > 1
+        freqs = np.concatenate(
+            [tables.lexicon_frequencies(lexicon, group, None) for group in groups]
+        )
+        tokens = [
+            (corpus.utterance(t.utterance_id).symbols[t.start : t.end].tobytes(),
+             corpus.position(t.utterance_id), t.start, t.end)
+            for t in seg.tokens()
+        ]
+        candidates = _string_instances(corpus, config.min_len, config.max_len)
+        expected = [count_excluding_overlaps(tokens, *c) for c in candidates]
+        assert freqs.tolist() == expected
+        held = {string for string, *_ in tokens}
+        assert asked == [(c, a, b) for s, c, a, b in candidates if s in held]
+        assert 0 < len(asked) < len(candidates)
 
     def test_frequent_substring_beats_prior_discrete(self):
         corpus, _ = _discrete_corpus(n_utterances=150, vocab=4)
