@@ -1,13 +1,15 @@
 """Outer segmentation loop: seed, precompute base tables, iterate.
 
-Each iteration (1) rebuilds the token lexicon from the current
-segmentation and (2) re-segments every utterance by sampling from the
-N-best paths of its scored lattice.  The whole corpus is one batch: the
-lexicon is frozen while utterances are decoded, so results do not depend
-on utterance processing order or worker count.  Per-utterance RNG
-streams are derived from (seed, iteration, utterance id).  In discrete
-mode, setup gives every candidate a type id (``candidate_types``) that
-keys the count stores.
+Setup enumerates every candidate segment of the corpus once, as the rows
+of one ``Candidates`` table (with a type id per row in discrete mode).
+The base pool and each iteration's lexicon are sets of its rows, a
+frequency lookup asks about a slice of them, and the priors are one array
+aligned with them.  Each iteration (1) rebuilds the token lexicon from the
+current segmentation and (2) re-segments every utterance by sampling from
+the N-best paths of its scored lattice.  The whole corpus is one batch:
+the lexicon is frozen while utterances are decoded, so results do not
+depend on utterance processing order or worker count.  Per-utterance RNG
+streams are derived from (seed, iteration, utterance id).
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ from dpparse.scoring import DPParams, arc_scores_batch, word_probabilities
 
 logger = logging.getLogger(__name__)
 
-# Queries are flushed to the kNN index in groups of roughly this many rows.
+# Frequencies are looked up for groups of whole utterances of about this
+# many candidates (see _groups); the groups fix the shapes of the kNN
+# distance GEMM blocks, so changing it changes continuous output bits.
 _GROUP_QUERIES = 16384
 
-# Discrete candidates are counted in slices of this many.
+# Discrete candidates are added and counted in slices of this many.
 _COUNT_SLICE = 2048
 
 # What candidates are counted against: the base store built once from the
@@ -98,35 +102,44 @@ class TrainerConfig:
 
 
 @dataclass(frozen=True)
-class CandidateTypes:
-    """Type id of every candidate of a discrete corpus.
+class Candidates:
+    """Every candidate segment of a corpus, one row each.
 
-    ``ids`` holds one int32 id per candidate in corpus candidate order
-    (utterance order, then ``candidate_bounds`` order); two candidates share
-    an id iff they cover equal symbol strings, and the ids are dense in
-    ``0 .. n_types - 1``.  The candidates of the utterance at corpus
-    position ``p`` are ``ids[offsets[p] : offsets[p + 1]]``.
+    Rows are in corpus candidate order: utterance order, then
+    ``candidate_bounds`` order.  Row r covers blocks ``[starts[r], ends[r])``
+    of the utterance at corpus position ``codes[r]``, and the rows of the
+    utterance at position p are ``offsets[p] : offsets[p + 1]``.  Every
+    store holds rows of this table.  For a discrete corpus, ``type_ids``
+    holds one int32 id per row: two rows share an id iff they cover equal
+    symbol strings, and the ids are dense in ``0 .. n_types - 1``.  For a
+    continuous corpus it is None.
     """
 
-    ids: np.ndarray
+    codes: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
     offsets: np.ndarray
-    n_types: int
+    type_ids: np.ndarray | None = None
+    n_types: int = 0
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 @dataclass
 class TrainerState:
     """Everything carried between iterations.
 
-    ``types`` are computed once, in ``init_state``, for a discrete corpus
-    (None for a continuous one).
+    ``candidates`` and ``base_probs``, the prior of each of its rows, are
+    computed once, in ``init_state``.
     """
 
     iteration: int
     segmentation: Segmentation
-    base_probs: dict[str, np.ndarray]
+    base_probs: np.ndarray
     beta: float | None
     n_base: int
-    types: CandidateTypes | None
+    candidates: Candidates
 
 
 def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
@@ -166,95 +179,54 @@ _TAG_KMEANS_ITER = 104
 
 
 # ---------------------------------------------------------------------------
-# candidate groups
-#
-# A group is a sequence of (utterance, starts, ends): candidate segments
-# of some utterances, in corpus order.  Frequencies and embeddings of a group
-# are laid out in the same order.
+# the candidate table
 
-def _utterance_groups(corpus: Corpus, config: TrainerConfig):
-    """Yield utterance groups of roughly _GROUP_QUERIES candidates."""
-    group, total = [], 0
-    for utt in corpus:
-        starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
-        group.append((utt, starts, ends))
-        total += len(starts)
-        if total >= _GROUP_QUERIES:
-            yield group
-            group, total = [], 0
-    if group:
-        yield group
+def candidate_table(corpus: Corpus, min_len: int, max_len: int) -> Candidates:
+    """The ``Candidates`` of a corpus, with type ids if it is discrete.
 
-
-def _sampled_group(corpus: Corpus, config: TrainerConfig, sampled: np.ndarray):
-    """Yield the base pool: ``sampled`` holds sorted ordinals into the
-    corpus-wide candidate enumeration."""
-    offset = 0
-    for utt in corpus:
-        starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
-        lo, hi = np.searchsorted(sampled, [offset, offset + len(starts)])
-        if lo < hi:
-            local = sampled[lo:hi] - offset
-            yield utt, starts[local], ends[local]
-        offset += len(starts)
-
-
-def _token_bounds(corpus: Corpus, segmentation: Segmentation):
-    """(position, utterance, boundaries) per utterance of a segmentation, in
-    ``segmentation.tokens()`` order.
-
-    A token of an utterance the corpus lacks, or one that ends past its
-    utterance, is rejected here, before any backend counts or embeds it (a
-    ``Segmentation``'s boundaries already rise strictly from 0).
+    Per length L, the rows' symbol windows are gathered as one ``(rows, L)``
+    array whose rows are viewed as opaque ``4 L``-byte strings and numbered
+    by ``np.unique``; ids of longer strings follow.
     """
-    checked = []
-    for utt_id, bounds in segmentation.items():
-        if utt_id not in corpus:
-            raise ValueError(
-                f"segmentation names utterance {utt_id!r}, not in the corpus"
-            )
-        utt = corpus.utterance(utt_id)
-        if bounds[-1] > utt.n_blocks:
-            raise ValueError(
-                f"token [{bounds[-2]}, {bounds[-1]}) ends past utterance "
-                f"{utt_id!r} of {utt.n_blocks} blocks"
-            )
-        checked.append((corpus.position(utt_id), utt, bounds))
-    return checked
+    counts = [n_candidates(u.n_blocks, min_len, max_len) for u in corpus]
+    offsets = np.cumsum([0, *counts], dtype=np.int64)
+    # int32 rows: the table lives for the whole run, next to the stores.
+    codes = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    bounds = [candidate_bounds(u.n_blocks, min_len, max_len) for u in corpus]
+    empty = np.empty(0, dtype=np.int32)
+    starts = np.concatenate([empty, *(s for s, _ in bounds)], dtype=np.int32)
+    ends = np.concatenate([empty, *(e for _, e in bounds)], dtype=np.int32)
+    if corpus.mode != "discrete":
+        return Candidates(codes, starts, ends, offsets)
+    n_blocks = np.array([u.n_blocks for u in corpus], dtype=np.int64)
+    symbols = np.concatenate([u.symbols for u in corpus] or [np.empty(0, "<i4")])
+    first_symbol = (np.cumsum(n_blocks) - n_blocks)[codes] + starts
+    lengths = ends - starts
+    type_ids = np.empty(len(codes), dtype=np.int32)
+    n_types = 0
+    for length in range(min_len, max_len + 1):
+        rows = np.flatnonzero(lengths == length)
+        if not len(rows):
+            break
+        windows = symbols[first_symbol[rows, None] + np.arange(length)]
+        strings = windows.view(np.dtype((np.void, windows.itemsize * length)))
+        unique, inverse = np.unique(strings.ravel(), return_inverse=True)
+        type_ids[rows] = inverse + n_types
+        n_types += len(unique)
+    return Candidates(codes, starts, ends, offsets, type_ids, n_types)
 
 
-def _token_group(corpus: Corpus, segmentation: Segmentation):
-    """The tokens of a segmentation as a group, checked by ``_token_bounds``."""
-    group = []
-    for _code, utt, bounds in _token_bounds(corpus, segmentation):
-        b = np.array(bounds, dtype=np.int64)
-        group.append((utt, b[:-1], b[1:]))
-    return group
-
-
-def _split(group, values: np.ndarray):
-    """Yield the per-utterance slices of ``values``."""
-    offset = 0
-    for _utt, starts, _ends in group:
-        yield values[offset : offset + len(starts)]
-        offset += len(starts)
-
-
-def _group_embeddings(group, normalize: bool) -> np.ndarray:
-    parts = [
-        UtteranceEmbedder(utt, normalize).embed_many(starts, ends)
-        for utt, starts, ends in group
-    ]
-    return np.concatenate(parts, axis=0)
-
-
-def _provenance(corpus: Corpus, group):
-    """(codes, starts, ends) of a group's candidates: the corpus position of
-    each candidate's utterance and its block interval."""
-    codes = [np.full(len(s), corpus.position(u.utterance_id)) for u, s, _ in group]
-    starts = [s for _, s, _ in group]
-    ends = [e for _, _, e in group]
-    return np.concatenate(codes), np.concatenate(starts), np.concatenate(ends)
+def _groups(offsets: list[int]):
+    """Yield the rows of consecutive whole utterances as slices, each
+    reaching ``_GROUP_QUERIES`` rows only with its last utterance (the last
+    slice may stay below).  Frequencies are looked up one slice at a time."""
+    first = 0
+    for stop in offsets[1:]:
+        if stop - first >= _GROUP_QUERIES:
+            yield slice(first, stop)
+            first = stop
+    if first < offsets[-1]:
+        yield slice(first, offsets[-1])
 
 
 def _ordinals(n_blocks, starts, lengths, min_len: int, max_len: int):
@@ -276,38 +248,48 @@ def _ordinals(n_blocks, starts, lengths, min_len: int, max_len: int):
     )
 
 
-def candidate_types(corpus: Corpus, min_len: int, max_len: int) -> CandidateTypes:
-    """Type ids of every candidate of a discrete corpus (see
-    ``CandidateTypes``).
+def _token_rows(
+    corpus: Corpus,
+    config: TrainerConfig,
+    candidates: Candidates,
+    segmentation: Segmentation,
+) -> np.ndarray:
+    """Rows of a segmentation's tokens, in ``segmentation.tokens()`` order.
 
-    Per length L, the candidates' symbol windows are gathered as one
-    ``(rows, L)`` array whose rows are viewed as opaque ``4 L``-byte strings
-    and numbered by ``np.unique``; ids of longer strings follow.
+    A token with no row (of an utterance the corpus lacks, ending past its
+    utterance, or of inadmissible length) is rejected here, before any
+    backend counts or embeds it.  A ``Segmentation``'s boundaries already
+    rise strictly from 0.
     """
-    n_blocks = np.array([u.n_blocks for u in corpus], dtype=np.int64)
-    counts = [n_candidates(n, min_len, max_len) for n in n_blocks.tolist()]
-    offsets = np.cumsum([0, *counts], dtype=np.int64)
-    symbols = np.concatenate([u.symbols for u in corpus] or [np.empty(0, "<i4")])
-    first_block = np.cumsum(n_blocks) - n_blocks
-    ids = np.empty(offsets[-1], dtype=np.int32)
-    n_types = 0
-    for length in range(min_len, max_len + 1):
-        utts = np.flatnonzero(n_blocks >= length)
-        if not len(utts):
-            break
-        n_starts = n_blocks[utts] - length + 1
-        utt = np.repeat(utts, n_starts)
-        first_row = np.cumsum(n_starts) - n_starts
-        starts = np.arange(len(utt)) - np.repeat(first_row, n_starts)
-        windows = symbols[(first_block[utt] + starts)[:, None] + np.arange(length)]
-        strings = windows.view(np.dtype((np.void, windows.itemsize * length)))
-        unique, inverse = np.unique(strings.ravel(), return_inverse=True)
-        ordinals = offsets[utt] + _ordinals(
-            n_blocks[utt], starts, length, min_len, max_len
+    codes, sizes, starts, ends = [], [], [], []
+    for utt_id, bounds in segmentation.items():
+        if utt_id not in corpus:
+            raise ValueError(
+                f"segmentation names utterance {utt_id!r}, not in the corpus"
+            )
+        code = corpus.position(utt_id)
+        n_blocks = corpus.utterances[code].n_blocks
+        if bounds[-1] > n_blocks:
+            raise ValueError(
+                f"token [{bounds[-2]}, {bounds[-1]}) ends past utterance "
+                f"{utt_id!r} of {n_blocks} blocks"
+            )
+        codes += [code] * (len(bounds) - 1)
+        sizes += [n_blocks] * (len(bounds) - 1)
+        starts += bounds[:-1]
+        ends += bounds[1:]
+    lengths = np.subtract(ends, starts)
+    bad = np.flatnonzero((lengths < config.min_len) | (lengths > config.max_len))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(
+            f"token [{starts[i]}, {ends[i]}) of utterance "
+            f"{corpus.utterances[codes[i]].utterance_id!r} is not "
+            f"{config.min_len}..{config.max_len} blocks long"
         )
-        ids[ordinals] = inverse + n_types
-        n_types += len(unique)
-    return CandidateTypes(ids, offsets, n_types)
+    return candidates.offsets[codes] + _ordinals(
+        np.array(sizes), np.array(starts), lengths, config.min_len, config.max_len
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,35 +298,55 @@ def candidate_types(corpus: Corpus, min_len: int, max_len: int) -> CandidateType
 class FrequencyTables(Protocol):
     """How a frequency backend counts candidates.
 
-    Both stores are instance lexicons of the tables' corpus: the base store
-    holds the sampled candidate pool, a lexicon the tokens of one segmentation.
+    Every store is an instance lexicon of rows of the tables' ``Candidates``:
+    the base store holds the sampled pool, a lexicon the tokens of one
+    segmentation.
     """
 
-    def build_base(self, sampled: np.ndarray) -> tuple[Store, float | None]:
-        """Base store of the candidates at the sorted corpus-wide ordinals
-        ``sampled``, and the kernel beta (None when the backend has none)."""
+    def build_base(self, rows: np.ndarray) -> tuple[Store, float | None]:
+        """Base store of the candidates at the sorted ``rows``, and the kernel
+        beta (None when the backend has none)."""
 
-    def build_lexicon(self, segmentation: Segmentation) -> Store:
-        """Lexicon of a segmentation's tokens; it has at least one."""
+    def build_lexicon(self, rows: np.ndarray) -> Store:
+        """Lexicon of the candidates at ``rows`` (at least one)."""
 
     def lexicon_frequencies(
-        self, lexicon: Store, group, beta: float | None
+        self, lexicon: Store, rows: slice, beta: float | None
     ) -> np.ndarray:
-        """Frequency of each candidate of ``group`` in a base store or a
-        lexicon.  ``group`` is one of ``_utterance_groups``: consecutive
-        corpus utterances with all their candidates.  The kNN and discrete
-        backends leave out instances that overlap the candidate in time."""
+        """Frequency of each candidate at ``rows``, one of ``_groups``, in a
+        base store or a lexicon.  The kNN and discrete backends leave out
+        instances that overlap the candidate in time."""
 
 
-class _KnnTables:
-    """Continuous-mode stores: exact-kNN indexes and kernel soft counts."""
+class _Tables:
+    """The corpus, config and candidate table a frequency backend reads."""
 
-    def __init__(self, corpus: Corpus, config: TrainerConfig):
+    def __init__(self, corpus: Corpus, config: TrainerConfig, candidates: Candidates):
         self.corpus = corpus
         self.config = config
+        self.candidates = candidates
 
-    def build_base(self, sampled: np.ndarray):
-        index = self._index(list(_sampled_group(self.corpus, self.config, sampled)))
+    def _embeddings(self, rows) -> np.ndarray:
+        """Embeddings of the candidates at ``rows``, with one
+        ``UtteranceEmbedder`` per run of rows of the same utterance."""
+        codes = self.candidates.codes[rows]
+        starts = self.candidates.starts[rows]
+        ends = self.candidates.ends[rows]
+        cuts = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)]
+        parts = [
+            UtteranceEmbedder(
+                self.corpus.utterances[codes[lo]], self.config.normalize
+            ).embed_many(starts[lo:hi], ends[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        return np.concatenate(parts, axis=0)
+
+
+class _KnnTables(_Tables):
+    """Continuous-mode stores: exact-kNN indexes and kernel soft counts."""
+
+    def build_base(self, rows: np.ndarray):
+        index = self.build_lexicon(rows)
         return index, self._calibrate(index)
 
     def _calibrate(self, index: InstanceIndex) -> float:
@@ -361,118 +363,81 @@ class _KnnTables:
         rows = np.sort(rng.choice(index.n, size=m, replace=False))
         return calibrate_beta(index, rows, config.density.k, config.density.epsilon_f)
 
-    def build_lexicon(self, segmentation: Segmentation):
-        return self._index(_token_group(self.corpus, segmentation))
+    def build_lexicon(self, rows: np.ndarray):
+        c = self.candidates
+        vectors = self._embeddings(rows)
+        return InstanceIndex(vectors, c.codes[rows], c.starts[rows], c.ends[rows])
 
-    def _index(self, group) -> InstanceIndex:
-        vectors = _group_embeddings(group, self.config.normalize)
-        return InstanceIndex(vectors, *_provenance(self.corpus, group))
-
-    def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
-        config = self.config
-        params = DensityParams(config.density.k, beta, config.density.epsilon_f)
-        embs = _group_embeddings(group, config.normalize)
+    def lexicon_frequencies(self, lexicon, rows, beta) -> np.ndarray:
+        c, density = self.candidates, self.config.density
+        params = DensityParams(density.k, beta, density.epsilon_f)
         return lexicon.kernel_frequencies_arrays(
-            embs, *_provenance(self.corpus, group), params
+            self._embeddings(rows), c.codes[rows], c.starts[rows], c.ends[rows], params
         )
 
 
-class _KMeansTables:
+class _KMeansTables(_Tables):
     """Ablation backend: frequencies are cluster sizes, no exclusion."""
 
-    def __init__(self, corpus: Corpus, config: TrainerConfig):
-        self.corpus = corpus
-        self.config = config
+    def build_base(self, rows: np.ndarray):
+        return self._fit(rows, _TAG_KMEANS_BASE), None
 
-    def build_base(self, sampled: np.ndarray):
-        group = _sampled_group(self.corpus, self.config, sampled)
-        return self._fit(group, _TAG_KMEANS_BASE), None
+    def build_lexicon(self, rows: np.ndarray):
+        return self._fit(rows, _TAG_KMEANS_ITER)
 
-    def build_lexicon(self, segmentation: Segmentation):
-        return self._fit(_token_group(self.corpus, segmentation), _TAG_KMEANS_ITER)
-
-    def _fit(self, group, tag: int) -> KMeansModel:
+    def _fit(self, rows: np.ndarray, tag: int) -> KMeansModel:
         config = self.config
-        vectors = _group_embeddings(group, config.normalize)
+        vectors = self._embeddings(rows)
         seed = int(np.random.SeedSequence((config.seed, tag)).generate_state(1)[0])
         model = KMeansModel(min(config.kmeans_clusters, len(vectors)), seed=seed)
         return model.fit(vectors)
 
-    def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
-        return lexicon.frequencies(_group_embeddings(group, self.config.normalize))
+    def lexicon_frequencies(self, lexicon, rows, beta) -> np.ndarray:
+        return lexicon.frequencies(self._embeddings(rows))
 
 
-class _DiscreteTables:
+class _DiscreteTables(_Tables):
     """Text-mode stores: exact multiset counts with overlap exclusion, keyed
-    by candidate type id (a lexicon token is a candidate, so it has one)."""
+    by candidate type id.
 
-    def __init__(self, corpus: Corpus, config: TrainerConfig, types: CandidateTypes):
-        self.corpus = corpus
-        self.config = config
-        self.types = types
+    Rows are turned into Python ints ``_COUNT_SLICE`` at a time: those of a
+    whole base pool would add to the setup's peak memory.
+    """
 
-    def build_base(self, sampled: np.ndarray):
+    def build_base(self, rows: np.ndarray):
+        return self.build_lexicon(rows), None
+
+    def build_lexicon(self, rows: np.ndarray):
+        c = self.candidates
         store = DiscreteCountStore()
         add = store.add
-        ids = self.types.ids[sampled]
-        done = 0
-        for utt, starts, ends in _sampled_group(self.corpus, self.config, sampled):
-            code = self.corpus.position(utt.utterance_id)
-            keys = ids[done : done + len(starts)].tolist()
-            for key, a, b in zip(keys, starts.tolist(), ends.tolist()):
+        for lo in range(0, len(rows), _COUNT_SLICE):
+            part = rows[lo : lo + _COUNT_SLICE]
+            for key, code, a, b in zip(
+                c.type_ids[part].tolist(),
+                c.codes[part].tolist(),
+                c.starts[part].tolist(),
+                c.ends[part].tolist(),
+            ):
                 add(key, code, a, b)
-            done += len(starts)
-        return store, None
-
-    def build_lexicon(self, segmentation: Segmentation):
-        config = self.config
-        codes, sizes, starts, ends = [], [], [], []
-        for code, utt, bounds in _token_bounds(self.corpus, segmentation):
-            codes += [code] * (len(bounds) - 1)
-            sizes += [utt.n_blocks] * (len(bounds) - 1)
-            starts += bounds[:-1]
-            ends += bounds[1:]
-        lengths = np.subtract(ends, starts)
-        bad = np.flatnonzero((lengths < config.min_len) | (lengths > config.max_len))
-        if len(bad):
-            i = bad[0]
-            raise ValueError(
-                f"token [{starts[i]}, {ends[i]}) of utterance "
-                f"{self.corpus.utterances[codes[i]].utterance_id!r} is not "
-                f"{config.min_len}..{config.max_len} blocks long"
-            )
-        ordinals = self.types.offsets[codes] + _ordinals(
-            np.array(sizes), np.array(starts), lengths, config.min_len, config.max_len
-        )
-        store = DiscreteCountStore()
-        add = store.add
-        for key, code, a, b in zip(
-            self.types.ids[ordinals].tolist(), codes, starts, ends
-        ):
-            add(key, code, a, b)
         return store
 
-    def lexicon_frequencies(self, lexicon, group, beta) -> np.ndarray:
+    def lexicon_frequencies(self, lexicon, rows, beta) -> np.ndarray:
         # A type the store does not hold counts 0, so only the candidates of
         # held types are asked.
-        offsets = self.types.offsets
-        first = offsets[self.corpus.position(group[0][0].utterance_id)]
-        starts = np.concatenate([s for _, s, _ in group])
-        ends = np.concatenate([e for _, _, e in group])
-        types = self.types.ids[first : first + len(starts)]
-        held = np.zeros(self.types.n_types, dtype=bool)
+        c = self.candidates
+        types, codes = c.type_ids[rows], c.codes[rows]
+        starts, ends = c.starts[rows], c.ends[rows]
+        held = np.zeros(c.n_types, dtype=bool)
         held[np.fromiter(lexicon.keys(), dtype=np.int64)] = True
         asked = np.flatnonzero(held[types])
         freqs = np.zeros(len(types))
-        # Asked in slices: the Python ints of a whole group's provenance
-        # would add about 1.2 MB to the setup's peak memory.
         for lo in range(0, len(asked), _COUNT_SLICE):
             part = asked[lo : lo + _COUNT_SLICE]
-            codes = np.searchsorted(offsets, first + part, side="right") - 1
             counts = map(
                 lexicon.count_excluding_overlaps,
                 types[part].tolist(),
-                codes.tolist(),
+                codes[part].tolist(),
                 starts[part].tolist(),
                 ends[part].tolist(),
             )
@@ -481,32 +446,31 @@ class _DiscreteTables:
 
 
 def _tables_for(
-    corpus: Corpus, config: TrainerConfig, types: CandidateTypes | None
+    corpus: Corpus, config: TrainerConfig, candidates: Candidates
 ) -> FrequencyTables:
     if corpus.mode == "discrete":
-        return _DiscreteTables(corpus, config, types)
+        return _DiscreteTables(corpus, config, candidates)
     if config.frequency_backend == "kmeans":
-        return _KMeansTables(corpus, config)
-    return _KnnTables(corpus, config)
+        return _KMeansTables(corpus, config, candidates)
+    return _KnnTables(corpus, config, candidates)
 
 
 # ---------------------------------------------------------------------------
 # spec operations
 
 def build_base(
-    corpus: Corpus, config: TrainerConfig, types: CandidateTypes | None = None
+    corpus: Corpus, config: TrainerConfig, candidates: Candidates | None = None
 ):
     """Subsample the candidate pool, build the base store, cache priors.
 
-    Returns (base_index, base_probs, beta, n_base).  A candidate's prior
-    is its frequency in the base store over the pool size ``n_base``; the
-    priors are constant across iterations and cached per utterance in
-    ``candidate_bounds`` order.  A discrete corpus's candidate ``types``
-    are computed here when not given.
+    Returns (base store, base_probs, beta, n_base).  A candidate's prior is
+    its frequency in the base store over the pool size ``n_base``; the
+    priors are constant across iterations and cached in one array, a prior
+    per row of ``candidates`` (built here when not given).
     """
-    total = sum(
-        n_candidates(u.n_blocks, config.min_len, config.max_len) for u in corpus
-    )
+    if candidates is None:
+        candidates = candidate_table(corpus, config.min_len, config.max_len)
+    total = len(candidates)
     if total == 0:
         raise ValueError("corpus has no candidate segments")
     n_base = min(config.l0_subsample, total)
@@ -515,16 +479,12 @@ def build_base(
         sampled = np.sort(rng.choice(total, size=n_base, replace=False))
     else:
         sampled = np.arange(total)
-    if corpus.mode == "discrete" and types is None:
-        types = candidate_types(corpus, config.min_len, config.max_len)
-    tables = _tables_for(corpus, config, types)
-    base_index, beta = tables.build_base(sampled)
-    base_probs = {}
-    for group in _utterance_groups(corpus, config):
-        freqs = tables.lexicon_frequencies(base_index, group, beta)
-        for (utt, _starts, _ends), probs in zip(group, _split(group, freqs / n_base)):
-            base_probs[utt.utterance_id] = probs
-    return base_index, base_probs, beta, n_base
+    tables = _tables_for(corpus, config, candidates)
+    base, beta = tables.build_base(sampled)
+    base_probs = np.empty(total)
+    for rows in _groups(candidates.offsets.tolist()):
+        base_probs[rows] = tables.lexicon_frequencies(base, rows, beta) / n_base
+    return base, base_probs, beta, n_base
 
 
 def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
@@ -541,17 +501,15 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
     if corpus.mode == "discrete" and config.frequency_backend == "kmeans":
         raise ValueError("kmeans backend applies to continuous corpora only")
     seed_seg = init_segmentation(corpus, config.max_len)
-    types = None
-    if corpus.mode == "discrete":
-        types = candidate_types(corpus, config.min_len, config.max_len)
-    _base_index, base_probs, beta, n_base = build_base(corpus, config, types)
+    candidates = candidate_table(corpus, config.min_len, config.max_len)
+    _base, base_probs, beta, n_base = build_base(corpus, config, candidates)
     return TrainerState(
         iteration=0,
         segmentation=seed_seg,
         base_probs=base_probs,
         beta=beta,
         n_base=n_base,
-        types=types,
+        candidates=candidates,
     )
 
 
@@ -564,28 +522,32 @@ def run_iteration(
     been decoded; its token count becomes the lexicon mass of the NEXT
     iteration, never this one.
     """
-    tables = _tables_for(corpus, config, state.types)
+    candidates = state.candidates
+    offsets = candidates.offsets.tolist()
     n_lexicon = state.segmentation.n_tokens
-    lexicon = tables.build_lexicon(state.segmentation) if n_lexicon else None
+    lex_freqs = np.zeros(len(candidates))
+    if n_lexicon:
+        tables = _tables_for(corpus, config, candidates)
+        lexicon = tables.build_lexicon(
+            _token_rows(corpus, config, candidates, state.segmentation)
+        )
+        for rows in _groups(offsets):
+            lex_freqs[rows] = tables.lexicon_frequencies(lexicon, rows, state.beta)
     iteration = state.iteration + 1
     new_bounds: dict[str, tuple[int, ...]] = {}
-    for group in _utterance_groups(corpus, config):
-        if lexicon is None:
-            lex_freqs = np.zeros(sum(len(s) for _, s, _ in group))
-        else:
-            lex_freqs = tables.lexicon_frequencies(lexicon, group, state.beta)
-        for (utt, starts, ends), lex in zip(group, _split(group, lex_freqs)):
-            uid = utt.utterance_id
-            word_probs = word_probabilities(
-                lex, state.base_probs[uid], n_lexicon, config.dp
-            )
-            arc = arc_scores_batch(word_probs, ends - starts, config.dp)
-            lattice = ScoredLattice(
-                utt.n_blocks, config.min_len, config.max_len, arc.tolist()
-            )
-            paths = nbest(lattice, config.beam)
-            rng = _utterance_rng(config.seed, uid, iteration)
-            new_bounds[uid] = sample_path(paths, config.temperature, rng)
+    for code, utt in enumerate(corpus):
+        rows = slice(offsets[code], offsets[code + 1])
+        word_probs = word_probabilities(
+            lex_freqs[rows], state.base_probs[rows], n_lexicon, config.dp
+        )
+        lengths = candidates.ends[rows] - candidates.starts[rows]
+        arc = arc_scores_batch(word_probs, lengths, config.dp)
+        lattice = ScoredLattice(
+            utt.n_blocks, config.min_len, config.max_len, arc.tolist()
+        )
+        paths = nbest(lattice, config.beam)
+        rng = _utterance_rng(config.seed, utt.utterance_id, iteration)
+        new_bounds[utt.utterance_id] = sample_path(paths, config.temperature, rng)
     return dataclasses.replace(
         state, iteration=iteration, segmentation=Segmentation(new_bounds)
     )

@@ -22,15 +22,6 @@ def linear_scan_knn(vectors: np.ndarray, query: np.ndarray, k: int):
     return order, d[order]
 
 
-def linear_scan_knn_fast(vectors: np.ndarray, query: np.ndarray, k: int):
-    """Same scan with a vectorized pointwise difference (for large pools)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    diff = vectors - np.asarray(query, dtype=np.float64)[None, :]
-    d = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((np.arange(vectors.shape[0]), d))[: min(k, len(d))]
-    return order, d[order]
-
-
 def enumerate_paths(n_blocks: int, scores: dict, min_len: int, max_len: int):
     """All complete boundary sequences with totals summed left-to-right,
     sorted by (-score, n_segments, boundaries)."""
@@ -64,8 +55,7 @@ def direct_length_penalty(len_blocks, gamma, delta):
     return math.exp(gamma * math.log(x)) if x > 0 else x**gamma
 
 
-def direct_arc_score(word_prob, len_blocks, alpha0_unused=None, *, epsilon_log,
-                     gamma, delta, sign):
+def direct_arc_score(word_prob, len_blocks, *, epsilon_log, gamma, delta, sign):
     return math.log(word_prob + epsilon_log) + sign * direct_length_penalty(
         len_blocks, gamma, delta
     )

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from dpparse.core import Corpus, FrameMatrix, SymbolSequence
 from dpparse.density import DiscreteCountStore
 from dpparse.embed import UtteranceEmbedder
-from dpparse.lattice import candidate_bounds
-from dpparse.trainer import TrainerConfig, build_base, candidate_types
+from dpparse.trainer import TrainerConfig, build_base, candidate_table
 
 
 def _embed(fm, start, end, normalize=False):
@@ -97,13 +96,14 @@ def _base_store(*utterances, max_len=3):
         mode="discrete",
     )
     config = TrainerConfig(max_len=max_len)
-    types = candidate_types(corpus, config.min_len, config.max_len)
-    store, _probs, _beta, _n_base = build_base(corpus, config, types)
+    table = candidate_table(corpus, config.min_len, config.max_len)
+    store, _probs, _beta, _n_base = build_base(corpus, config, table)
     type_of = {}
-    for utt, first in zip(corpus, types.offsets.tolist()):
-        starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
-        for ordinal, (a, b) in enumerate(zip(starts, ends), start=first):
-            type_of[utt.symbols[a:b].tobytes()] = int(types.ids[ordinal])
+    for code, a, b, type_id in zip(
+        table.codes.tolist(), table.starts.tolist(), table.ends.tolist(),
+        table.type_ids.tolist(),
+    ):
+        type_of[corpus.utterances[code].symbols[a:b].tobytes()] = type_id
     return _BaseStore(store, type_of)
 
 

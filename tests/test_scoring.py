@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpparse.core import Corpus, SymbolSequence
-from dpparse.lattice import candidate_bounds
 from dpparse.scoring import DPParams, arc_scores_batch, word_probabilities
-from dpparse.trainer import TrainerConfig, build_base
+from dpparse.trainer import TrainerConfig, build_base, candidate_table
 
 from oracles import direct_arc_score, direct_length_penalty, direct_word_probability
 
@@ -43,11 +42,15 @@ def _discrete_priors(*utterances, **config):
 
 
 def _prior_of(corpus, cfg, probs, utt_id, start, end):
-    starts, ends = candidate_bounds(
-        corpus.utterance(utt_id).n_blocks, cfg.min_len, cfg.max_len
+    """The prior of candidate [start, end) of ``utt_id``: ``probs`` has one
+    per row of the corpus's candidate table."""
+    table = candidate_table(corpus, cfg.min_len, cfg.max_len)
+    (row,) = np.flatnonzero(
+        (table.codes == corpus.position(utt_id))
+        & (table.starts == start)
+        & (table.ends == end)
     )
-    (ordinal,) = np.flatnonzero((starts == start) & (ends == end))
-    return probs[utt_id][ordinal]
+    return probs[row]
 
 
 class TestBaseProbability:
@@ -72,9 +75,9 @@ class TestBaseProbability:
             [5], [5], [5], min_len=1, max_len=1, l0_subsample=2, seed=0
         )
         assert n_base == 2
-        assert all(np.all(p <= 1.0) for p in probs.values())
-        unpooled = [u for u in ("u0", "u1", "u2") if probs[u][0] == 1.0]
-        assert len(unpooled) == 1
+        assert np.all(probs <= 1.0)
+        priors = [_prior_of(corpus, cfg, probs, u, 0, 1) for u in ("u0", "u1", "u2")]
+        assert priors.count(1.0) == 1  # the one unpooled instance
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="no candidate segments"):

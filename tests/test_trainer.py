@@ -16,7 +16,7 @@ from dpparse.synthgen import GenConfig, generate
 from dpparse.trainer import (
     TrainerConfig,
     build_base,
-    candidate_types,
+    candidate_table,
     init_segmentation,
     init_state,
     n_candidates,
@@ -64,7 +64,7 @@ def _discrete_corpus(seed=0, n_utterances=120, vocab=6):
 
 
 def _ordinal(utt, config, start, end):
-    """Position of candidate [start, end) of ``utt`` in its prior array."""
+    """Position of candidate [start, end) among the candidates of ``utt``."""
     starts, ends = candidate_bounds(utt.n_blocks, config.min_len, config.max_len)
     (ordinal,) = np.flatnonzero((starts == start) & (ends == end))
     return ordinal
@@ -162,10 +162,10 @@ class TestBuildBase:
         corpus, _ = _continuous_corpus(n_utterances=15)
         config = _config()
         _, probs, _, _ = build_base(corpus, config)
-        for utt in corpus:
-            assert len(probs[utt.utterance_id]) == n_candidates(utt.n_blocks, 1, 20)
-            assert np.all(probs[utt.utterance_id] >= 0)
-            assert np.all(probs[utt.utterance_id] <= 1)
+        # one prior per row of the candidate table
+        assert probs.shape == (sum(n_candidates(u.n_blocks, 1, 20) for u in corpus),)
+        assert np.all(probs >= 0)
+        assert np.all(probs <= 1)
 
     def test_discrete_backend_counts(self):
         corpus, _ = _discrete_corpus(n_utterances=40)
@@ -179,40 +179,95 @@ class TestBuildBase:
         # pool size (here the pool is every candidate).
         pool = _string_instances(corpus, config.min_len, config.max_len)
         expected = np.array([count_excluding_overlaps(pool, *c) for c in pool])
-        priors = np.concatenate([probs[u.utterance_id] for u in corpus])
-        assert np.array_equal(priors, expected / n_base)
+        assert np.array_equal(probs, expected / n_base)
         assert np.count_nonzero(expected >= 1) > len(pool) // 4
 
 
-class TestCandidateTypes:
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_ids_equal_iff_strings_equal(self, data):
-        alphabet = data.draw(st.integers(1, 4))
-        utterances = data.draw(
-            st.lists(
-                st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=15),
-                min_size=1,
-                max_size=6,
-            )
+def _draw_corpus(data, mode):
+    """(corpus, min_len, max_len) drawn by hypothesis; ``max_len`` may pass
+    every utterance."""
+    alphabet = data.draw(st.integers(1, 4))
+    utterances = data.draw(
+        st.lists(
+            st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=15),
+            min_size=1,
+            max_size=6,
         )
-        min_len = data.draw(st.integers(1, 4))
-        max_len = data.draw(st.integers(min_len, 18))  # may pass every utterance
+    )
+    min_len = data.draw(st.integers(1, 4))
+    max_len = data.draw(st.integers(min_len, 18))
+    if mode == "discrete":
         corpus = Corpus(
             [SymbolSequence(f"u{i}", s) for i, s in enumerate(utterances)],
             mode="discrete",
         )
-        types = candidate_types(corpus, min_len, max_len)
+    else:
+        corpus = Corpus(
+            [
+                FrameMatrix(f"u{i}", np.asarray(s, dtype=np.float64)[:, None])
+                for i, s in enumerate(utterances)
+            ]
+        )
+    return corpus, min_len, max_len
+
+
+class TestCandidateTypes:
+    @staticmethod
+    def _assert_rows_are_candidate_bounds(table, corpus, min_len, max_len):
         counts = [n_candidates(u.n_blocks, min_len, max_len) for u in corpus]
-        assert types.offsets.tolist() == np.cumsum([0, *counts]).tolist()
+        assert table.offsets.tolist() == np.cumsum([0, *counts]).tolist()
+        assert len(table) == sum(counts)
+        for code, utt in enumerate(corpus):
+            starts, ends = candidate_bounds(utt.n_blocks, min_len, max_len)
+            rows = slice(table.offsets[code], table.offsets[code + 1])
+            assert np.all(table.codes[rows] == code)
+            assert table.starts[rows].tolist() == starts.tolist()
+            assert table.ends[rows].tolist() == ends.tolist()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ids_equal_iff_strings_equal(self, data):
+        corpus, min_len, max_len = _draw_corpus(data, "discrete")
+        table = candidate_table(corpus, min_len, max_len)
+        self._assert_rows_are_candidate_bounds(table, corpus, min_len, max_len)
         strings = [s for s, *_ in _string_instances(corpus, min_len, max_len)]
-        ids = types.ids.tolist()
+        ids = table.type_ids.tolist()
         assert len(ids) == len(strings)
         id_of = {}
         for string, type_id in zip(strings, ids):
             assert id_of.setdefault(string, type_id) == type_id
         assert len(set(id_of.values())) == len(id_of)  # distinct strings
-        assert sorted(id_of.values()) == list(range(types.n_types))
+        assert sorted(id_of.values()) == list(range(table.n_types))
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_continuous_rows_are_candidate_bounds(self, data):
+        corpus, min_len, max_len = _draw_corpus(data, "continuous")
+        table = candidate_table(corpus, min_len, max_len)
+        self._assert_rows_are_candidate_bounds(table, corpus, min_len, max_len)
+        assert table.type_ids is None
+
+
+class TestGroups:
+    def test_groups_split_the_corpus_into_whole_utterances(self, monkeypatch):
+        # The split fixes the shapes of the continuous distance GEMM blocks,
+        # so it must not change with the table: each group ends with the
+        # utterance that brings it to _GROUP_QUERIES rows.
+        monkeypatch.setattr(trainer, "_GROUP_QUERIES", 100)
+        corpus, _ = _continuous_corpus(n_utterances=30)
+        offsets = candidate_table(corpus, 1, 6).offsets.tolist()
+        groups = list(trainer._groups(offsets))
+        assert len(groups) > 2
+        assert groups[0].start == 0 and groups[-1].stop == offsets[-1]
+        for group, following in zip(groups, groups[1:]):
+            assert group.stop == following.start
+        for group in groups:
+            # whole utterances, below _GROUP_QUERIES without the last one
+            assert group.start in offsets and group.stop in offsets
+            last_first_row = offsets[offsets.index(group.stop) - 1]
+            assert last_first_row - group.start < 100
+        for group in groups[:-1]:
+            assert group.stop - group.start >= 100
 
 
 class TestInitState:
@@ -287,11 +342,10 @@ class TestRunIteration:
         corpus, _ = _continuous_corpus(n_utterances=20)
         config = _config()
         state = init_state(corpus, config)
-        before = {k: v.copy() for k, v in state.base_probs.items()}
+        before = state.base_probs.copy()
         state = run_iteration(state, corpus, config)
         state = run_iteration(state, corpus, config)
-        for k in before:
-            assert np.array_equal(state.base_probs[k], before[k])
+        assert np.array_equal(state.base_probs, before)
 
     def test_empty_seed_is_legal(self):
         # every utterance longer than max_len: priors only at iteration 1
@@ -303,14 +357,14 @@ class TestRunIteration:
         assert state.segmentation.validate(corpus) == []
 
     @staticmethod
-    def _initialized_then_uncountable(mode, monkeypatch):
+    def _initialized_then_uncountable(mode, monkeypatch, **config):
         """(corpus, config, state) after setup; from then on, counting or
         embedding a token fails the test."""
         if mode == "continuous":
             corpus, _ = _continuous_corpus(n_utterances=12)
         else:
             corpus, _ = _discrete_corpus(n_utterances=40)
-        config = _config()
+        config = _config(**config)
         state = init_state(corpus, config)
         monkeypatch.setattr(DiscreteCountStore, "add", _fail)
         monkeypatch.setattr(UtteranceEmbedder, "embed_many", _fail)
@@ -335,11 +389,11 @@ class TestRunIteration:
         with pytest.raises(ValueError, match="utterance 'zz', not in the corpus"):
             run_iteration(state, corpus, config)
 
-    def test_token_of_inadmissible_length_rejected(self, monkeypatch):
-        corpus, _ = _discrete_corpus(n_utterances=40)
-        config = _config(min_len=2, max_len=4)
-        state = init_state(corpus, config)
-        monkeypatch.setattr(DiscreteCountStore, "add", _fail)
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_token_of_inadmissible_length_rejected(self, mode, monkeypatch):
+        corpus, config, state = self._initialized_then_uncountable(
+            mode, monkeypatch, min_len=2, max_len=4
+        )
         utt = corpus.utterances[0]
         seg = Segmentation({utt.utterance_id: (0, 1, utt.n_blocks)})
         state = dataclasses.replace(state, segmentation=seg)
@@ -361,9 +415,9 @@ class TestRunIteration:
                 cuts.append(min(utt.n_blocks, cuts[-1] + int(rng.integers(1, 4))))
             bounds[utt.utterance_id] = tuple(cuts)
         seg = Segmentation(bounds)
-        types = candidate_types(corpus, config.min_len, config.max_len)
-        tables = trainer._tables_for(corpus, config, types)
-        lexicon = tables.build_lexicon(seg)
+        table = candidate_table(corpus, config.min_len, config.max_len)
+        tables = trainer._tables_for(corpus, config, table)
+        lexicon = tables.build_lexicon(trainer._token_rows(corpus, config, table, seg))
         asked = []
         count = DiscreteCountStore.count_excluding_overlaps
 
@@ -372,10 +426,10 @@ class TestRunIteration:
             return count(store, key, code, start, end)
 
         monkeypatch.setattr(DiscreteCountStore, "count_excluding_overlaps", counting)
-        groups = list(trainer._utterance_groups(corpus, config))
+        groups = list(trainer._groups(table.offsets.tolist()))
         assert len(groups) > 1
         freqs = np.concatenate(
-            [tables.lexicon_frequencies(lexicon, group, None) for group in groups]
+            [tables.lexicon_frequencies(lexicon, rows, None) for rows in groups]
         )
         tokens = [
             (corpus.utterance(t.utterance_id).symbols[t.start : t.end].tobytes(),
@@ -413,8 +467,8 @@ class TestRunIteration:
         seg = example[key]
         n_tokens = state.segmentation.n_tokens
         utt = corpus.utterance(seg.utterance_id)
-        ordinal = _ordinal(utt, config, seg.start, seg.end)
-        p0 = state.base_probs[seg.utterance_id][ordinal]
+        first = state.candidates.offsets[corpus.position(seg.utterance_id)]
+        p0 = state.base_probs[first + _ordinal(utt, config, seg.start, seg.end)]
         lexicon_freq = store.count_excluding_overlaps(key, -1, 0, 1)
         dp = DPParams()
         p_w = lexicon_freq / (n_tokens + dp.alpha0) + dp.alpha0 * p0 / (
