@@ -1,4 +1,4 @@
-"""Command-line interface: gen, segment, baseline, eval, abx, ablate-kmeans.
+"""Command-line interface: gen, segment, baseline, eval, ablate-kmeans.
 
 Every command is deterministic given --seed.  All randomness flows from
 that single seed; per-utterance streams are derived from it so results
@@ -14,12 +14,10 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from dpparse import io as dpio
 from dpparse.config import load_run_config
 from dpparse.core import BLOCK_MS, Corpus, ms_to_end_block, validate_corpus
-from dpparse.metrics import abx_score, fixed_rate_segmenter, token_boundary_f1
+from dpparse.metrics import fixed_rate_segmenter, token_boundary_f1
 from dpparse.synthgen import generate, lexicon_lines
 from dpparse.trainer import train
 
@@ -180,13 +178,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_abx(args) -> int:
-    a, b, x = dpio.read_triplets(args.triplets)
-    score = abx_score(np.stack([a, b, x], axis=1).astype(np.float64))
-    print(f"abx_score\t{score:.6f}")
-    return 0
-
-
 def cmd_ablate_kmeans(args) -> int:
     _check_output_dirs(args.out)
     cfg = _run_config(args)
@@ -260,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("segmentation")
     p.add_argument("--alignment", required=True)
     p.add_argument("--out", help="write the report here as well")
-
-    p = command("abx", cmd_abx, "ABX discrimination score over a triplet file")
-    p.add_argument("triplets")
 
     p = command(
         "ablate-kmeans",

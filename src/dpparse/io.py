@@ -1,7 +1,8 @@
 """Readers and writers for every on-disk format.
 
-Binary formats are little-endian with a 4-byte magic and a u32 version;
-text formats are UTF-8 and tab-separated.
+The one binary format, the frame file, is little-endian with a 4-byte
+magic and a u32 version.  Text formats are UTF-8; all but the discrete
+corpus (space-separated symbols) are tab-separated.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dpparse.core import (
 )
 
 FRAME_MAGIC = b"DPPF"
-TRIPLET_MAGIC = b"DPPT"
 FORMAT_VERSION = 1
 
 
@@ -44,30 +44,23 @@ def write_frame_file(path, frames: FrameMatrix) -> None:
         f.write(data.tobytes())
 
 
-def _read_float_file(path, magic: bytes, what: str, per_row: int):
-    """Check a binary file's magic, version and payload size; return its
-    (rows, dim) header fields and the payload as flat little-endian float32.
-    A row holds ``per_row`` vectors of ``dim`` values."""
+def read_frame_file(path, utterance_id: str) -> FrameMatrix:
     path = Path(path)
     with open(path, "rb") as f:
         header = f.read(16)
-        if len(header) < 16 or header[:4] != magic:
-            raise FileFormatError(f"{path}: bad {what} magic")
-        version, rows, dim = struct.unpack("<III", header[4:])
+        if len(header) < 16 or header[:4] != FRAME_MAGIC:
+            raise FileFormatError(f"{path}: bad frame-file magic")
+        version, n_blocks, dim = struct.unpack("<III", header[4:])
         if version != FORMAT_VERSION:
             raise FileFormatError(f"{path}: unsupported version {version}")
         payload = f.read()
-    expected = rows * per_row * dim * 4
+    expected = n_blocks * dim * 4
     if len(payload) != expected:
         raise FileFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
-    return rows, dim, np.frombuffer(payload, dtype="<f4")
-
-
-def read_frame_file(path, utterance_id: str) -> FrameMatrix:
-    n_blocks, dim, data = _read_float_file(path, FRAME_MAGIC, "frame-file", 1)
-    return FrameMatrix(utterance_id, data.reshape(n_blocks, dim))
+    data = np.frombuffer(payload, dtype="<f4").reshape(n_blocks, dim)
+    return FrameMatrix(utterance_id, data)
 
 
 def write_manifest(path, entries: list[tuple[str, str]]) -> None:
@@ -77,7 +70,9 @@ def write_manifest(path, entries: list[tuple[str, str]]) -> None:
             f.write(f"{utt_id}\t{rel}\n")
 
 
-def read_manifest(path) -> list[tuple[str, Path]]:
+def read_manifest(path) -> list[tuple[int, str, Path]]:
+    """(line number, utterance id, frame path) per non-blank line; frame
+    paths are relative to the manifest's directory."""
     path = Path(path)
     entries = []
     with open(path, encoding="utf-8") as f:
@@ -88,16 +83,20 @@ def read_manifest(path) -> list[tuple[str, Path]]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise FileFormatError(f"{path}:{lineno}: expected 2 fields")
-            entries.append((parts[0], path.parent / parts[1]))
+            entries.append((lineno, parts[0], path.parent / parts[1]))
     return entries
 
 
 def load_corpus(manifest_path) -> Corpus:
-    """Load a continuous corpus from a manifest of frame files."""
-    utterances = [
-        read_frame_file(frame_path, utt_id)
-        for utt_id, frame_path in read_manifest(manifest_path)
-    ]
+    """Load a continuous corpus from a manifest of frame files.  A frame
+    file that is missing or malformed fails naming the manifest line and
+    the utterance."""
+    utterances = []
+    for lineno, utt_id, frame_path in read_manifest(manifest_path):
+        try:
+            utterances.append(read_frame_file(frame_path, utt_id))
+        except (OSError, FileFormatError) as exc:
+            raise FileFormatError(f"{manifest_path}:{lineno}: {utt_id}: {exc}") from exc
     return Corpus(utterances, mode="continuous")
 
 
@@ -119,7 +118,8 @@ def load_text_corpus(path) -> Corpus:
     """Load a discrete corpus: one utterance per line, space-separated symbols.
 
     Utterance ids are assigned by line order (u000000, u000001, ...); symbol
-    strings map to integer ids in order of first occurrence.
+    strings map to integer ids in order of first occurrence.  A blank line
+    is refused, naming the file and the line.
     """
     path = Path(path)
     symbol_ids: dict[str, int] = {}
@@ -127,6 +127,8 @@ def load_text_corpus(path) -> Corpus:
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f):
             tokens = line.split()
+            if not tokens:
+                raise FileFormatError(f"{path}:{i + 1}: blank line, no symbols")
             ids = [symbol_ids.setdefault(t, len(symbol_ids)) for t in tokens]
             utterances.append(SymbolSequence(f"u{i:06d}", np.array(ids, dtype="<i4")))
     alphabet = tuple(sorted(symbol_ids, key=symbol_ids.get))
@@ -236,27 +238,6 @@ def _times(path: Path, lineno: int, start: str, end: str) -> tuple[float, float]
 
 def _fmt_ms(ms: float) -> str:
     return str(int(ms)) if float(ms).is_integer() else f"{ms:.3f}"
-
-
-# ---------------------------------------------------------------------------
-# ABX triplets
-
-def write_triplets(path, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
-    a, b, x = (np.ascontiguousarray(m, dtype="<f4") for m in (a, b, x))
-    if not (a.shape == b.shape == x.shape) or a.ndim != 2:
-        raise ValueError("a, b, x must share shape (n_triplets, dim)")
-    n, dim = a.shape
-    stacked = np.stack([a, b, x], axis=1)  # (n, 3, dim)
-    with open(path, "wb") as f:
-        f.write(TRIPLET_MAGIC)
-        f.write(struct.pack("<III", FORMAT_VERSION, n, dim))
-        f.write(np.ascontiguousarray(stacked, dtype="<f4").tobytes())
-
-
-def read_triplets(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, dim, data = _read_float_file(path, TRIPLET_MAGIC, "triplet-file", 3)
-    stacked = data.reshape(n, 3, dim)
-    return stacked[:, 0], stacked[:, 1], stacked[:, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Segmentation evaluation: token/boundary F1, baseline segmenter, ABX.
+"""Segmentation evaluation: token/boundary F1 and a fixed-rate baseline segmenter.
 
 Hypothesis boundaries are first snapped onto phoneme edges: a boundary
 falling inside a phoneme moves to that phoneme's end when it lies more
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from dpparse.core import BLOCK_MS, Corpus, GoldAlignment, Segmentation
 
@@ -52,33 +50,43 @@ def _ratio(num: int, denom: int) -> float:
 # ---------------------------------------------------------------------------
 # boundary snapping
 
-def _snap_one(b: float, starts: list[float], phones) -> float:
-    pos = bisect_right(starts, b) - 1
-    if pos < 0:
-        raise ValueError(f"boundary {b} before phone coverage")
-    s, e = phones[pos][0], phones[pos][1]
-    if b == s:
-        return b
-    if b >= e:
-        if b == e:
+def _snapper(phones):
+    """The function that snaps one boundary time onto the edges of
+    ``phones``, (start, end[, label]) intervals covering an utterance
+    without overlap; the identity when there are none."""
+    if not phones:
+        return lambda b: b
+    phones = sorted(phones, key=lambda p: p[0])
+    starts = [p[0] for p in phones]
+
+    def snap(b: float) -> float:
+        pos = bisect_right(starts, b) - 1
+        if pos < 0:
+            raise ValueError(f"boundary {b} before phone coverage")
+        s, e = phones[pos][0], phones[pos][1]
+        if b == s:
             return b
-        raise ValueError(f"boundary {b} outside phone coverage")
-    into = b - s
-    if into > SNAP_THRESHOLD_MS or into > (e - s) / 2:
-        return e
-    return s
+        if b >= e:
+            if b == e:
+                return b
+            raise ValueError(f"boundary {b} outside phone coverage")
+        into = b - s
+        if into > SNAP_THRESHOLD_MS or into > (e - s) / 2:
+            return e
+        return s
+
+    return snap
 
 
 def snap_boundaries(hyp_ms, phones) -> list[float]:
     """Snap boundary times onto phoneme edges; sorted and deduplicated.
 
-    ``phones`` are (start, end[, label]) intervals covering the
-    utterance without overlap.  Boundaries already on an edge stay put.
-    Idempotent: snapping snapped boundaries is the identity.
+    Boundaries already on an edge stay put, and all of them do when
+    ``phones`` is empty.  Idempotent: snapping snapped boundaries is the
+    identity.
     """
-    phones = sorted(phones, key=lambda p: p[0])
-    starts = [p[0] for p in phones]
-    return sorted({_snap_one(float(b), starts, phones) for b in hyp_ms})
+    snap = _snapper(phones)
+    return sorted({snap(float(b)) for b in hyp_ms})
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +105,7 @@ def token_boundary_f1(hyp: Segmentation, gold: GoldAlignment) -> EvalReport:
         if utt_id not in gold.words:
             raise ValueError(f"missing gold alignment for {utt_id!r}")
         gold_words = gold.words[utt_id]
-        phones = gold.phones.get(utt_id)
-        if phones:
-            sorted_phones = sorted(phones, key=lambda p: p[0])
-            starts = [p[0] for p in sorted_phones]
-
-            def snap(value: float) -> float:
-                return _snap_one(value, starts, sorted_phones)
-
-        else:
-            def snap(value: float) -> float:
-                return value
-
+        snap = _snapper(gold.phones.get(utt_id))
         snapped = [snap(b * BLOCK_MS) for b in bounds]
         hyp_tokens = list(zip(snapped, snapped[1:]))
         gold_tokens = set(gold_words)
@@ -157,58 +154,3 @@ def fixed_rate_segmenter(corpus: Corpus, period_blocks: int = 3) -> Segmentation
             for u in corpus
         }
     )
-
-
-# ---------------------------------------------------------------------------
-# ABX discrimination
-
-def abx_score(triplets: np.ndarray) -> float:
-    """Fraction of triplets where x is closer to a than to b (cosine).
-
-    Ties count one half.  ``triplets`` has shape (n, 3, dim): a, b, x per
-    row, where a and x share a category and b is the distractor.  Zero
-    vectors are rejected: cosine distance is undefined for them.
-    """
-    triplets = np.asarray(triplets, dtype=np.float64)
-    if triplets.ndim != 3 or triplets.shape[1] != 3:
-        raise ValueError("expected shape (n, 3, dim)")
-    if triplets.shape[0] == 0:
-        raise ValueError("empty triplet list")
-    a, b, x = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    for name, m in (("a", a), ("b", b), ("x", x)):
-        if np.any(np.linalg.norm(m, axis=1) == 0):
-            raise ValueError(f"zero vector among {name} embeddings")
-    d_ax = _cosine_distance(a, x)
-    d_bx = _cosine_distance(b, x)
-    wins = (d_ax < d_bx).astype(np.float64)
-    wins[d_ax == d_bx] = 0.5
-    return float(wins.mean())
-
-
-def _cosine_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    num = np.einsum("ij,ij->i", u, v)
-    den = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-    return 1.0 - num / den
-
-
-def pool_overlapping(
-    vectors: np.ndarray,
-    spans_ms,
-    window_ms: tuple[float, float],
-    min_overlap_ms: float = 40.0,
-) -> np.ndarray:
-    """Mean-pool rows whose time span overlaps the window by more than a floor.
-
-    ``spans_ms`` gives one (start, end) per row; rows overlapping
-    ``window_ms`` by strictly more than ``min_overlap_ms`` are averaged.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    spans = np.asarray(spans_ms, dtype=np.float64)
-    if spans.shape[0] != vectors.shape[0]:
-        raise ValueError("one time span required per vector")
-    lo, hi = float(window_ms[0]), float(window_ms[1])
-    overlap = np.minimum(spans[:, 1], hi) - np.maximum(spans[:, 0], lo)
-    keep = overlap > min_overlap_ms
-    if not np.any(keep):
-        raise ValueError("no row overlaps the window by more than the floor")
-    return vectors[keep].mean(axis=0)

@@ -78,7 +78,6 @@ class TrainerConfig:
     frequency_backend: str = "knn"  # "knn" or "kmeans" (continuous corpora)
     kmeans_clusters: int = 0
     calibration_sample: int = 10_000
-    normalize: bool = False
     dp: DPParams = field(default_factory=DPParams)
     density: DensityParams = field(default_factory=DensityParams)
 
@@ -334,9 +333,9 @@ class _Tables:
         ends = self.candidates.ends[rows]
         cuts = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)]
         parts = [
-            UtteranceEmbedder(
-                self.corpus.utterances[codes[lo]], self.config.normalize
-            ).embed_many(starts[lo:hi], ends[lo:hi])
+            UtteranceEmbedder(self.corpus.utterances[codes[lo]]).embed_many(
+                starts[lo:hi], ends[lo:hi]
+            )
             for lo, hi in zip(cuts, cuts[1:])
         ]
         return np.concatenate(parts, axis=0)

@@ -1,10 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from dpparse import io as dpio
-from dpparse.cli import main
+from dpparse.cli import build_parser, main
 from dpparse.config import _SCHEMA, DELTA_BY_MODE, load_run_config, read_config_file
 from dpparse.core import Segmentation
 from dpparse.scoring import DPParams
@@ -65,8 +67,7 @@ class TestConfig:
     def test_key_names_unchanged(self):
         sections = {
             "trainer": "n_iterations beam l0_subsample seed workers min_len max_len "
-            "temperature frequency_backend kmeans_clusters calibration_sample "
-            "normalize",
+            "temperature frequency_backend kmeans_clusters calibration_sample",
             "dp": "alpha0 gamma delta epsilon_log penalty_sign",
             "density": "k beta epsilon_f",
             "gen": "vocab_size n_utterances dim zipf_exponent word_len_min "
@@ -115,15 +116,54 @@ class TestConfig:
             read_config_file(path)
 
 
+class TestReadme:
+    """The README's examples parse and its settings are the real defaults."""
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def _commands(self):
+        """Each ``dpparse ...`` line of the sh blocks, continuations joined."""
+        commands = []
+        for block in re.findall(r"```sh\n(.*?)```", self.readme, re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                words = shlex.split(line, comments=True)
+                if words[:1] == ["dpparse"]:
+                    commands.append(words[1:])
+        return commands
+
+    def test_examples_parse(self):
+        commands = self._commands()
+        assert commands
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+    def test_set_keys_exist(self):
+        keys = [
+            argv[i + 1].split("=", 1)[0]
+            for argv in self._commands()
+            for i, word in enumerate(argv)
+            if word == "--set"
+        ]
+        assert keys
+        assert [k for k in keys if k not in _SCHEMA] == []
+
+    def test_documented_defaults(self):
+        bullets = re.findall(r"^- `([\w.]+)` \(default `([^`]*)`\)", self.readme, re.M)
+        assert bullets
+        for key, text in bullets:
+            assert key in _SCHEMA, key
+            parser, default = _SCHEMA[key]
+            assert parser(text) == default, key
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",
         [
             ["eval", "seg.tsv", "--alignment", "gold.tsv", "--seed", "1"],
-            ["abx", "t.dppt", "--seed", "1"],
             ["baseline", "manifest.tsv", "--out", "b.tsv", "--set", "dp.gamma=0"],
         ],
-        ids=["eval-seed", "abx-seed", "baseline-set"],
+        ids=["eval-seed", "baseline-set"],
     )
     def test_unread_flags_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -173,13 +213,21 @@ class TestGenSegmentEval:
 
     def test_corrupt_frame_magic_nonzero_exit(self, tmp_path, capsys):
         out, manifest = _gen(tmp_path)
-        victim = next((out / "frames").glob("*.dppf"))
+        victim = out / "frames" / "u000002.dppf"  # manifest line 3
         victim.write_bytes(b"EVIL" + victim.read_bytes()[4:])
-        code = main(
-            ["segment", str(manifest), "--out", str(tmp_path / "seg.tsv")]
-        )
-        assert code != 0
+        code = main(["segment", str(manifest), "--out", str(tmp_path / "seg.tsv")])
+        assert code == 1
         err = capsys.readouterr().err
+        assert f"error: {manifest}:3: u000002: {victim}: bad frame-file magic" in err
+
+    def test_missing_frame_file_names_manifest_line(self, tmp_path, capsys):
+        out, manifest = _gen(tmp_path)
+        victim = out / "frames" / "u000002.dppf"
+        victim.unlink()
+        code = main(["segment", str(manifest), "--out", str(tmp_path / "seg.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {manifest}:3: u000002: " in err
         assert victim.name in err
 
     def test_missing_output_directory_fails_before_training(
@@ -332,20 +380,6 @@ class TestEvalInputs:
             assert f"invalid alignment {gold}" in err
             assert named in err
         assert trained == []
-
-
-class TestAbxCommand:
-    def test_scores_triplet_file(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(50, 8)).astype(np.float32)
-        noise = 0.01 * rng.normal(size=(50, 8)).astype(np.float32)
-        b = rng.normal(size=(50, 8)).astype(np.float32)
-        path = tmp_path / "t.dppt"
-        dpio.write_triplets(path, x + noise, b, x)
-        assert main(["abx", str(path)]) == 0
-        out = capsys.readouterr().out
-        score = float(out.split("\t")[1])
-        assert score > 0.9
 
 
 class TestAblateKmeans:

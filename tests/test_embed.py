@@ -11,9 +11,9 @@ from dpparse.embed import UtteranceEmbedder
 from dpparse.trainer import TrainerConfig, build_base, candidate_table
 
 
-def _embed(fm, start, end, normalize=False):
+def _embed(fm, start, end):
     """embed_many on one row."""
-    embedder = UtteranceEmbedder(fm, normalize)
+    embedder = UtteranceEmbedder(fm)
     return embedder.embed_many(np.array([start]), np.array([end]))[0]
 
 
@@ -67,14 +67,6 @@ class TestBatchEmbedder:
         for row, (a, b) in zip(batch, zip(starts, ends)):
             direct = fm.data[a:b].mean(axis=0, dtype=np.float64)
             assert np.allclose(row, direct, rtol=1e-10)
-
-    def test_normalize_flag(self):
-        fm = FrameMatrix("u", np.array([[3.0, 4.0]]))
-        out = _embed(fm, 0, 1, normalize=True)
-        assert np.allclose(np.linalg.norm(out), 1.0)
-        # default leaves vectors unmodified
-        raw = _embed(fm, 0, 1)
-        assert np.allclose(raw, [3.0, 4.0])
 
 
 @dataclass

@@ -44,18 +44,12 @@ def _write_frames(path):
     dpio.write_frame_file(path, FrameMatrix("u", np.ones((4, 3), dtype=np.float32)))
 
 
-def _write_triplets(path):
-    a = np.ones((4, 3), dtype=np.float32)
-    dpio.write_triplets(path, a, a, a)
-
-
 _BINARY_FORMATS = {
     "frames": (
         _write_frames,
         lambda path: dpio.read_frame_file(path, "u"),
         "frame-file",
     ),
-    "triplets": (_write_triplets, dpio.read_triplets, "triplet-file"),
 }
 # Each corruption maps a valid file's bytes to a broken one, and names the
 # error message it must raise.
@@ -174,20 +168,12 @@ def test_text_corpus_round_trip(tmp_path):
     assert out.read_text() == path.read_text()
 
 
-def test_triplet_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    a, b, x = (rng.normal(size=(10, 4)).astype(np.float32) for _ in range(3))
-    path = tmp_path / "trip.dppt"
-    dpio.write_triplets(path, a, b, x)
-    a2, b2, x2 = dpio.read_triplets(path)
-    assert np.array_equal(a, a2) and np.array_equal(b, b2) and np.array_equal(x, x2)
-
-
-def test_triplet_bad_magic(tmp_path):
-    path = tmp_path / "bad.dppt"
-    path.write_bytes(b"XXXX" + b"\x00" * 12)
-    with pytest.raises(dpio.FileFormatError, match="magic"):
-        dpio.read_triplets(path)
+@pytest.mark.parametrize("blank", ["\n", " \t \n"], ids=["empty", "whitespace"])
+def test_text_corpus_blank_line_names_file_and_line(tmp_path, blank):
+    path = tmp_path / "c.txt"
+    path.write_text("a b\n" + blank + "c\n", encoding="utf-8")
+    with pytest.raises(dpio.FileFormatError, match=re.escape(f"{path}:2: blank line")):
+        dpio.load_text_corpus(path)
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpparse.core import Corpus, FrameMatrix, GoldAlignment, Segmentation
-from dpparse.metrics import (
-    abx_score,
-    fixed_rate_segmenter,
-    pool_overlapping,
-    snap_boundaries,
-    token_boundary_f1,
-)
+from dpparse.metrics import fixed_rate_segmenter, snap_boundaries, token_boundary_f1
 
 
 def _phones(edges, labels=None):
@@ -50,6 +44,9 @@ class TestSnapBoundaries:
     def test_deduplicated(self):
         phones = _phones([0.0, 80.0, 160.0])
         assert snap_boundaries([115.0, 125.0], phones) == [160.0]
+
+    def test_no_phones_leaves_boundaries_unsnapped(self):
+        assert snap_boundaries([115.0, 0.0, 115.0], []) == [0.0, 115.0]
 
     def test_outside_coverage_rejected(self):
         phones = _phones([0.0, 80.0])
@@ -142,44 +139,3 @@ class TestFixedRate:
         corpus = self._corpus(11)
         seg = fixed_rate_segmenter(corpus, 3)
         assert seg.validate(corpus) == []
-
-
-class TestAbx:
-    def test_a_equals_x(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 1.0])
-        assert abx_score(np.array([[a, b, a]])) == 1.0
-
-    def test_tie_scores_half(self):
-        v = np.array([1.0, 2.0])
-        assert abx_score(np.array([[v, v, v]])) == 0.5
-
-    def test_random_triplets_near_half(self):
-        rng = np.random.default_rng(0)
-        t = rng.normal(size=(10_000, 3, 16))
-        assert abs(abx_score(t) - 0.5) <= 0.02
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(1)
-        t = rng.normal(size=(50, 3, 8))
-        scaled = t * np.array([3.0, 0.25, 17.0])[None, :, None]
-        assert abx_score(t) == pytest.approx(abx_score(scaled), rel=1e-9)
-
-    def test_zero_vector_rejected(self):
-        a = np.zeros(3)
-        b = np.ones(3)
-        with pytest.raises(ValueError, match="zero vector"):
-            abx_score(np.array([[a, b, b]]))
-
-
-class TestPoolOverlapping:
-    def test_pools_rows_over_threshold(self):
-        vectors = np.array([[1.0, 0.0], [3.0, 0.0], [5.0, 0.0]])
-        spans = [(0.0, 100.0), (100.0, 200.0), (200.0, 300.0)]
-        # window overlaps row0 by 60ms, row1 by 100ms, row2 by 10ms
-        out = pool_overlapping(vectors, spans, (40.0, 210.0))
-        assert np.allclose(out, [2.0, 0.0])
-
-    def test_no_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlaps"):
-            pool_overlapping(np.ones((1, 2)), [(0.0, 41.0)], (0.0, 41.0), 41.0)
