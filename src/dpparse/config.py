@@ -17,15 +17,6 @@ from dpparse.synthgen import GenConfig
 from dpparse.trainer import TrainerConfig
 
 
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _optional_int(text: str):
     lowered = text.strip().lower()
     if lowered in ("none", "auto"):
@@ -54,8 +45,6 @@ _NOT_KEYS = {"trainer.dp", "trainer.density", "gen.seed", "gen.mode"}
 
 
 def _parser(default):
-    if isinstance(default, bool):
-        return _bool
     if default is None:
         return _optional_int
     return type(default)

@@ -244,6 +244,8 @@ class ValidationReport:
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """Check every corpus invariant, reporting all violations found."""
     report = ValidationReport()
+    if not corpus.utterances:
+        report.add(None, "corpus has no utterances")
     seen = set()
     dim = None
     for utt in corpus.utterances:

@@ -88,11 +88,18 @@ def read_manifest(path) -> list[tuple[int, str, Path]]:
 
 
 def load_corpus(manifest_path) -> Corpus:
-    """Load a continuous corpus from a manifest of frame files.  A frame
-    file that is missing or malformed fails naming the manifest line and
-    the utterance."""
+    """Load a continuous corpus from a manifest of frame files.  A repeated
+    utterance id, or a frame file that is missing or malformed, fails
+    naming the manifest line and the utterance."""
     utterances = []
+    first_line: dict[str, int] = {}
     for lineno, utt_id, frame_path in read_manifest(manifest_path):
+        if utt_id in first_line:
+            raise FileFormatError(
+                f"{manifest_path}:{lineno}: {utt_id}: duplicate utterance id "
+                f"(first on line {first_line[utt_id]})"
+            )
+        first_line[utt_id] = lineno
         try:
             utterances.append(read_frame_file(frame_path, utt_id))
         except (OSError, FileFormatError) as exc:

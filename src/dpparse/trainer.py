@@ -2,14 +2,15 @@
 
 Setup enumerates every candidate segment of the corpus once, as the rows
 of one ``Candidates`` table (with a type id per row in discrete mode).
-The base pool and each iteration's lexicon are sets of its rows, a
-frequency lookup asks about a slice of them, and the priors are one array
-aligned with them.  Each iteration (1) rebuilds the token lexicon from the
-current segmentation and (2) re-segments every utterance by sampling from
-the N-best paths of its scored lattice.  The whole corpus is one batch:
-the lexicon is frozen while utterances are decoded, so results do not
-depend on utterance processing order or worker count.  Per-utterance RNG
-streams are derived from (seed, iteration, utterance id).
+The base pool and each iteration's lexicon are sets of its rows, and the
+priors and lexicon frequencies are arrays aligned with them, each looked
+up in one pass over the table.  Each iteration (1) rebuilds the token
+lexicon from the current segmentation and (2) re-segments every utterance
+by sampling from the N-best paths of its scored lattice, which reads the
+utterance's slice of those arrays.  The whole corpus is one batch: the
+lexicon is frozen while utterances are decoded, so results do not depend
+on utterance processing order or worker count.  Per-utterance RNG streams
+are derived from (seed, iteration, utterance id).
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ from dpparse.scoring import DPParams, arc_scores_batch, word_probabilities
 
 logger = logging.getLogger(__name__)
 
-# Frequencies are looked up for groups of whole utterances of about this
-# many candidates (see _groups); the groups fix the shapes of the kNN
-# distance GEMM blocks, so changing it changes continuous output bits.
+# Continuous backends embed and look up candidates this many rows at a
+# time, which bounds the query embeddings to rows x dim x 8 bytes.  (Where
+# the slices start fixes where the kNN GEMM blocks start, so another value
+# may move continuous frequencies in their last bits.)
 _GROUP_QUERIES = 16384
 
 # Discrete candidates are added and counted in slices of this many.
@@ -215,19 +217,6 @@ def candidate_table(corpus: Corpus, min_len: int, max_len: int) -> Candidates:
     return Candidates(codes, starts, ends, offsets, type_ids, n_types)
 
 
-def _groups(offsets: list[int]):
-    """Yield the rows of consecutive whole utterances as slices, each
-    reaching ``_GROUP_QUERIES`` rows only with its last utterance (the last
-    slice may stay below).  Frequencies are looked up one slice at a time."""
-    first = 0
-    for stop in offsets[1:]:
-        if stop - first >= _GROUP_QUERIES:
-            yield slice(first, stop)
-            first = stop
-    if first < offsets[-1]:
-        yield slice(first, offsets[-1])
-
-
 def _ordinals(n_blocks, starts, lengths, min_len: int, max_len: int):
     """Position of candidate [start, start + length) among the candidates of
     its ``n_blocks``-block utterance, in ``candidate_bounds`` order.
@@ -309,39 +298,34 @@ class FrequencyTables(Protocol):
     def build_lexicon(self, rows: np.ndarray) -> Store:
         """Lexicon of the candidates at ``rows`` (at least one)."""
 
-    def lexicon_frequencies(
-        self, lexicon: Store, rows: slice, beta: float | None
-    ) -> np.ndarray:
-        """Frequency of each candidate at ``rows``, one of ``_groups``, in a
-        base store or a lexicon.  The kNN and discrete backends leave out
-        instances that overlap the candidate in time."""
+    def frequencies(self, store: Store, beta: float | None) -> np.ndarray:
+        """Frequency of every candidate in a base store or a lexicon, one per
+        row.  The kNN and discrete backends leave out instances that overlap
+        the candidate in time."""
 
 
-class _Tables:
-    """The corpus, config and candidate table a frequency backend reads."""
+class _EmbeddedTables:
+    """Continuous-mode tables: candidates are embedded by one corpus-wide
+    ``UtteranceEmbedder`` and looked up ``_GROUP_QUERIES`` rows at a time."""
 
     def __init__(self, corpus: Corpus, config: TrainerConfig, candidates: Candidates):
-        self.corpus = corpus
         self.config = config
         self.candidates = candidates
+        self._embedder = UtteranceEmbedder(corpus.utterances)
 
     def _embeddings(self, rows) -> np.ndarray:
-        """Embeddings of the candidates at ``rows``, with one
-        ``UtteranceEmbedder`` per run of rows of the same utterance."""
-        codes = self.candidates.codes[rows]
-        starts = self.candidates.starts[rows]
-        ends = self.candidates.ends[rows]
-        cuts = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)]
-        parts = [
-            UtteranceEmbedder(self.corpus.utterances[codes[lo]]).embed_many(
-                starts[lo:hi], ends[lo:hi]
-            )
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
-        return np.concatenate(parts, axis=0)
+        c = self.candidates
+        return self._embedder.embed_many(c.codes[rows], c.starts[rows], c.ends[rows])
+
+    def frequencies(self, store, beta) -> np.ndarray:
+        freqs = np.empty(len(self.candidates))
+        for lo in range(0, len(freqs), _GROUP_QUERIES):
+            rows = slice(lo, lo + _GROUP_QUERIES)
+            freqs[rows] = self._lookup(store, rows, beta)
+        return freqs
 
 
-class _KnnTables(_Tables):
+class _KnnTables(_EmbeddedTables):
     """Continuous-mode stores: exact-kNN indexes and kernel soft counts."""
 
     def build_base(self, rows: np.ndarray):
@@ -367,15 +351,15 @@ class _KnnTables(_Tables):
         vectors = self._embeddings(rows)
         return InstanceIndex(vectors, c.codes[rows], c.starts[rows], c.ends[rows])
 
-    def lexicon_frequencies(self, lexicon, rows, beta) -> np.ndarray:
+    def _lookup(self, index, rows, beta) -> np.ndarray:
         c, density = self.candidates, self.config.density
         params = DensityParams(density.k, beta, density.epsilon_f)
-        return lexicon.kernel_frequencies_arrays(
+        return index.kernel_frequencies_arrays(
             self._embeddings(rows), c.codes[rows], c.starts[rows], c.ends[rows], params
         )
 
 
-class _KMeansTables(_Tables):
+class _KMeansTables(_EmbeddedTables):
     """Ablation backend: frequencies are cluster sizes, no exclusion."""
 
     def build_base(self, rows: np.ndarray):
@@ -391,17 +375,20 @@ class _KMeansTables(_Tables):
         model = KMeansModel(min(config.kmeans_clusters, len(vectors)), seed=seed)
         return model.fit(vectors)
 
-    def lexicon_frequencies(self, lexicon, rows, beta) -> np.ndarray:
-        return lexicon.frequencies(self._embeddings(rows))
+    def _lookup(self, model, rows, beta) -> np.ndarray:
+        return model.frequencies(self._embeddings(rows))
 
 
-class _DiscreteTables(_Tables):
+class _DiscreteTables:
     """Text-mode stores: exact multiset counts with overlap exclusion, keyed
     by candidate type id.
 
     Rows are turned into Python ints ``_COUNT_SLICE`` at a time: those of a
     whole base pool would add to the setup's peak memory.
     """
+
+    def __init__(self, candidates: Candidates):
+        self.candidates = candidates
 
     def build_base(self, rows: np.ndarray):
         return self.build_lexicon(rows), None
@@ -421,24 +408,22 @@ class _DiscreteTables(_Tables):
                 add(key, code, a, b)
         return store
 
-    def lexicon_frequencies(self, lexicon, rows, beta) -> np.ndarray:
+    def frequencies(self, store, beta) -> np.ndarray:
         # A type the store does not hold counts 0, so only the candidates of
         # held types are asked.
         c = self.candidates
-        types, codes = c.type_ids[rows], c.codes[rows]
-        starts, ends = c.starts[rows], c.ends[rows]
         held = np.zeros(c.n_types, dtype=bool)
-        held[np.fromiter(lexicon.keys(), dtype=np.int64)] = True
-        asked = np.flatnonzero(held[types])
-        freqs = np.zeros(len(types))
+        held[np.fromiter(store.keys(), dtype=np.int64)] = True
+        asked = np.flatnonzero(held[c.type_ids])
+        freqs = np.zeros(len(c))
         for lo in range(0, len(asked), _COUNT_SLICE):
             part = asked[lo : lo + _COUNT_SLICE]
             counts = map(
-                lexicon.count_excluding_overlaps,
-                types[part].tolist(),
-                codes[part].tolist(),
-                starts[part].tolist(),
-                ends[part].tolist(),
+                store.count_excluding_overlaps,
+                c.type_ids[part].tolist(),
+                c.codes[part].tolist(),
+                c.starts[part].tolist(),
+                c.ends[part].tolist(),
             )
             freqs[part] = np.fromiter(counts, dtype=np.float64, count=len(part))
         return freqs
@@ -448,7 +433,7 @@ def _tables_for(
     corpus: Corpus, config: TrainerConfig, candidates: Candidates
 ) -> FrequencyTables:
     if corpus.mode == "discrete":
-        return _DiscreteTables(corpus, config, candidates)
+        return _DiscreteTables(candidates)
     if config.frequency_backend == "kmeans":
         return _KMeansTables(corpus, config, candidates)
     return _KnnTables(corpus, config, candidates)
@@ -480,9 +465,7 @@ def build_base(
         sampled = np.arange(total)
     tables = _tables_for(corpus, config, candidates)
     base, beta = tables.build_base(sampled)
-    base_probs = np.empty(total)
-    for rows in _groups(candidates.offsets.tolist()):
-        base_probs[rows] = tables.lexicon_frequencies(base, rows, beta) / n_base
+    base_probs = tables.frequencies(base, beta) / n_base
     return base, base_probs, beta, n_base
 
 
@@ -524,23 +507,21 @@ def run_iteration(
     candidates = state.candidates
     offsets = candidates.offsets.tolist()
     n_lexicon = state.segmentation.n_tokens
-    lex_freqs = np.zeros(len(candidates))
     if n_lexicon:
         tables = _tables_for(corpus, config, candidates)
         lexicon = tables.build_lexicon(
             _token_rows(corpus, config, candidates, state.segmentation)
         )
-        for rows in _groups(offsets):
-            lex_freqs[rows] = tables.lexicon_frequencies(lexicon, rows, state.beta)
+        lex_freqs = tables.frequencies(lexicon, state.beta)
+    else:
+        lex_freqs = np.zeros(len(candidates))
+    word_probs = word_probabilities(lex_freqs, state.base_probs, n_lexicon, config.dp)
+    lengths = candidates.ends - candidates.starts
     iteration = state.iteration + 1
     new_bounds: dict[str, tuple[int, ...]] = {}
     for code, utt in enumerate(corpus):
         rows = slice(offsets[code], offsets[code + 1])
-        word_probs = word_probabilities(
-            lex_freqs[rows], state.base_probs[rows], n_lexicon, config.dp
-        )
-        lengths = candidates.ends[rows] - candidates.starts[rows]
-        arc = arc_scores_batch(word_probs, lengths, config.dp)
+        arc = arc_scores_batch(word_probs[rows], lengths[rows], config.dp)
         lattice = ScoredLattice(
             utt.n_blocks, config.min_len, config.max_len, arc.tolist()
         )

@@ -230,6 +230,18 @@ class TestGenSegmentEval:
         assert f"error: {manifest}:3: u000002: " in err
         assert victim.name in err
 
+    @pytest.mark.parametrize(
+        "mode, name", [("continuous", "manifest.tsv"), ("discrete", "corpus.txt")]
+    )
+    def test_empty_corpus_refused_naming_file(self, tmp_path, capsys, mode, name):
+        corpus_file = tmp_path / name
+        corpus_file.write_bytes(b"")
+        argv = ["segment", str(corpus_file), "--out", str(tmp_path / "seg.tsv")]
+        assert main([*argv, "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert f"error: invalid corpus {corpus_file}:\n" in err
+        assert "corpus has no utterances" in err
+
     def test_missing_output_directory_fails_before_training(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -34,6 +34,10 @@ class TestValidateCorpus:
         assert not report.ok
         assert any(utt == "nan_utt" for utt, _ in report.issues)
 
+    def test_empty_corpus_reported(self):
+        report = validate_corpus(Corpus([], mode="discrete"))
+        assert report.issues == [(None, "corpus has no utterances")]
+
     def test_duplicate_id_reported(self):
         corpus = Corpus(
             [FrameMatrix("dup", np.ones((2, 2))), FrameMatrix("dup", np.ones((2, 2)))]

@@ -12,9 +12,9 @@ from dpparse.trainer import TrainerConfig, build_base, candidate_table
 
 
 def _embed(fm, start, end):
-    """embed_many on one row."""
-    embedder = UtteranceEmbedder(fm)
-    return embedder.embed_many(np.array([start]), np.array([end]))[0]
+    """embed_many on one row of a one-utterance embedder."""
+    embedder = UtteranceEmbedder([fm])
+    return embedder.embed_many(np.array([0]), np.array([start]), np.array([end]))[0]
 
 
 class TestMeanPool:
@@ -60,13 +60,46 @@ class TestBatchEmbedder:
     def test_matches_direct_mean(self):
         rng = np.random.default_rng(2)
         fm = FrameMatrix("u", rng.normal(size=(20, 6)))
-        emb = UtteranceEmbedder(fm)
+        emb = UtteranceEmbedder([fm])
         starts = np.array([0, 3, 10])
         ends = np.array([5, 4, 20])
-        batch = emb.embed_many(starts, ends)
+        batch = emb.embed_many(np.zeros(3, dtype=int), starts, ends)
         for row, (a, b) in zip(batch, zip(starts, ends)):
             direct = fm.data[a:b].mean(axis=0, dtype=np.float64)
             assert np.allclose(row, direct, rtol=1e-10)
+
+    def _utterances(self):
+        rng = np.random.default_rng(4)
+        return [
+            FrameMatrix(f"u{i}", rng.normal(size=(n, 3)))
+            for i, n in enumerate((5, 1, 8))
+        ]
+
+    def test_many_utterances_match_direct_means(self):
+        utterances = self._utterances()
+        segments = [
+            (code, a, b)
+            for code, utt in enumerate(utterances)
+            for a in range(utt.n_blocks)
+            for b in range(a + 1, utt.n_blocks + 1)
+        ]
+        codes, starts, ends = np.array(segments).T
+        batch = UtteranceEmbedder(utterances).embed_many(codes, starts, ends)
+        for row, (code, a, b) in zip(batch, segments):
+            direct = utterances[code].data[a:b].mean(axis=0, dtype=np.float64)
+            assert np.allclose(row, direct, rtol=1e-10)
+            # bit for bit what a one-utterance embedder gives
+            assert row.tobytes() == _embed(utterances[code], a, b).tobytes()
+
+    @pytest.mark.parametrize(
+        "code, start, end", [(0, 3, 6), (1, 0, 2), (2, -1, 2), (0, 2, 2)]
+    )
+    def test_segment_outside_its_utterance_refused(self, code, start, end):
+        # The stacked sums of the next utterance must never be read.
+        embedder = UtteranceEmbedder(self._utterances())
+        message = rf"\[{start}, {end}\) is empty or out of bounds"
+        with pytest.raises(IndexError, match=message):
+            embedder.embed_many(np.array([code]), np.array([start]), np.array([end]))
 
 
 @dataclass

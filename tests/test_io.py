@@ -23,38 +23,10 @@ def test_frame_file_round_trip(tmp_path):
     assert back.data.tobytes() == fm.data.tobytes()
 
 
-def test_frame_file_bad_magic(tmp_path):
-    path = tmp_path / "bad.dppf"
-    path.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(dpio.FileFormatError, match="bad.dppf"):
-        dpio.read_frame_file(path, "u")
-
-
-def test_frame_file_truncated_payload(tmp_path):
-    fm = FrameMatrix("utt", np.ones((4, 4), dtype=np.float32))
-    path = tmp_path / "utt.dppf"
-    dpio.write_frame_file(path, fm)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(dpio.FileFormatError, match="payload"):
-        dpio.read_frame_file(path, "utt")
-
-
-def _write_frames(path):
-    dpio.write_frame_file(path, FrameMatrix("u", np.ones((4, 3), dtype=np.float32)))
-
-
-_BINARY_FORMATS = {
-    "frames": (
-        _write_frames,
-        lambda path: dpio.read_frame_file(path, "u"),
-        "frame-file",
-    ),
-}
-# Each corruption maps a valid file's bytes to a broken one, and names the
-# error message it must raise.
+# Each corruption maps a valid frame file's bytes to a broken one, and names
+# the error message it must raise.
 _CORRUPTIONS = {
-    "bad-magic": (lambda data: b"EVIL" + data[4:], "bad {what} magic"),
+    "bad-magic": (lambda data: b"EVIL" + data[4:], "bad frame-file magic"),
     "wrong-version": (
         lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:],
         "unsupported version 2",
@@ -63,17 +35,16 @@ _CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("corruption", list(_CORRUPTIONS))
-@pytest.mark.parametrize("fmt", list(_BINARY_FORMATS))
-def test_binary_header_errors_name_file(tmp_path, fmt, corruption):
-    write, read, what = _BINARY_FORMATS[fmt]
+@pytest.mark.parametrize(
+    "corruption", list(_CORRUPTIONS), ids=[f"frames-{c}" for c in _CORRUPTIONS]
+)
+def test_binary_header_errors_name_file(tmp_path, corruption):
     corrupt, message = _CORRUPTIONS[corruption]
-    path = tmp_path / f"{fmt}.bin"
-    write(path)
+    path = tmp_path / "frames.bin"
+    dpio.write_frame_file(path, FrameMatrix("u", np.ones((4, 3), dtype=np.float32)))
     path.write_bytes(corrupt(path.read_bytes()))
-    pattern = re.escape(f"{path}: ") + message.format(what=what)
-    with pytest.raises(dpio.FileFormatError, match=pattern):
-        read(path)
+    with pytest.raises(dpio.FileFormatError, match=re.escape(f"{path}: ") + message):
+        dpio.read_frame_file(path, "u")
 
 
 def test_manifest_and_corpus_round_trip(tmp_path):
@@ -89,6 +60,15 @@ def test_manifest_and_corpus_round_trip(tmp_path):
     corpus = dpio.load_corpus(tmp_path / "manifest.tsv")
     assert [u.utterance_id for u in corpus] == ["u0", "u1", "u2"]
     assert corpus.utterance("u2").n_blocks == 6
+
+
+def test_manifest_duplicate_id_names_both_lines(tmp_path):
+    dpio.write_frame_file(tmp_path / "a.dppf", FrameMatrix("u1", np.ones((3, 2))))
+    manifest = tmp_path / "dup.tsv"
+    manifest.write_text("u1\ta.dppf\nu2\ta.dppf\n\nu1\ta.dppf\n")
+    message = f"{manifest}:4: u1: duplicate utterance id (first on line 1)"
+    with pytest.raises(dpio.FileFormatError, match=re.escape(message)):
+        dpio.load_corpus(manifest)
 
 
 def test_alignment_round_trip(tmp_path):

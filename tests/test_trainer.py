@@ -81,6 +81,18 @@ def _string_instances(corpus, min_len, max_len):
     return instances
 
 
+def _random_segmentation(corpus, seed=5):
+    """Tokens of 1 to 3 blocks, drawn left to right in each utterance."""
+    rng = np.random.default_rng(seed)
+    bounds = {}
+    for utt in corpus:
+        cuts = [0]
+        while cuts[-1] < utt.n_blocks:
+            cuts.append(min(utt.n_blocks, cuts[-1] + int(rng.integers(1, 4))))
+        bounds[utt.utterance_id] = tuple(cuts)
+    return Segmentation(bounds)
+
+
 def _config(**kw):
     base = dict(n_iterations=2, beam=5, seed=0, workers=2)
     base.update(kw)
@@ -248,26 +260,39 @@ class TestCandidateTypes:
         assert table.type_ids is None
 
 
-class TestGroups:
-    def test_groups_split_the_corpus_into_whole_utterances(self, monkeypatch):
-        # The split fixes the shapes of the continuous distance GEMM blocks,
-        # so it must not change with the table: each group ends with the
-        # utterance that brings it to _GROUP_QUERIES rows.
-        monkeypatch.setattr(trainer, "_GROUP_QUERIES", 100)
-        corpus, _ = _continuous_corpus(n_utterances=30)
-        offsets = candidate_table(corpus, 1, 6).offsets.tolist()
-        groups = list(trainer._groups(offsets))
-        assert len(groups) > 2
-        assert groups[0].start == 0 and groups[-1].stop == offsets[-1]
-        for group, following in zip(groups, groups[1:]):
-            assert group.stop == following.start
-        for group in groups:
-            # whole utterances, below _GROUP_QUERIES without the last one
-            assert group.start in offsets and group.stop in offsets
-            last_first_row = offsets[offsets.index(group.stop) - 1]
-            assert last_first_row - group.start < 100
-        for group in groups[:-1]:
-            assert group.stop - group.start >= 100
+class TestLookupSlices:
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_slices_that_cut_utterances_change_nothing(self, mode, monkeypatch):
+        # Continuous lookups run _GROUP_QUERIES rows at a time, and a slice may
+        # end inside an utterance.  Discrete counts are exact; the kNN GEMM
+        # blocks then start at other rows, which may move continuous soft
+        # counts in their last bits only.
+        if mode == "continuous":
+            corpus, _ = _continuous_corpus(n_utterances=30)
+        else:
+            corpus, _ = _discrete_corpus(n_utterances=40)
+        config = _config(max_len=6)
+        seg = _random_segmentation(corpus)
+
+        def lookups():
+            state = init_state(corpus, config)
+            table = state.candidates
+            tables = trainer._tables_for(corpus, config, table)
+            lexicon = tables.build_lexicon(
+                trainer._token_rows(corpus, config, table, seg)
+            )
+            return table, state.base_probs, tables.frequencies(lexicon, state.beta)
+
+        table, *default = lookups()
+        monkeypatch.setattr(trainer, "_GROUP_QUERIES", 97)
+        cuts = range(97, len(table), 97)
+        assert len(cuts) > 2 and not set(cuts) <= set(table.offsets.tolist())
+        _table, *cut = lookups()
+        for got, want in zip(cut, default):
+            if mode == "discrete":
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestInitState:
@@ -325,9 +350,9 @@ class TestRunIteration:
             masses.clear()
             previous = state.segmentation
             state = run_iteration(state, corpus, config)
-            # one call per utterance, each with the mass of the segmentation
-            # the iteration started from, not the one it produced
-            assert masses == [previous.n_tokens] * len(corpus)
+            # one call per iteration, with the mass of the segmentation the
+            # iteration started from, not the one it produced
+            assert masses == [previous.n_tokens]
             assert state.segmentation.n_tokens != previous.n_tokens
 
     def test_deterministic_rerun(self):
@@ -402,19 +427,11 @@ class TestRunIteration:
             run_iteration(state, corpus, config)
 
     def test_lexicon_asked_only_about_held_types(self, monkeypatch):
-        # Small groups and count slices, so that both boundaries are crossed.
-        monkeypatch.setattr(trainer, "_GROUP_QUERIES", 100)
+        # Small count slices, so that their boundaries are crossed.
         monkeypatch.setattr(trainer, "_COUNT_SLICE", 7)
         corpus, _ = _discrete_corpus(n_utterances=40)
         config = _config(max_len=6)
-        rng = np.random.default_rng(5)
-        bounds = {}
-        for utt in corpus:
-            cuts = [0]
-            while cuts[-1] < utt.n_blocks:
-                cuts.append(min(utt.n_blocks, cuts[-1] + int(rng.integers(1, 4))))
-            bounds[utt.utterance_id] = tuple(cuts)
-        seg = Segmentation(bounds)
+        seg = _random_segmentation(corpus)
         table = candidate_table(corpus, config.min_len, config.max_len)
         tables = trainer._tables_for(corpus, config, table)
         lexicon = tables.build_lexicon(trainer._token_rows(corpus, config, table, seg))
@@ -426,11 +443,7 @@ class TestRunIteration:
             return count(store, key, code, start, end)
 
         monkeypatch.setattr(DiscreteCountStore, "count_excluding_overlaps", counting)
-        groups = list(trainer._groups(table.offsets.tolist()))
-        assert len(groups) > 1
-        freqs = np.concatenate(
-            [tables.lexicon_frequencies(lexicon, rows, None) for rows in groups]
-        )
+        freqs = tables.frequencies(lexicon, None)
         tokens = [
             (corpus.utterance(t.utterance_id).symbols[t.start : t.end].tobytes(),
              corpus.position(t.utterance_id), t.start, t.end)
