@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -142,6 +143,17 @@ def cmd_segment(args) -> int:
     return 0
 
 
+def _period_ms(text: str) -> float:
+    """A ``--period-ms`` value: a finite number of milliseconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def cmd_baseline(args) -> int:
     corpus = _load_input_corpus(args.input, args.mode)
     period_blocks = max(1, round(args.period_ms / BLOCK_MS))
@@ -244,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("baseline", cmd_baseline, "fixed-rate segmenter, content ignored")
     p.add_argument("input")
     p.add_argument("--out", required=True)
-    p.add_argument("--period-ms", type=float, default=120.0)
+    p.add_argument("--period-ms", type=_period_ms, default=120.0)
     _add_mode(p)
 
     p = command("eval", cmd_eval, "token/boundary F1 against a gold alignment")

@@ -2,14 +2,19 @@
 
 Nodes sit between blocks (0..n_blocks); each arc (i, j) is a candidate
 token whose length respects the configured bounds.  A path is a chain of
-arcs covering the whole utterance.  Work per utterance is
-O(n_blocks * max_len * beam).
+arcs covering the whole utterance.  The N-best search keeps a beam of
+prefixes per node and a running cut on their scores: a candidate prefix
+is built only if it can still enter its node's beam, and the scan of a
+predecessor's beam stops at the first one that cannot.  Work per
+utterance is at most O(n_blocks * max_len * beam), and usually far less.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 import numpy as np
 
@@ -32,6 +37,16 @@ def candidate_bounds(n_blocks: int, min_len: int, max_len: int):
     s.setflags(write=False)
     e.setflags(write=False)
     return s, e
+
+
+@lru_cache(maxsize=4096)
+def arc_offsets(n_blocks: int, min_len: int, max_len: int) -> tuple[int, ...]:
+    """Position of each start's first arc in ``candidate_bounds`` order.
+
+    Arc (i, j) sits at ``arc_offsets(...)[i] + (j - i - min_len)``.
+    """
+    starts, _ends = candidate_bounds(n_blocks, min_len, max_len)
+    return tuple(np.searchsorted(starts, np.arange(n_blocks)).tolist())
 
 
 def n_candidates(n_blocks: int, min_len: int, max_len: int) -> int:
@@ -87,19 +102,30 @@ class NBestList:
         return np.array([s for _, s in self.paths], dtype=np.float64)
 
 
-def nbest(lattice: ScoredLattice, beam: int) -> NBestList:
+def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestList:
     """The ``beam`` best complete paths, best first, for any ``beam``.
 
-    Extending paths by the same arc keeps their order, so each node's beam
-    holds every prefix of the best ``beam`` paths through it.
+    Each node keeps its ``beam`` best prefixes, ranked like the paths (see
+    below), and only those are extended.  Extending two prefixes by one
+    arc keeps their order, so the result is the top of a ranking of all
+    paths, unless rounding makes two different prefix totals equal once
+    an arc is added: the tie-breaks then decide, and may favour a prefix
+    the node already dropped.
+
+    With ``memo``, a lattice whose sizes and arc score bits equal an
+    earlier one's returns that earlier result without a search.  The
+    caller owns the dict and decides how long it lives.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
     n, min_len, max_len = lattice.n_blocks, lattice.min_len, lattice.max_len
     scores = lattice.scores
-    # Arc (i, j) sits at ordinal first[i] + (j - i - min_len).
-    starts, _ends = candidate_bounds(n, min_len, max_len)
-    first = np.searchsorted(starts, np.arange(n)).tolist()
+    if memo is not None:
+        key = (n, min_len, max_len, beam, array("d", scores).tobytes())
+        found = memo.get(key)
+        if found is not None:
+            return found
+    first = arc_offsets(n, min_len, max_len)
     # hypothesis = (negated score, segment count, boundary tuple), so plain
     # tuple order ranks it: higher score first; ties prefer fewer segments,
     # then the lexicographically smallest boundary sequence.  Negating is
@@ -111,16 +137,36 @@ def nbest(lattice: ScoredLattice, beam: int) -> NBestList:
         # survives the cut: the arc into j adds one segment and the boundary
         # j to all of them, and two with equal counts end at different
         # nodes, so they differ before j.  The order is the same.
+        #
+        # ``cut`` is the beam-th smallest negated score among the candidates
+        # kept so far; one above it has ``beam`` strictly better ones and is
+        # never built.  A beam is sorted and subtracting one arc is monotone,
+        # so the first such candidate ends its predecessor's scan.  Ties at
+        # the cut are kept: count and boundaries decide among them.  The
+        # kept list is cut back to ``beam`` only once it holds twice that,
+        # which sorts less often.
         candidates = []
+        cut = inf
         for i in range(max(0, j - max_len), j - min_len + 1):
             arc = scores[first[i] + j - i - min_len]
-            candidates += [(neg - arc, k, b) for neg, k, b in beams[i]]
+            for neg, k, b in beams[i]:
+                shifted = neg - arc
+                if shifted > cut:
+                    break
+                candidates.append((shifted, k, b))
+            if len(candidates) >= 2 * beam:
+                candidates.sort()
+                del candidates[beam:]
+                cut = candidates[-1][0]
         candidates.sort()
         beams[j] = [(neg, k + 1, b + (j,)) for neg, k, b in candidates[:beam]]
     if not beams[n]:
         raise ValueError(f"no complete segmentation path over {n} blocks")
     # 0.0 - neg, not -neg: a zero total stays +0.0, as a plain sum gives it.
-    return NBestList([(bounds, 0.0 - neg) for neg, _, bounds in beams[n]])
+    result = NBestList([(bounds, 0.0 - neg) for neg, _, bounds in beams[n]])
+    if memo is not None:
+        memo[key] = result
+    return result
 
 
 def sample_path(

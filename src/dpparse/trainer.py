@@ -9,8 +9,11 @@ lexicon from the current segmentation and (2) re-segments every utterance
 by sampling from the N-best paths of its scored lattice, which reads the
 utterance's slice of those arrays.  The whole corpus is one batch: the
 lexicon is frozen while utterances are decoded, so results do not depend
-on utterance processing order or worker count.  Per-utterance RNG streams
-are derived from (seed, iteration, utterance id).
+on utterance processing order or worker count.  Utterances with equal
+blocks (a corpus may repeat utterances) are decoded one after another,
+and equal lattices among them share one N-best search; that memo lives
+for one group of one iteration.  Each utterance still samples from its
+own RNG stream, derived from (seed, iteration, utterance id).
 """
 
 from __future__ import annotations
@@ -131,8 +134,9 @@ class Candidates:
 class TrainerState:
     """Everything carried between iterations.
 
-    ``candidates`` and ``base_probs``, the prior of each of its rows, are
-    computed once, in ``init_state``.
+    ``candidates`` and ``base_probs``, the prior of each of its rows, and
+    ``groups`` (``equal_block_groups``) are computed once, in
+    ``init_state``.
     """
 
     iteration: int
@@ -141,6 +145,7 @@ class TrainerState:
     beta: float | None
     n_base: int
     candidates: Candidates
+    groups: tuple[tuple[int, ...], ...]
 
 
 def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
@@ -152,6 +157,17 @@ def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
     return Segmentation(
         {u.utterance_id: (0, u.n_blocks) for u in corpus if u.n_blocks <= max_len}
     )
+
+
+def equal_block_groups(corpus: Corpus) -> tuple[tuple[int, ...], ...]:
+    """Utterance positions grouped by equal blocks, groups in order of
+    their first utterance; every utterance is in exactly one group."""
+    groups: dict[bytes, list[int]] = {}
+    for code, utt in enumerate(corpus):
+        blocks = utt.symbols if corpus.mode == "discrete" else utt.data
+        digest = hashlib.blake2b(np.ascontiguousarray(blocks)).digest()
+        groups.setdefault(digest, []).append(code)
+    return tuple(tuple(codes) for codes in groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +508,7 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
         beta=beta,
         n_base=n_base,
         candidates=candidates,
+        groups=equal_block_groups(corpus),
     )
 
 
@@ -518,16 +535,24 @@ def run_iteration(
     word_probs = word_probabilities(lex_freqs, state.base_probs, n_lexicon, config.dp)
     lengths = candidates.ends - candidates.starts
     iteration = state.iteration + 1
-    new_bounds: dict[str, tuple[int, ...]] = {}
-    for code, utt in enumerate(corpus):
-        rows = slice(offsets[code], offsets[code + 1])
-        arc = arc_scores_batch(word_probs[rows], lengths[rows], config.dp)
-        lattice = ScoredLattice(
-            utt.n_blocks, config.min_len, config.max_len, arc.tolist()
-        )
-        paths = nbest(lattice, config.beam)
-        rng = _utterance_rng(config.seed, utt.utterance_id, iteration)
-        new_bounds[utt.utterance_id] = sample_path(paths, config.temperature, rng)
+    utterances = corpus.utterances
+    bounds: list = [None] * len(utterances)
+    # Utterances with equal blocks are decoded one after another and share
+    # a memo, so that equal lattices share one N-best list.  A memo lives
+    # for one group, so it holds at most that group's lists.
+    for group in state.groups:
+        searched = {} if len(group) > 1 else None
+        for code in group:
+            utt = utterances[code]
+            rows = slice(offsets[code], offsets[code + 1])
+            arc = arc_scores_batch(word_probs[rows], lengths[rows], config.dp)
+            lattice = ScoredLattice(
+                utt.n_blocks, config.min_len, config.max_len, arc.tolist()
+            )
+            paths = nbest(lattice, config.beam, searched)
+            rng = _utterance_rng(config.seed, utt.utterance_id, iteration)
+            bounds[code] = sample_path(paths, config.temperature, rng)
+    new_bounds = {utt.utterance_id: b for utt, b in zip(utterances, bounds)}
     return dataclasses.replace(
         state, iteration=iteration, segmentation=Segmentation(new_bounds)
     )

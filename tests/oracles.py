@@ -1,8 +1,9 @@
 """Independent reference implementations used only by tests.
 
 These deliberately avoid the library's code paths: nearest neighbours by
-pointwise linear scan, n-best by exhaustive path enumeration, and score
-formulas evaluated directly.
+pointwise linear scan, n-best by exhaustive path enumeration (or, for
+the beam search's own definition, by ranking every prefix at every node),
+and score formulas evaluated directly.
 """
 
 import math
@@ -40,6 +41,24 @@ def enumerate_paths(n_blocks: int, scores: dict, min_len: int, max_len: int):
     walk(0, (0,), 0.0)
     paths.sort(key=lambda p: (-p[1], len(p[0]) - 1, p[0]))
     return paths
+
+
+def beam_paths(n_blocks: int, scores: dict, min_len: int, max_len: int, beam: int):
+    """What a beam search of width ``beam`` returns: each node keeps its
+    ``beam`` best prefixes, ranked like ``enumerate_paths`` ranks paths
+    (totals summed left to right), and only those are extended.  Every
+    candidate prefix at every node is ranked, none skipped."""
+    kept = {0: [((0,), 0.0)]}
+    for j in range(1, n_blocks + 1):
+        prefixes = [
+            (bounds + (j,), total + scores[(i, j)])
+            for i in range(j)
+            if min_len <= j - i <= max_len and (i, j) in scores
+            for bounds, total in kept[i]
+        ]
+        prefixes.sort(key=lambda p: (-p[1], len(p[0]) - 1, p[0]))
+        kept[j] = prefixes[:beam]
+    return kept[n_blocks]
 
 
 def direct_word_probability(lexicon_freq, base_prob, alpha0, n_lexicon):

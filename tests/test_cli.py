@@ -172,6 +172,14 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("period", ["inf", "-inf", "nan", "0", "-100", "x"])
+    def test_baseline_rejects_bad_period(self, capsys, period):
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "manifest.tsv", "--out", "b.tsv", "--period-ms", period])
+        assert exc.value.code == 2
+        assert "argument --period-ms" in capsys.readouterr().err
+
+
 class TestGenSegmentEval:
     def test_end_to_end_continuous(self, tmp_path, capsys):
         out, manifest = _gen(tmp_path)

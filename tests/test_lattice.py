@@ -11,7 +11,7 @@ from dpparse.lattice import (
     sample_path,
 )
 
-from oracles import enumerate_paths
+from oracles import beam_paths, enumerate_paths
 
 
 def _lattice(n_blocks, score_fn, min_len=1, max_len=20):
@@ -154,6 +154,40 @@ class TestNBest:
         assume(oracle)
         beam = data.draw(st.integers(1, len(oracle)))
         assert nbest(lat, beam).paths == oracle[:beam]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_truncated_beam_with_rounding_ties_matches_full_ranking(self, data):
+        # 1e17 absorbs the small scores (its spacing is 16), so different
+        # prefix totals become equal once an arc is added; the tie-breaks
+        # then decide which of them a node keeps at the cut.
+        n = data.draw(st.integers(1, 9))
+        min_len = data.draw(st.integers(1, n))
+        max_len = data.draw(st.integers(min_len, n))
+        n_arcs = n_candidates(n, min_len, max_len)
+        arc_scores = st.sampled_from([0.0, -1.0, -2.0, 1e17, -1e17])
+        scores = data.draw(st.lists(arc_scores, min_size=n_arcs, max_size=n_arcs))
+        lat = ScoredLattice(n, min_len, max_len, scores)
+        arcs = _arc_dict(lat)
+        assume(enumerate_paths(n, arcs, min_len, max_len))
+        beam = data.draw(st.integers(1, 12))
+        assert nbest(lat, beam).paths == beam_paths(n, arcs, min_len, max_len, beam)
+
+    def test_memo_returns_the_stored_list(self):
+        rng = np.random.default_rng(4)
+        lat = _random_lattice(rng, 7)
+        memo = {}
+        first = nbest(lat, 5, memo)
+        again = nbest(ScoredLattice(7, 1, 7, list(lat.scores)), 5, memo)
+        assert again is first and len(memo) == 1
+        assert first.paths == nbest(lat, 5).paths
+        # another beam, or a score that differs only in its sign bit, is
+        # another search
+        assert nbest(lat, 4, memo) is not first
+        zeros = _lattice(3, lambda i, j: 0.0, 1, 3)
+        signed = _lattice(3, lambda i, j: -0.0 if (i, j) == (0, 3) else 0.0, 1, 3)
+        assert nbest(signed, 5, memo) is not nbest(zeros, 5, memo)
+        assert len(memo) == 4
 
     def test_best_score_monotone_in_arc_score(self):
         rng = np.random.default_rng(3)

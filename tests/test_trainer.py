@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from dpparse import trainer
 from dpparse.core import Corpus, FrameMatrix, Segment, Segmentation, SymbolSequence
 from dpparse.density import DensityParams, DiscreteCountStore, InstanceIndex
 from dpparse.embed import UtteranceEmbedder
-from dpparse.lattice import candidate_bounds
+from dpparse.lattice import candidate_bounds, nbest
 from dpparse.scoring import DPParams, word_probabilities
 from dpparse.synthgen import GenConfig, generate
 from dpparse.trainer import (
@@ -324,6 +326,30 @@ class TestInitState:
         assert state.iteration == 0
         assert state.segmentation.n_tokens == len(corpus)  # all short
 
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_equal_block_groups(self, mode):
+        corpus, _ = (_continuous_corpus if mode == "continuous" else _discrete_corpus)(
+            n_utterances=12
+        )
+        first, last = corpus.utterances[0], corpus.utterances[-1]
+        if mode == "continuous":
+            copy = FrameMatrix("copy", first.data.copy())
+            other = FrameMatrix("other", last.data[::-1])
+        else:
+            copy = SymbolSequence("copy", first.symbols.copy())
+            other = SymbolSequence("other", last.symbols[::-1])
+        grown = Corpus([*corpus.utterances, copy, other], mode, corpus.alphabet)
+        content = [
+            (u.data if mode == "continuous" else u.symbols).tobytes() for u in grown
+        ]
+        expected = {}
+        for code, c in enumerate(content):
+            expected.setdefault(c, []).append(code)
+        groups = trainer.equal_block_groups(grown)
+        assert groups == tuple(tuple(codes) for codes in expected.values())
+        assert groups[0][:1] + groups[0][-1:] == (0, len(grown) - 2)
+        assert init_state(grown, _config()).groups == groups
+
 
 class TestRunIteration:
     def test_segmentation_valid_after_each_iteration(self):
@@ -488,6 +514,108 @@ class TestRunIteration:
             n_tokens + dp.alpha0
         )
         assert p_w > p0
+
+
+class TestNBestMemo:
+    """Equal lattices of utterances with equal blocks share one N-best
+    search, within one iteration only."""
+
+    @staticmethod
+    def _decodes(monkeypatch, n_iterations=1):
+        """Run iterations on a corpus whose first 10 utterances come twice;
+        return the corpus, the config, the final state, and one record per
+        decode, in decode order."""
+        base, _ = _discrete_corpus(n_utterances=30)
+        copies = [
+            SymbolSequence(f"{u.utterance_id}-copy", u.symbols)
+            for u in base.utterances[:10]
+        ]
+        corpus = Corpus(base.utterances + copies, "discrete", base.alphabet)
+        config = _config(temperature=50.0)
+        records = []
+        nbest_of, rng_of, sample_of = (
+            trainer.nbest, trainer._utterance_rng, trainer.sample_path
+        )
+
+        def spy_nbest(lattice, beam, memo=None):
+            result = nbest_of(lattice, beam, memo)
+            records.append({"lattice": lattice, "memo": memo, "paths": result})
+            return result
+
+        def spy_rng(seed, utterance_id, iteration):
+            rng = rng_of(seed, utterance_id, iteration)
+            records[-1].update(uid=utterance_id, iteration=iteration, rng=rng)
+            records[-1]["rng_state"] = rng.bit_generator.state
+            return rng
+
+        def spy_sample(paths, temperature, rng):
+            assert rng is records[-1]["rng"]
+            records[-1]["sampled_from"] = paths
+            records[-1]["sampled"] = sample_of(paths, temperature, rng)
+            return records[-1]["sampled"]
+
+        monkeypatch.setattr(trainer, "nbest", spy_nbest)
+        monkeypatch.setattr(trainer, "_utterance_rng", spy_rng)
+        monkeypatch.setattr(trainer, "sample_path", spy_sample)
+        state = init_state(corpus, config)
+        for _ in range(n_iterations):
+            state = run_iteration(state, corpus, config)
+        return corpus, config, state, records
+
+    @staticmethod
+    def _key(lattice):
+        return np.asarray(lattice.scores).tobytes()
+
+    def test_one_search_per_distinct_lattice(self, monkeypatch):
+        corpus, _config, _state, records = self._decodes(monkeypatch)
+        content = {u.utterance_id: u.symbols.tobytes() for u in corpus}
+        shared = Counter(content.values())
+        repeated = [r for r in records if shared[content[r["uid"]]] > 1]
+        assert 20 <= len(repeated) < len(records) == len(corpus)
+        lists = {}
+        for r in repeated:
+            key = (content[r["uid"]], self._key(r["lattice"]))
+            lists.setdefault(key, set()).add(id(r["paths"]))
+        # a copy's lattice equals its original's at the first iteration
+        assert len(lists) < len(repeated)
+        assert all(len(ids) == 1 for ids in lists.values())
+        # an utterance whose blocks no other one holds is not memoized
+        assert all(r["memo"] is None for r in records if r not in repeated)
+
+    def test_samples_from_a_fresh_search(self, monkeypatch):
+        _corpus, config, _state, records = self._decodes(monkeypatch, n_iterations=2)
+        for r in records:
+            assert r["sampled_from"] is r["paths"]
+            assert r["paths"].paths == nbest(r["lattice"], config.beam).paths
+
+    def test_each_utterance_draws_from_its_own_stream(self, monkeypatch):
+        corpus, _config, state, records = self._decodes(monkeypatch)
+        uids = [u.utterance_id for u in corpus]
+        assert sorted(r["uid"] for r in records) == sorted(uids)
+        for r in records:
+            assert r["iteration"] == 1
+            assert state.segmentation.boundaries(r["uid"]) == r["sampled"]
+        by_uid = {r["uid"]: r for r in records}
+        original, copy = by_uid[uids[0]], by_uid[uids[0] + "-copy"]
+        assert copy["paths"] is original["paths"]
+        assert copy["rng_state"] != original["rng_state"]
+
+    def test_memo_lives_one_group_of_one_iteration(self, monkeypatch):
+        _corpus, _config, _state, records = self._decodes(monkeypatch, n_iterations=2)
+        memos = list(
+            {id(r["memo"]): r["memo"] for r in records if r["memo"] is not None}.values()
+        )
+        # one memo per group of equal utterances (10 or more) per iteration
+        assert len(memos) >= 20
+        iterations = {}
+        for r in records:
+            if r["memo"] is not None:
+                iterations.setdefault(id(r["memo"]), set()).add(r["iteration"])
+        assert all(len(seen) == 1 for seen in iterations.values())
+        records.clear()
+        # nothing but this list refers to a memo once its group was decoded
+        for memo in memos:
+            assert gc.get_referrers(memo) == [memos]
 
 
 class TestTrain:
