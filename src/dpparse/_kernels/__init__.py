@@ -1,11 +1,14 @@
 """Exact top-k selection under the strict (distance, index) order.
 
-All rows are selected at once: ``argpartition`` picks k smallest entries
-per row and they are sorted by distance.  That is already the strict
-order unless a row has two equal distances among its selected entries
-(their index order is then arbitrary) or more than k entries at or below
-its k-th distance (``argpartition`` then keeps an arbitrary subset of the
-ties at the cut).  Only such rows are selected again, with a stable sort.
+All rows of a tile are selected at once.  A partition of a copy finds
+each row's k-th smallest value; one mask ``dists <= kth`` then marks, in
+index order, every entry at or below it.  A row holds at least k such
+entries, so when the tile holds exactly ``m * k`` of them every row holds
+exactly k and no row has a tie at its cut.  The selected values are
+sorted per row.  That is already the strict order unless a row has two
+equal values inside its selection (their index order is then arbitrary)
+or more than k entries at its cut (some must be left out by index).
+Only such rows are selected again, with a stable sort of the whole row.
 """
 
 import numpy as np
@@ -16,19 +19,36 @@ BACKEND = "numpy"  # the one selection path; perfbench records it
 def topk_select(dists: np.ndarray, k: int):
     """Return (indices, values) of the ``k`` smallest entries of each row.
 
-    Rows are sorted ascending by (value, column index).  ``dists`` is left
-    unmodified; both outputs are freshly allocated.
+    Rows are sorted ascending by (value, column index).  ``dists`` must
+    hold no NaN; it is left unmodified and both outputs are freshly
+    allocated.
     """
     dists = np.ascontiguousarray(dists, dtype=np.float64)
-    if not 1 <= k <= dists.shape[1]:
-        raise ValueError(f"k={k} outside [1, {dists.shape[1]}]")
-    sel = np.argpartition(dists, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(dists, sel, axis=1)
+    m, n = dists.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, {n}]")
+    part = np.partition(dists, k - 1, axis=1)
+    kth = part[:, k - 1 : k].copy()
+    del part
+    keep = dists <= kth
+    flat = np.flatnonzero(keep)
+    redo = np.zeros(m, dtype=bool)
+    if flat.size != m * k:
+        # Rows with ties at the cut are redone below; until then they
+        # hold their first k columns.
+        redo = np.count_nonzero(keep, axis=1) > k
+        keep[redo] = False
+        keep[redo, :k] = True
+        flat = np.flatnonzero(keep)
+    del keep
+    vals = dists.ravel()[flat].reshape(m, k)
     order = np.argsort(vals, axis=1)
-    sel = np.take_along_axis(sel, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    redo = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
-    redo |= np.count_nonzero(dists <= vals[:, -1:], axis=1) > k
+    order += np.arange(0, m * k, k)[:, None]
+    order = order.ravel()
+    vals = vals.ravel()[order].reshape(m, k)
+    sel = flat[order].reshape(m, k)
+    sel -= np.arange(0, m * n, n)[:, None]
+    redo |= (vals[:, 1:] == vals[:, :-1]).any(axis=1)
     rows = np.flatnonzero(redo)
     if rows.size:
         sub = dists[rows]

@@ -141,12 +141,20 @@ class InstanceIndex:
         query_starts: np.ndarray,
         query_ends: np.ndarray,
     ) -> np.ndarray:
-        """True where a neighbour's provenance strictly intersects the query."""
-        same = self.codes[neighbor_idx] == query_codes[:, None]
-        inter = (self.starts[neighbor_idx] < query_ends[:, None]) & (
-            query_starts[:, None] < self.ends[neighbor_idx]
+        """True where a neighbour's provenance strictly intersects the query.
+
+        Few neighbours come from the query's own utterance, so intervals
+        are compared only at those positions of the code mask.
+        """
+        mask = self.codes[neighbor_idx] == query_codes[:, None]
+        flat = np.flatnonzero(mask)
+        rows = flat // mask.shape[1]
+        hit = np.take(neighbor_idx, flat)
+        inter = (self.starts[hit] < query_ends[rows]) & (
+            query_starts[rows] < self.ends[hit]
         )
-        return same & inter
+        np.put(mask, flat, inter)
+        return mask
 
     def kernel_frequencies_arrays(
         self,

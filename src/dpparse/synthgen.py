@@ -138,6 +138,15 @@ def _prototypes(config: GenConfig, lengths: np.ndarray, rng) -> list:
             norms = np.linalg.norm(blocks, axis=1, keepdims=True)
             protos.append(blocks / np.maximum(norms, 1e-12))
         return protos
+    # Redrawing collisions ends only if each length has enough strings.
+    drawn = np.bincount(lengths)
+    for n in np.flatnonzero(drawn):
+        strings = config.alphabet_size ** int(n)
+        if drawn[n] > strings:
+            raise ValueError(
+                f"{drawn[n]} words of length {n} drawn, but only {strings} "
+                f"strings of that length exist over {config.alphabet_size} symbols"
+            )
     seen = set()
     protos = []
     for n in lengths:

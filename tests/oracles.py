@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: nearest neighbours by
 pointwise linear scan, n-best by exhaustive path enumeration (or, for
 the beam search's own definition, by ranking every prefix at every node),
-and score formulas evaluated directly.
+overlap exclusion by a loop over neighbours, and score formulas
+evaluated directly.
 """
 
 import math
@@ -86,3 +87,19 @@ def count_excluding_overlaps(instances, key, code: int, start: int, end: int):
     same = [(c, s, e) for k, c, s, e in instances if k == key]
     crossing = [1 for c, s, e in same if c == code and s < end and start < e]
     return len(same) - len(crossing)
+
+
+def overlap_mask(
+    codes, starts, ends, neighbor_idx, query_codes, query_starts, query_ends
+):
+    """True where neighbour ``neighbor_idx[r, c]`` of query ``r`` has the
+    query's code and an interval strictly intersecting the query's."""
+    mask = np.zeros(np.shape(neighbor_idx), dtype=bool)
+    for r, row in enumerate(neighbor_idx):
+        for c, j in enumerate(row):
+            mask[r, c] = (
+                codes[j] == query_codes[r]
+                and starts[j] < query_ends[r]
+                and query_starts[r] < ends[j]
+            )
+    return mask

@@ -250,6 +250,18 @@ class TestGenSegmentEval:
         assert f"error: invalid corpus {corpus_file}:\n" in err
         assert "corpus has no utterances" in err
 
+    def test_gen_refuses_too_small_alphabet_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        argv = ["gen", "--out-dir", str(out), "--mode", "discrete"]
+        argv += ["--set", "gen.alphabet_size=2", "--set", "gen.n_utterances=10"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: 14 words of length 2 drawn, but only 4 strings of that "
+            "length exist over 2 symbols\n"
+        )
+        assert not out.exists()
+
     def test_missing_output_directory_fails_before_training(
         self, tmp_path, capsys, monkeypatch
     ):

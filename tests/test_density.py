@@ -15,7 +15,7 @@ from dpparse.density import (
     calibrate_beta,
 )
 
-from oracles import count_excluding_overlaps, linear_scan_knn
+from oracles import count_excluding_overlaps, linear_scan_knn, overlap_mask
 
 
 # Provenance is (utterance code, start block, end block).  _FRESH is an
@@ -120,6 +120,36 @@ class TestBuildIndex:
         assert tiles == [1] * len(queries)
         assert np.array_equal(idx1, idx)
         assert np.array_equal(d21, d2)
+
+
+class TestOverlapMask:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_oracle(self, seed):
+        # Three utterance codes over short block ranges: many neighbours
+        # share the query's utterance and many intervals share an endpoint.
+        # Query codes 3 and 4 name no entry's utterance.
+        rng = np.random.default_rng(seed)
+        n, m, k = 300, 120, 40
+        codes = rng.integers(0, 3, size=n)
+        starts = rng.integers(0, 8, size=n)
+        ends = starts + rng.integers(1, 4, size=n)
+        index = InstanceIndex(rng.normal(size=(n, 2)), codes, starts, ends)
+        neighbor_idx = np.stack([rng.permutation(n)[:k] for _ in range(m)])
+        q_codes = rng.integers(0, 5, size=m)
+        q_starts = rng.integers(0, 8, size=m)
+        q_ends = q_starts + rng.integers(1, 4, size=m)
+        mask = index.overlap_mask(neighbor_idx, q_codes, q_starts, q_ends)
+        expected = overlap_mask(
+            codes, starts, ends, neighbor_idx, q_codes, q_starts, q_ends
+        )
+        assert mask.dtype == bool and mask.shape == (m, k)
+        assert np.array_equal(mask, expected)
+        assert expected.any() and not expected[q_codes >= 3].any()
+        same = codes[neighbor_idx] == q_codes[:, None]
+        touching = (ends[neighbor_idx] == q_starts[:, None]) | (
+            starts[neighbor_idx] == q_ends[:, None]
+        )
+        assert (same & touching).any()
 
 
 class TestEstimateFrequency:

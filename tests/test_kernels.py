@@ -9,14 +9,60 @@ from dpparse._kernels import topk_select
 from oracles import linear_scan_knn
 
 
+def _assert_strict_topk(d, k):
+    """topk_select of ``d`` equals a per-row lexsort on (value, column)."""
+    idx, dist = topk_select(d, k)
+    columns = np.arange(d.shape[1])
+    for r, row in enumerate(d):
+        order = np.lexsort((columns, row))[:k]
+        assert np.array_equal(idx[r], order), f"row {r}"
+        assert np.array_equal(dist[r], row[order]), f"row {r}"
+
+
+def _mixed_tile(rng, m, n, k):
+    """Rows of five kinds in turn: distinct values, ties at the k-th value,
+    ties inside the selection, all values equal, and four values only."""
+    d = rng.random((m, n))
+    for r in range(m):
+        rank = np.argsort(d[r])
+        kind = r % 5
+        if kind == 1:
+            d[r, rank[k : k + 3]] = d[r, rank[k - 1]]
+        elif kind == 2:
+            d[r, rank[k // 2]] = d[r, rank[k // 2 - 1]]
+        elif kind == 3:
+            d[r] = 0.5
+        elif kind == 4:
+            d[r] = rng.integers(0, 4, size=n) * 0.25
+    return d
+
+
+@pytest.mark.parametrize("m, n", [(131, 2000), (1310, 200)])
+def test_workload_shapes_with_tied_rows_match_lexsort(m, n):
+    # The tile shapes of a 2,000-entry and a 200-entry index with k = 100;
+    # rows that need the stable redo sit between rows that do not.
+    _assert_strict_topk(_mixed_tile(np.random.default_rng(m), m, n, 100), 100)
+
+
+def test_one_row_with_k_plus_one_entries_at_the_cut():
+    # Every value distinct except that row 3 holds its k-th value twice:
+    # the tile has one entry more than m * k at its cuts.
+    rng = np.random.default_rng(21)
+    k, n = 100, 200
+    d = rng.permutation(np.arange(8 * n, dtype=np.float64)).reshape(8, n)
+    rank = np.argsort(d[3])
+    d[3, rank[k]] = d[3, rank[k - 1]]
+    assert np.count_nonzero(d <= np.sort(d, axis=1)[:, k - 1 : k]) == 8 * k + 1
+    _assert_strict_topk(d, k)
+
+
+@pytest.mark.parametrize("k", [1, 200])
+def test_k_of_one_and_of_all_columns(k):
+    _assert_strict_topk(_mixed_tile(np.random.default_rng(k), 40, 200, 100), k)
+
+
 def test_backends_match_lexsort():
-    rng = np.random.default_rng(7)
-    d = rng.random((40, 300))
-    idx, dist = topk_select(d, 12)
-    for r in range(40):
-        order = np.lexsort((np.arange(300), d[r]))[:12]
-        assert np.array_equal(idx[r], order)
-        assert np.array_equal(dist[r], d[r][order])
+    _assert_strict_topk(np.random.default_rng(7).random((40, 300)), 12)
 
 
 def test_duplicate_distances_tie_break_on_index():

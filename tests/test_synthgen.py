@@ -1,3 +1,6 @@
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,56 @@ class TestGenerate:
             symbols = corpus.utterance(s.utterance_id).symbols
             patterns.add(symbols[s.start : s.end].tobytes())
         assert len(patterns) <= 30
+
+    @pytest.mark.parametrize(
+        "alphabet_size, extra, length, drawn, strings",
+        [(2, {}, 2, 14, 4), (5, {"vocab_size": 1000}, 2, 195, 25)],
+    )
+    def test_too_small_alphabet_refused_at_once(
+        self, alphabet_size, extra, length, drawn, strings
+    ):
+        # More words of one length than strings of that length: redrawing
+        # collisions would never end, so the lengths are refused up front.
+        # The alarm turns a hang into a failure.
+        def hang(_signum, _frame):
+            raise TimeoutError("generate did not refuse within 1 s")
+
+        config = GenConfig(
+            mode="discrete", alphabet_size=alphabet_size, n_utterances=10, **extra
+        )
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ValueError) as info:
+                generate(config)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - t0 < 0.5
+        assert str(info.value) == (
+            f"{drawn} words of length {length} drawn, but only {strings} "
+            f"strings of that length exist over {alphabet_size} symbols"
+        )
+
+    def test_alphabet_just_large_enough_generates(self):
+        # Two symbols give four strings of length 2: four words fit.
+        corpus, gold, words = generate(
+            GenConfig(
+                mode="discrete",
+                alphabet_size=2,
+                vocab_size=4,
+                word_len_min=2,
+                word_len_max=2,
+                n_utterances=20,
+            )
+        )
+        seg = gold_segmentation(corpus, gold)
+        patterns = {
+            corpus.utterance(s.utterance_id).symbols[s.start : s.end].tobytes()
+            for s in seg.tokens()
+        }
+        assert len(words) == 4 and len(patterns) == 4
 
     def test_frequency_estimate_recovers_counts_at_zero_noise(self):
         # end-to-end sanity of the soft-count estimator on clean data
