@@ -1,8 +1,10 @@
 """Command-line interface: gen, segment, baseline, eval, ablate-kmeans.
 
-Every command is deterministic given --seed.  All randomness flows from
-that single seed; per-utterance streams are derived from it so results
-do not depend on scheduling or --workers.
+Every command is deterministic given --seed, a non-negative integer that
+is checked, with the other settings, before any input is read.  All
+randomness flows from that single seed: each utterance's sampling draw is
+keyed by (seed, iteration, utterance id), so results do not depend on
+decode order or --workers.
 """
 
 from __future__ import annotations
@@ -129,9 +131,8 @@ def cmd_gen(args) -> int:
 
 def cmd_segment(args) -> int:
     _check_output_dirs(args.out, args.log)
-    cfg = _run_config(args)
+    trainer_cfg = _run_config(args).trainer_config(args.mode)
     corpus = _load_input_corpus(args.input, args.mode)
-    trainer_cfg = cfg.trainer_config(args.mode)
     log_stream = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
         segmentation = train(corpus, trainer_cfg, log_stream=log_stream)
@@ -192,7 +193,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate_kmeans(args) -> int:
     _check_output_dirs(args.out)
-    cfg = _run_config(args)
+    base_cfg = _run_config(args).trainer_config(args.mode)
     corpus = _load_input_corpus(args.input, args.mode)
     gold = dpio.read_alignment(args.alignment)
     missing = [u.utterance_id for u in corpus if u.utterance_id not in gold.words]
@@ -200,7 +201,6 @@ def cmd_ablate_kmeans(args) -> int:
     ends = {u.utterance_id: u.n_blocks for u in corpus}
     errors += _gold_end_errors(gold, ends, "utterance ends")
     _reject(args.alignment, "alignment", errors)
-    base_cfg = cfg.trainer_config(args.mode)
     results = {}
     for backend in ("knn", "kmeans"):
         trainer_cfg = dataclasses.replace(

@@ -12,7 +12,8 @@ utterance is at most O(n_blocks * max_len * beam), and usually far less.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf
 
@@ -87,10 +88,15 @@ class NBestList:
     """Complete paths with non-increasing total scores.
 
     Each path is the full boundary sequence (0, ..., n_blocks); its score
-    is the sum of its arc scores.
+    is the sum of its arc scores.  ``cdf`` caches the softmax CDF of the
+    last temperature it was asked for, so decodes that share a list (through
+    the N-best memo) share its CDF.
     """
 
     paths: list[tuple[tuple[int, ...], float]]
+    _cdf: tuple[float, list[float]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __len__(self):
         return len(self.paths)
@@ -100,6 +106,17 @@ class NBestList:
 
     def scores(self) -> np.ndarray:
         return np.array([s for _, s in self.paths], dtype=np.float64)
+
+    def cdf(self, temperature: float) -> list[float]:
+        """Cumulative softmax of total scores over ``temperature``
+        (max-subtracted), one entry per path."""
+        if self._cdf is None or self._cdf[0] != temperature:
+            logits = self.scores() / temperature
+            logits -= logits.max()
+            probs = np.exp(logits)
+            probs /= probs.sum()
+            self._cdf = (temperature, np.cumsum(probs).tolist())
+        return self._cdf[1]
 
 
 def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestList:
@@ -169,19 +186,13 @@ def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestL
     return result
 
 
-def sample_path(
-    nbest_list: NBestList, temperature: float, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Draw one path from the softmax of total scores (max-subtracted)."""
+def sample_path(nbest_list: NBestList, temperature: float, u: float) -> tuple[int, ...]:
+    """Draw one path from the softmax of total scores: the first whose
+    cumulative probability exceeds the uniform draw ``u`` in [0, 1)."""
     if not nbest_list.paths:
         raise ValueError("empty n-best list")
     if not temperature > 0:
         raise ValueError("temperature must be > 0")
-    logits = nbest_list.scores() / temperature
-    logits -= logits.max()
-    probs = np.exp(logits)
-    probs /= probs.sum()
-    u = rng.random()
-    i = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    i = min(i, len(probs) - 1)
+    cum = nbest_list.cdf(temperature)
+    i = min(bisect_right(cum, u), len(cum) - 1)
     return nbest_list.paths[i][0]

@@ -44,6 +44,8 @@ class GenConfig:
             raise ValueError("vocab_size must be >= 1")
         if self.n_utterances < 1:
             raise ValueError("n_utterances must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"trainer.seed must be >= 0, got {self.seed}")
         if not 1 <= self.word_len_min <= self.word_len_max <= 20:
             raise ValueError("word lengths must fit the 1..20 block bounds")
         if not 1 <= self.words_per_utterance_min <= self.words_per_utterance_max:

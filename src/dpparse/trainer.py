@@ -11,9 +11,14 @@ utterance's slice of those arrays.  The whole corpus is one batch: the
 lexicon is frozen while utterances are decoded, so results do not depend
 on utterance processing order or worker count.  Utterances with equal
 blocks (a corpus may repeat utterances) are decoded one after another,
-and equal lattices among them share one N-best search; that memo lives
-for one group of one iteration.  Each utterance still samples from its
-own RNG stream, derived from (seed, iteration, utterance id).
+and equal lattices among them share one N-best search (and so one
+softmax CDF); that memo lives for one group of one iteration.  Each
+utterance samples its path with its own uniform draw, keyed by (seed,
+iteration, utterance id): it is the first double of numpy's
+``default_rng(SeedSequence((seed, iteration, digest)))``, where the
+digest hashes the utterance id.  One array pass per iteration computes
+every utterance's draw (``_sampling_draws``), so no generator is built
+per decode.
 """
 
 from __future__ import annotations
@@ -89,6 +94,8 @@ class TrainerConfig:
     def __post_init__(self):
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"trainer.seed must be >= 0, got {self.seed}")
         if self.l0_subsample < 1:
             raise ValueError("l0_subsample must be >= 1")
         if self.beam < 1:
@@ -134,9 +141,10 @@ class Candidates:
 class TrainerState:
     """Everything carried between iterations.
 
-    ``candidates`` and ``base_probs``, the prior of each of its rows, and
-    ``groups`` (``equal_block_groups``) are computed once, in
-    ``init_state``.
+    ``candidates`` and ``base_probs``, the prior of each of its rows,
+    ``groups`` (``equal_block_groups``) and ``digests``, the uint64
+    ``_utt_digest`` of each utterance in corpus order, are computed once,
+    in ``init_state``.
     """
 
     iteration: int
@@ -146,6 +154,7 @@ class TrainerState:
     n_base: int
     candidates: Candidates
     groups: tuple[tuple[int, ...], ...]
+    digests: np.ndarray
 
 
 def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
@@ -179,14 +188,100 @@ def _utt_digest(utterance_id: str) -> int:
     )
 
 
-def _utterance_rng(seed: int, utterance_id: str, iteration: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((seed, iteration, _utt_digest(utterance_id)))
-    )
-
-
 def _derived_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, tag)))
+
+
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 (XSL-RR),
+# as far as ``default_rng(SeedSequence(entropy)).random()`` needs them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _words32(n: int, what: str) -> list[int]:
+    """Little-endian 32-bit words of ``n``, as SeedSequence splits an int."""
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of an
+    ``(n, L)`` uint32 array.  The hash constant steps the same way for every
+    row, so each step is one operation on a column; uint32 arrays wrap."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ result >> 16
+
+    n, length = entropy.shape
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for i in range(4, length):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, i]))
+    h = _INIT_B
+    words = np.empty((n, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = h * _MULT_B & _MASK32
+        value = value * h
+        words[:, i] = value ^ value >> 16
+    return words.view(np.uint64)
+
+
+def _first_double(w0: int, w1: int, w2: int, w3: int) -> float:
+    """First ``random()`` of a PCG64 seeded with the state words w0..w3."""
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    s = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    s = (s * _PCG_MULT + inc) & _MASK128
+    x = (s >> 64 ^ s) & _MASK64
+    r = s >> 122
+    x = (x >> r | x << (64 - r)) & _MASK64
+    return (x >> 11) * 2.0**-53
+
+
+def _sampling_draws(seed: int, iteration: int, digests: np.ndarray) -> np.ndarray:
+    """The uniform draw of each utterance for one iteration, by its uint64
+    ``_utt_digest``: bit for bit
+    ``default_rng(SeedSequence((seed, iteration, digest))).random()``.
+
+    A digest below 2**32 is one entropy word, a larger one two, so the
+    utterances are seeded in two batches.
+    """
+    prefix = _words32(seed, "seed") + _words32(iteration, "iteration")
+    lo = (digests & _MASK32).astype(np.uint32)
+    hi = (digests >> 32).astype(np.uint32)
+    draws = np.empty(len(digests))
+    for rows, words in ((hi == 0, [lo]), (hi != 0, [lo, hi])):
+        rows = np.flatnonzero(rows)
+        entropy = np.empty((len(rows), len(prefix) + len(words)), dtype=np.uint32)
+        entropy[:, : len(prefix)] = prefix
+        for j, word in enumerate(words, len(prefix)):
+            entropy[:, j] = word[rows]
+        states = _seed_states(entropy).tolist()
+        draws[rows] = [_first_double(*state) for state in states]
+    return draws
 
 
 _TAG_SUBSAMPLE = 101
@@ -509,6 +604,9 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
         n_base=n_base,
         candidates=candidates,
         groups=equal_block_groups(corpus),
+        digests=np.array(
+            [_utt_digest(u.utterance_id) for u in corpus], dtype=np.uint64
+        ),
     )
 
 
@@ -535,6 +633,7 @@ def run_iteration(
     word_probs = word_probabilities(lex_freqs, state.base_probs, n_lexicon, config.dp)
     lengths = candidates.ends - candidates.starts
     iteration = state.iteration + 1
+    draws = _sampling_draws(config.seed, iteration, state.digests).tolist()
     utterances = corpus.utterances
     bounds: list = [None] * len(utterances)
     # Utterances with equal blocks are decoded one after another and share
@@ -550,8 +649,7 @@ def run_iteration(
                 utt.n_blocks, config.min_len, config.max_len, arc.tolist()
             )
             paths = nbest(lattice, config.beam, searched)
-            rng = _utterance_rng(config.seed, utt.utterance_id, iteration)
-            bounds[code] = sample_path(paths, config.temperature, rng)
+            bounds[code] = sample_path(paths, config.temperature, draws[code])
     new_bounds = {utt.utterance_id: b for utt, b in zip(utterances, bounds)}
     return dataclasses.replace(
         state, iteration=iteration, segmentation=Segmentation(new_bounds)

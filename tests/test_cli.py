@@ -179,6 +179,29 @@ class TestFlags:
         assert exc.value.code == 2
         assert "argument --period-ms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["segment", "gen", "ablate-kmeans"])
+    def test_negative_seed_refused_before_any_input(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # The input files do not exist, and generating a corpus fails the
+        # test: the seed must be refused before either is reached.
+        def fail(*_args):
+            raise AssertionError("corpus generated before the seed was checked")
+
+        monkeypatch.setattr("dpparse.cli.generate", fail)
+        corpus, out = str(tmp_path / "corpus.txt"), str(tmp_path / "seg.tsv")
+        argv = {
+            "segment": ["segment", corpus, "--mode", "discrete", "--out", out],
+            "gen": ["gen", "--out-dir", str(tmp_path / "data")],
+            "ablate-kmeans": [
+                "ablate-kmeans", corpus, "--alignment", "gold.tsv", "--n-clusters", "5"
+            ],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: trainer.seed must be >= 0, got -1"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGenSegmentEval:
     def test_end_to_end_continuous(self, tmp_path, capsys):

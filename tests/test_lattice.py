@@ -205,7 +205,7 @@ class TestSamplePath:
         result = nbest(lat, 5)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert sample_path(result, 1.0, rng) == (0, 2)
+            assert sample_path(result, 1.0, rng.random()) == (0, 2)
 
     def test_equal_scores_sample_evenly(self):
         lat = _lattice(2, lambda i, j: -1.0 * (j - i), min_len=1, max_len=2)
@@ -216,7 +216,7 @@ class TestSamplePath:
         rng = np.random.default_rng(123)
         counts = {0: 0, 1: 0}
         for _ in range(10_000):
-            bounds = sample_path(result, 1.0, rng)
+            bounds = sample_path(result, 1.0, rng.random())
             counts[0 if bounds == result.paths[0][0] else 1] += 1
         assert abs(counts[0] / 10_000 - 0.5) <= 0.02
 
@@ -226,7 +226,8 @@ class TestSamplePath:
         result = nbest(lat, 10)
         rng = np.random.default_rng(7)
         wins = sum(
-            sample_path(result, 1.0, rng) == result.paths[0][0] for _ in range(10_000)
+            sample_path(result, 1.0, rng.random()) == result.paths[0][0]
+            for _ in range(10_000)
         )
         assert wins / 10_000 >= 0.999
 
@@ -237,17 +238,19 @@ class TestSamplePath:
         paths = {b for b, _ in result.paths}
         sampler = np.random.default_rng(5)
         for _ in range(200):
-            assert sample_path(result, 1.0, sampler) in paths
+            assert sample_path(result, 1.0, sampler.random()) in paths
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(13)
         lat = _random_lattice(rng, 9)
         result = nbest(lat, 8)
         draws1 = [
-            sample_path(result, 1.0, np.random.default_rng(s)) for s in range(30)
+            sample_path(result, 1.0, np.random.default_rng(s).random())
+            for s in range(30)
         ]
         draws2 = [
-            sample_path(result, 1.0, np.random.default_rng(s)) for s in range(30)
+            sample_path(result, 1.0, np.random.default_rng(s).random())
+            for s in range(30)
         ]
         assert draws1 == draws2
 
@@ -255,7 +258,7 @@ class TestSamplePath:
         lat = _lattice(2, lambda i, j: 0.0, 1, 2)
         result = nbest(lat, 4)
         with pytest.raises(ValueError, match="temperature"):
-            sample_path(result, 0.0, np.random.default_rng(0))
+            sample_path(result, 0.0, np.random.default_rng(0).random())
 
     def test_tiny_temperature_is_argmax(self):
         rng = np.random.default_rng(17)
@@ -263,4 +266,18 @@ class TestSamplePath:
         result = nbest(lat, 10)
         sampler = np.random.default_rng(3)
         for _ in range(50):
-            assert sample_path(result, 1e-9, sampler) == result.paths[0][0]
+            assert sample_path(result, 1e-9, sampler.random()) == result.paths[0][0]
+
+    @pytest.mark.parametrize("temperature", [0.3, 1.0, 50.0])
+    def test_draw_picks_first_cumulative_probability_above_it(self, temperature):
+        rng = np.random.default_rng(19)
+        result = nbest(_random_lattice(rng, 8), 10)
+        logits = result.scores() / temperature
+        probs = np.exp(logits - logits.max())
+        cum = np.cumsum(probs / probs.sum())
+        draws = [*rng.random(200), *cum[:-1], 0.0, np.nextafter(1.0, 0.0)]
+        for u in draws:
+            i = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+            assert sample_path(result, temperature, u) == result.paths[i][0]
+        # the CDF is computed once per list and temperature
+        assert result.cdf(temperature) is result.cdf(temperature)

@@ -533,33 +533,30 @@ class TestNBestMemo:
         corpus = Corpus(base.utterances + copies, "discrete", base.alphabet)
         config = _config(temperature=50.0)
         records = []
-        nbest_of, rng_of, sample_of = (
-            trainer.nbest, trainer._utterance_rng, trainer.sample_path
-        )
+        nbest_of, sample_of = trainer.nbest, trainer.sample_path
 
         def spy_nbest(lattice, beam, memo=None):
             result = nbest_of(lattice, beam, memo)
             records.append({"lattice": lattice, "memo": memo, "paths": result})
             return result
 
-        def spy_rng(seed, utterance_id, iteration):
-            rng = rng_of(seed, utterance_id, iteration)
-            records[-1].update(uid=utterance_id, iteration=iteration, rng=rng)
-            records[-1]["rng_state"] = rng.bit_generator.state
-            return rng
-
-        def spy_sample(paths, temperature, rng):
-            assert rng is records[-1]["rng"]
-            records[-1]["sampled_from"] = paths
-            records[-1]["sampled"] = sample_of(paths, temperature, rng)
+        def spy_sample(paths, temperature, u):
+            records[-1].update(sampled_from=paths, u=u, cached=paths._cdf)
+            records[-1]["sampled"] = sample_of(paths, temperature, u)
+            records[-1]["cdf"] = paths.cdf(temperature)
             return records[-1]["sampled"]
 
         monkeypatch.setattr(trainer, "nbest", spy_nbest)
-        monkeypatch.setattr(trainer, "_utterance_rng", spy_rng)
         monkeypatch.setattr(trainer, "sample_path", spy_sample)
         state = init_state(corpus, config)
         for _ in range(n_iterations):
             state = run_iteration(state, corpus, config)
+        # Utterances are decoded group by group, in the same order each
+        # iteration; the final segmentation checks that this labels them.
+        order = [code for group in state.groups for code in group]
+        for i, r in enumerate(records):
+            r["uid"] = corpus.utterances[order[i % len(order)]].utterance_id
+            r["iteration"] = i // len(order) + 1
         return corpus, config, state, records
 
     @staticmethod
@@ -589,16 +586,41 @@ class TestNBestMemo:
             assert r["paths"].paths == nbest(r["lattice"], config.beam).paths
 
     def test_each_utterance_draws_from_its_own_stream(self, monkeypatch):
-        corpus, _config, state, records = self._decodes(monkeypatch)
+        corpus, config, state, records = self._decodes(monkeypatch)
         uids = [u.utterance_id for u in corpus]
         assert sorted(r["uid"] for r in records) == sorted(uids)
         for r in records:
             assert r["iteration"] == 1
             assert state.segmentation.boundaries(r["uid"]) == r["sampled"]
+            entropy = (config.seed, 1, trainer._utt_digest(r["uid"]))
+            stream = np.random.default_rng(np.random.SeedSequence(entropy))
+            assert r["u"] == stream.random()
         by_uid = {r["uid"]: r for r in records}
         original, copy = by_uid[uids[0]], by_uid[uids[0] + "-copy"]
         assert copy["paths"] is original["paths"]
-        assert copy["rng_state"] != original["rng_state"]
+        assert copy["u"] != original["u"]
+
+    def test_memo_hit_reuses_the_cdf_and_samples_with_its_own_draw(self, monkeypatch):
+        corpus, config, _state, records = self._decodes(monkeypatch)
+        by_uid = {r["uid"]: r for r in records}
+        pairs = [
+            (by_uid[u.utterance_id], by_uid[u.utterance_id + "-copy"])
+            for u in corpus.utterances[:10]
+        ]
+        hits = [(a, b) for a, b in pairs if a["paths"] is b["paths"]]
+        assert hits
+        for first, second in hits:
+            # the first decode of a list computes its CDF, the second reuses it
+            assert first["cached"] is None
+            assert second["cached"] == (config.temperature, first["cdf"])
+            assert second["cdf"] is first["cdf"]
+            assert second["u"] != first["u"]
+            for r in (first, second):
+                i = int(np.searchsorted(r["cdf"], r["u"], side="right"))
+                i = min(i, len(r["cdf"]) - 1)
+                assert r["sampled"] == r["paths"].boundaries(i)
+        # at temperature 50 some copy samples another path than its original
+        assert any(a["sampled"] != b["sampled"] for a, b in hits)
 
     def test_memo_lives_one_group_of_one_iteration(self, monkeypatch):
         _corpus, _config, _state, records = self._decodes(monkeypatch, n_iterations=2)
@@ -616,6 +638,45 @@ class TestNBestMemo:
         # nothing but this list refers to a memo once its group was decoded
         for memo in memos:
             assert gc.get_referrers(memo) == [memos]
+
+
+class TestSamplingDraws:
+    """One array pass gives every utterance the first double of numpy's
+    ``default_rng(SeedSequence((seed, iteration, digest)))``."""
+
+    # one- and two-word digests, at the edges and from benchmark-style ids
+    DIGESTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+        trainer._utt_digest(f"u{i:06d}") for i in range(1000)
+    ]
+
+    @pytest.mark.parametrize("iteration", [0, 1, 5, 2**33])
+    @pytest.mark.parametrize("seed", [0, 1, 201, 2**32 - 1, 2**32 + 5, 2**70 + 3])
+    def test_equal_to_numpy_streams(self, seed, iteration):
+        draws = trainer._sampling_draws(
+            seed, iteration, np.array(self.DIGESTS, dtype=np.uint64)
+        )
+        expected = [
+            np.random.default_rng(np.random.SeedSequence((seed, iteration, d))).random()
+            for d in self.DIGESTS
+        ]
+        assert draws.tolist() == expected
+
+    def test_permuting_utterances_permutes_draws(self):
+        digests = np.array(self.DIGESTS, dtype=np.uint64)
+        perm = np.random.default_rng(3).permutation(len(digests))
+        draws = trainer._sampling_draws(201, 2, digests)
+        assert trainer._sampling_draws(201, 2, digests[perm]).tolist() == (
+            draws[perm].tolist()
+        )
+
+    def test_negative_seed_rejected(self):
+        digests = np.array([1], dtype=np.uint64)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            trainer._sampling_draws(-1, 1, digests)
+        with pytest.raises(ValueError, match="trainer.seed must be >= 0, got -1"):
+            _config(seed=-1)
+        with pytest.raises(ValueError, match="trainer.seed must be >= 0, got -3"):
+            GenConfig(seed=-3)
 
 
 class TestTrain:
