@@ -1,12 +1,16 @@
-"""Segmentation lattice, N-best beam search, and softmax path sampling.
+"""Segmentation lattice, lazy N-best beam search, and softmax path sampling.
 
 Nodes sit between blocks (0..n_blocks); each arc (i, j) is a candidate
 token whose length respects the configured bounds.  A path is a chain of
-arcs covering the whole utterance.  The N-best search keeps a beam of
-prefixes per node and a running cut on their scores: a candidate prefix
-is built only if it can still enter its node's beam, and the scan of a
-predecessor's beam stops at the first one that cannot.  Work per
-utterance is at most O(n_blocks * max_len * beam), and usually far less.
+arcs covering the whole utterance.  The N-best search returns what a beam
+of ``beam`` prefixes per node returns, but lazily: each node merges the
+streams of its incoming arcs in a heap, finds its best prefix in node
+order, and builds a deeper one only when a later node needs it.  Work per
+utterance is O(n_blocks * max_len) to start every stream, plus one heap
+step per prefix pushed.  A node pushes about one prefix per prefix it
+builds and builds at most ``beam``, usually far fewer; only where many
+totals tie can the pushes approach the O(n_blocks * max_len * beam) of
+building every node's full beam.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import inf
+from heapq import heapify, heappop, heappush
+from math import inf, nextafter
 
 import numpy as np
 
@@ -41,13 +46,20 @@ def candidate_bounds(n_blocks: int, min_len: int, max_len: int):
 
 
 @lru_cache(maxsize=4096)
-def arc_offsets(n_blocks: int, min_len: int, max_len: int) -> tuple[int, ...]:
-    """Position of each start's first arc in ``candidate_bounds`` order.
-
-    Arc (i, j) sits at ``arc_offsets(...)[i] + (j - i - min_len)``.
+def predecessors(n_blocks: int, min_len: int, max_len: int):
+    """For each node j (0..n_blocks), its incoming arcs as ``(i, o)`` pairs,
+    nearest predecessor first: arc (i, j) is the candidate at position
+    ``o`` of ``candidate_bounds`` order.
     """
     starts, _ends = candidate_bounds(n_blocks, min_len, max_len)
-    return tuple(np.searchsorted(starts, np.arange(n_blocks)).tolist())
+    first = np.searchsorted(starts, np.arange(n_blocks)).tolist()
+    return tuple(
+        tuple(
+            (i, first[i] + j - i - min_len)
+            for i in range(j - min_len, max(0, j - max_len) - 1, -1)
+        )
+        for j in range(n_blocks + 1)
+    )
 
 
 def n_candidates(n_blocks: int, min_len: int, max_len: int) -> int:
@@ -122,12 +134,24 @@ class NBestList:
 def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestList:
     """The ``beam`` best complete paths, best first, for any ``beam``.
 
-    Each node keeps its ``beam`` best prefixes, ranked like the paths (see
-    below), and only those are extended.  Extending two prefixes by one
-    arc keeps their order, so the result is the top of a ranking of all
-    paths, unless rounding makes two different prefix totals equal once
-    an arc is added: the tie-breaks then decide, and may favour a prefix
-    the node already dropped.
+    The result is what a beam search of width ``beam`` returns, and
+    ``tests/oracles.beam_paths`` is its spec: each node keeps its ``beam``
+    best prefixes, ranked like the paths (higher total summed left to right
+    first; ties prefer fewer segments, then the lexicographically smallest
+    boundaries), and only those are extended.  That is the top of the
+    ranking of all paths, unless rounding makes two different prefix
+    totals equal once an arc is added: the tie-breaks then decide, and may
+    favour a prefix the node already dropped.
+
+    The search is lazy (Huang & Chiang, "Better k-best parsing", 2005).
+    Node j merges one stream per arc (i, j), node i's prefixes with the arc
+    added, in a heap.  Every node's best prefix is found in node order; a
+    deeper one is built only when a later node takes the one before it.
+    Adding an arc keeps a stream sorted except where rounding ties two
+    different totals, and then a later prefix of the stream may rank
+    first.  So before node j takes a prefix at a total it has not taken
+    yet, every stream whose next prefix can round to that total is pushed
+    up to the last one that does.
 
     With ``memo``, a lattice whose sizes and arc score bits equal an
     earlier one's returns that earlier result without a search.  The
@@ -142,48 +166,156 @@ def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestL
         found = memo.get(key)
         if found is not None:
             return found
-    first = arc_offsets(n, min_len, max_len)
-    # hypothesis = (negated score, segment count, boundary tuple), so plain
-    # tuple order ranks it: higher score first; ties prefer fewer segments,
-    # then the lexicographically smallest boundary sequence.  Negating is
-    # exact: (-s) - a == -(s + a) under round-to-nearest.
-    beams: list[list] = [[] for _ in range(n + 1)]
-    beams[0] = [(0.0, 0, (0,))]
+    # A prefix is (negated score, segment count, boundary tuple), so plain
+    # tuple order ranks it.  Negating is exact: (-s) - a == -(s + a) under
+    # round-to-nearest.  kept[j] holds node j's best prefixes, in order, and
+    # never more than ``beam`` of them.
+    kept: list[list] = [[] for _ in range(n + 1)]
+    kept[0].append((0.0, 0, (0,)))
+    # A heap entry is a prefix of node i with arc (i, j) added, still with
+    # i's count and boundaries: every entry of node j gains one segment and
+    # the boundary j, and two with equal counts end at different nodes, so
+    # they differ before j and the order is the same.  Then come its rank q
+    # in kept[i], i, and the arc's position o.  ahead[o] is the rank of the
+    # next prefix stream o has not pushed.  owed[j] is the entry node j took
+    # last if no later one of its stream is in the heap: that stream still
+    # has to push its next prefix.  level[j] is the total at which node j's
+    # streams were last pushed up to a tie.
+    heaps: list[list] = [[] for _ in range(n + 1)]
+    owed: list = [None] * (n + 1)
+    level: list = [None] * (n + 1)
+    ahead = [1] * len(scores)
+    preds = predecessors(n, min_len, max_len)
+    # (node, rank) requests: grow kept[node] to rank + 1 prefixes, or as far
+    # as it goes.  A node that needs a deeper prefix of a source puts itself
+    # and the request for the source on the stack, and is taken up again
+    # once the source is served, so the depth is that of a list, not of
+    # Python calls.
+    stack = []
     for j in range(1, n + 1):
-        # A candidate keeps its predecessor's count and boundaries until it
-        # survives the cut: the arc into j adds one segment and the boundary
-        # j to all of them, and two with equal counts end at different
-        # nodes, so they differ before j.  The order is the same.
-        #
-        # ``cut`` is the beam-th smallest negated score among the candidates
-        # kept so far; one above it has ``beam`` strictly better ones and is
-        # never built.  A beam is sorted and subtracting one arc is monotone,
-        # so the first such candidate ends its predecessor's scan.  Ties at
-        # the cut are kept: count and boundaries decide among them.  The
-        # kept list is cut back to ``beam`` only once it holds twice that,
-        # which sorts less often.
-        candidates = []
-        cut = inf
-        for i in range(max(0, j - max_len), j - min_len + 1):
-            arc = scores[first[i] + j - i - min_len]
-            for neg, k, b in beams[i]:
-                shifted = neg - arc
-                if shifted > cut:
+        heap = heaps[j]
+        for i, o in preds[j]:
+            if kept[i]:
+                neg, k, b = kept[i][0]
+                heap.append((neg - scores[o], k, b, 0, i, o))
+        heapify(heap)
+        rank = beam - 1 if j == n else 0
+        while True:
+            heap = heaps[j]
+            e = owed[j]
+            # The stream of the entry taken last pushes its next prefix.  If
+            # node i has not built it yet and still can (its heap or its own
+            # owed stream is not empty), node i is asked for it first.
+            if e is not None:
+                q = e[3] + 1
+                i = e[4]
+                src = kept[i]
+                if q < len(src):
+                    o = e[5]
+                    neg, k, b = src[q]
+                    heappush(heap, (neg - scores[o], k, b, q, i, o))
+                    ahead[o] = q + 1
+                elif q < beam and (heaps[i] or owed[i] is not None):
+                    stack.append((j, rank))
+                    j, rank = i, q
+                    continue
+                owed[j] = None
+            if heap:
+                e = heap[0]
+                t = e[0]
+                if t != level[j]:
+                    # A new total: first the top's own stream, whose next
+                    # prefix may round to t (nextafter tells if any prefix
+                    # above the last one can), then any other entry at t.
+                    q = e[3] + 1
+                    o = e[5]
+                    tied = False
+                    if ahead[o] == q and q < beam:
+                        i = e[4]
+                        src = kept[i]
+                        a = scores[o]
+                        if nextafter(src[q - 1][0], inf) - a == t:
+                            if q < len(src):
+                                tied = src[q][0] - a == t
+                            elif heaps[i] or owed[i] is not None:
+                                stack.append((j, rank))
+                                j, rank = i, q
+                                continue
+                    if not tied:
+                        heappop(heap)
+                        if heap and heap[0][0] == t:
+                            heappush(heap, e)
+                            tied = True
+                    if tied:
+                        needs = _push_ties(
+                            heap, t, kept, ahead, scores, heaps, owed, beam
+                        )
+                        if needs:
+                            stack.append((j, rank))
+                            stack += needs
+                            j, rank = stack.pop()
+                            continue
+                        e = heappop(heap)
+                    level[j] = t
+                else:
+                    heappop(heap)
+                out = kept[j]
+                out.append((t, e[1] + 1, e[2] + (j,)))
+                if ahead[e[5]] == e[3] + 1:
+                    owed[j] = e
+                if len(out) <= rank:
+                    continue
+            # Back to the latest request not yet served: several requests
+            # for one node can be on the stack, and one serves the others.
+            while stack:
+                j, rank = stack.pop()
+                if len(kept[j]) <= rank:
                     break
-                candidates.append((shifted, k, b))
-            if len(candidates) >= 2 * beam:
-                candidates.sort()
-                del candidates[beam:]
-                cut = candidates[-1][0]
-        candidates.sort()
-        beams[j] = [(neg, k + 1, b + (j,)) for neg, k, b in candidates[:beam]]
-    if not beams[n]:
+            else:
+                break
+    if not kept[n]:
         raise ValueError(f"no complete segmentation path over {n} blocks")
     # 0.0 - neg, not -neg: a zero total stays +0.0, as a plain sum gives it.
-    result = NBestList([(bounds, 0.0 - neg) for neg, _, bounds in beams[n]])
+    result = NBestList([(bounds, 0.0 - neg) for neg, _, bounds in kept[n]])
     if memo is not None:
         memo[key] = result
     return result
+
+
+def _push_ties(heap, t, kept, ahead, scores, heaps, owed, beam):
+    """Push each stream whose last pushed entry is at the heap's lowest
+    total ``t`` on to its last prefix that is at ``t`` once shifted.
+
+    Returns the (node, rank) of every prefix that must be built before a
+    stream can go on; none when every stream that can reach ``t`` is in
+    the heap up to it.  Run again once they are built, each stream goes on
+    where it stopped.
+    """
+    pushes = []
+    needs = []
+    for e in heap:
+        if e[0] != t:
+            continue
+        q, i, o = e[3] + 1, e[4], e[5]
+        if ahead[o] != q:
+            continue
+        src = kept[i]
+        a = scores[o]
+        v = src[q - 1][0]
+        while q < beam and nextafter(v, inf) - a == t:
+            if q == len(src):
+                if heaps[i] or owed[i] is not None:
+                    needs.append((i, q))
+                break
+            v, k, b = src[q]
+            if v - a != t:
+                break
+            pushes.append((t, k, b, q, i, o))
+            q += 1
+        ahead[o] = q
+    for x in pushes:
+        heappush(heap, x)
+    return needs
 
 
 def sample_path(nbest_list: NBestList, temperature: float, u: float) -> tuple[int, ...]:

@@ -10,8 +10,11 @@ them to make a gate pass.
 
 import pytest
 
+from dpparse import trainer
 from dpparse.config import load_run_config
+from dpparse.core import Segmentation, ms_to_end_block
 from dpparse.metrics import fixed_rate_segmenter, token_boundary_f1
+from dpparse.scoring import arc_scores_batch, word_probabilities
 from dpparse.synthgen import generate
 from dpparse.trainer import train
 
@@ -21,8 +24,8 @@ SEED = 7
 BASELINE_MARGIN = 0.05
 
 
-def _run(mode, n_utterances, *overrides, vocab_size=50):
-    cfg = load_run_config(
+def _run_config(n_utterances, *overrides, vocab_size=50):
+    return load_run_config(
         overrides=[
             f"gen.n_utterances={n_utterances}",
             f"gen.vocab_size={vocab_size}",
@@ -32,6 +35,10 @@ def _run(mode, n_utterances, *overrides, vocab_size=50):
         ],
         **{"trainer.seed": SEED},
     )
+
+
+def _run(mode, n_utterances, *overrides, vocab_size=50):
+    cfg = _run_config(n_utterances, *overrides, vocab_size=vocab_size)
     corpus, gold, _words = generate(cfg.gen_config(mode))
     segmentation = train(corpus, cfg.trainer_config(mode))
     baseline = fixed_rate_segmenter(corpus, 3)
@@ -71,3 +78,47 @@ def test_continuous_beats_fixed_rate_baseline():
     f1, baseline = _run("continuous", 200, "trainer.l0_subsample=2000")
     print(f"continuous token_f1={f1:.4f} fixed-rate baseline={baseline:.4f}")
     assert f1 >= baseline + BASELINE_MARGIN
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: mean-pooled embeddings make the objective prefer "
+    "coarse cuts (gold -7235 against -4777 for 20-block chunks)",
+)
+def test_continuous_objective_prefers_gold_to_coarse_chunks():
+    # ROADMAP item 1's first step.  On the continuous gate's corpus, with
+    # the gold tokens as the lexicon, the model's objective (the sum of
+    # arc scores along a segmentation) must rank the gold segmentation
+    # above cutting every utterance into 20-block chunks.  It depends on
+    # neither sampling nor the beam.
+    cfg = _run_config(200, "trainer.l0_subsample=2000")
+    corpus, gold, _words = generate(cfg.gen_config("continuous"))
+    config = cfg.trainer_config("continuous")
+    gold_seg = Segmentation(
+        {
+            utt_id: (0, *(ms_to_end_block(end) for _start, end in words))
+            for utt_id, words in gold.words.items()
+        }
+    )
+    chunks = fixed_rate_segmenter(corpus, 20)
+    state = trainer.init_state(corpus, config)
+    candidates = state.candidates
+    tables = trainer._tables_for(corpus, config, candidates)
+    lexicon = tables.build_lexicon(
+        trainer._token_rows(corpus, config, candidates, gold_seg)
+    )
+    word_probs = word_probabilities(
+        tables.frequencies(lexicon, state.beta),
+        state.base_probs,
+        gold_seg.n_tokens,
+        config.dp,
+    )
+    arcs = arc_scores_batch(word_probs, candidates.ends - candidates.starts, config.dp)
+
+    def objective(segmentation):
+        rows = trainer._token_rows(corpus, config, candidates, segmentation)
+        return float(arcs[rows].sum())
+
+    gold_score, coarse_score = objective(gold_seg), objective(chunks)
+    print(f"objective gold={gold_score:.1f} 20-block chunks={coarse_score:.1f}")
+    assert gold_score > coarse_score

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from dpparse.lattice import (
     candidate_bounds,
     n_candidates,
     nbest,
+    predecessors,
     sample_path,
 )
 
@@ -25,6 +28,20 @@ def _arc_dict(lat):
     """{(i, j): score} of a lattice, for the exhaustive oracle."""
     starts, ends = candidate_bounds(lat.n_blocks, lat.min_len, lat.max_len)
     return dict(zip(zip(starts.tolist(), ends.tolist()), lat.scores))
+
+
+def _matches_beam_spec(lat, beam):
+    """nbest returns exactly what ``beam_paths`` returns."""
+    arcs = _arc_dict(lat)
+    want = beam_paths(lat.n_blocks, arcs, lat.min_len, lat.max_len, beam)
+    return nbest(lat, beam).paths == want
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def _random_lattice(rng, n_blocks, min_len=1, max_len=None):
@@ -68,6 +85,28 @@ class TestBuildLattice:
         assert len(arcs) == len(set(arcs))
         with pytest.raises(ValueError, match="arc scores"):
             ScoredLattice(5, 1, 5, [0.0] * (len(arcs) + 1))
+
+
+class TestPredecessors:
+    @pytest.mark.parametrize(
+        "n_blocks,min_len,max_len", [(1, 1, 20), (7, 1, 3), (9, 2, 4), (6, 3, 3)]
+    )
+    def test_nearest_first_and_positions_index_candidate_bounds(
+        self, n_blocks, min_len, max_len
+    ):
+        starts, ends = candidate_bounds(n_blocks, min_len, max_len)
+        table = predecessors(n_blocks, min_len, max_len)
+        assert len(table) == n_blocks + 1
+        for j, pairs in enumerate(table):
+            sources = [i for i, _ in pairs]
+            assert sources == sorted(
+                i for i in range(j) if min_len <= j - i <= max_len
+            )[::-1]
+            for i, o in pairs:
+                assert (starts[o], ends[o]) == (i, j)
+        # every arc is some node's incoming arc exactly once
+        positions = sorted(o for pairs in table for _, o in pairs)
+        assert positions == list(range(len(starts)))
 
 
 class TestNBest:
@@ -172,6 +211,80 @@ class TestNBest:
         assume(enumerate_paths(n, arcs, min_len, max_len))
         beam = data.draw(st.integers(1, 12))
         assert nbest(lat, beam).paths == beam_paths(n, arcs, min_len, max_len, beam)
+
+    def test_tie_after_the_next_arc_favours_the_lower_ranked_prefix(self):
+        # At node 3, (0, 2, 3) totals -1 and outranks (0, 1, 3) at -2; both
+        # have two segments.  Adding the 1e17 arc (3, 4) rounds both totals
+        # to 1e17, so at node 4 the smaller boundaries rank first: the
+        # stream from node 3 is no longer sorted.  (0, 1, 2, 3) at -6 ties
+        # too, with one segment more.
+        arcs = {
+            (0, 1): 0.0, (1, 2): -5.0, (2, 3): -1.0, (3, 4): 1e17,
+            (0, 2): 0.0, (1, 3): -2.0, (2, 4): -1e17,
+        }
+        lat = _lattice(4, lambda i, j: arcs[(i, j)], min_len=1, max_len=2)
+        expected = {
+            1: [(0, 2, 3, 4)],  # node 3 kept only (0, 2, 3)
+            2: [(0, 1, 3, 4), (0, 2, 3, 4)],
+            3: [(0, 1, 3, 4), (0, 2, 3, 4), (0, 1, 2, 3, 4)],
+        }
+        for beam, paths in expected.items():
+            assert [b for b, _ in nbest(lat, beam).paths] == paths
+            assert _matches_beam_spec(lat, beam)
+
+    def test_tie_in_a_stream_below_the_top_entry(self):
+        # Node 2 ranks (0, 1, 2) at 0 above (0, 2) at -1.  The -1e17 arc
+        # (2, 3) rounds both to -1e17, where (0, 1, 3) also lands: three
+        # entries of node 3 tie, and the stream from node 2 must push its
+        # second prefix, which has fewer segments than its first, before
+        # node 3 takes anything at that total.
+        arcs = {
+            (0, 1): -1e17, (0, 2): -1.0, (1, 2): 1e17, (1, 3): -2.0,
+            (2, 3): -1e17,
+        }
+        lat = _lattice(3, lambda i, j: arcs[(i, j)], min_len=1, max_len=2)
+        assert [b for b, _ in nbest(lat, 3).paths] == [
+            (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)
+        ]
+        for beam in (1, 2, 3):
+            assert _matches_beam_spec(lat, beam)
+
+    @pytest.mark.parametrize("score", [0.0, -1.0, -0.1, 3.0])
+    def test_all_equal_scores_match_beam_spec(self, score):
+        for n, min_len, max_len in ((10, 1, 4), (12, 2, 5), (9, 1, 9)):
+            lat = _lattice(n, lambda i, j: score, min_len, max_len)
+            for beam in (1, 3, 10):
+                assert _matches_beam_spec(lat, beam)
+
+    def test_discrete_style_tied_scores_match_beam_spec(self):
+        # Scores as discrete mode makes them: log count ratios from a few
+        # counts plus a length term, so equal arcs are common and sums of
+        # the same arcs in another order can differ in their last bit.
+        rng = np.random.default_rng(19)
+        starts, ends = candidate_bounds(12, 1, 12)
+        length_term = ((ends - starts - 1) / 2.0) ** 1.8
+        counts = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
+        for _ in range(200):
+            scores = np.log(rng.choice(counts, size=len(starts)) / 61.0) - length_term
+            lat = ScoredLattice(12, 1, 12, scores.tolist())
+            assert _matches_beam_spec(lat, 10)
+
+    @pytest.mark.parametrize("kind", ["random", "all-equal"])
+    def test_long_utterance_matches_beam_spec_without_deep_calls(self, kind):
+        rng = np.random.default_rng(23)
+        n = 2000
+        if kind == "random":
+            lat = _lattice(n, lambda i, j: rng.normal(-3.0, 1.0), 1, 20)
+        else:
+            lat = _lattice(n, lambda i, j: -1.0, 1, 20)
+        want = beam_paths(n, _arc_dict(lat), 1, 20, 10)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 50)
+        try:
+            got = nbest(lat, 10).paths
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_memo_returns_the_stored_list(self):
         rng = np.random.default_rng(4)
