@@ -193,7 +193,15 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate_kmeans(args) -> int:
     _check_output_dirs(args.out)
+    if args.mode == "discrete":
+        raise ValueError("ablate-kmeans needs --mode continuous")
     base_cfg = _run_config(args).trainer_config(args.mode)
+    configs = {
+        backend: dataclasses.replace(
+            base_cfg, frequency_backend=backend, kmeans_clusters=args.n_clusters
+        )
+        for backend in ("knn", "kmeans")
+    }
     corpus = _load_input_corpus(args.input, args.mode)
     gold = dpio.read_alignment(args.alignment)
     missing = [u.utterance_id for u in corpus if u.utterance_id not in gold.words]
@@ -202,10 +210,7 @@ def cmd_ablate_kmeans(args) -> int:
     errors += _gold_end_errors(gold, ends, "utterance ends")
     _reject(args.alignment, "alignment", errors)
     results = {}
-    for backend in ("knn", "kmeans"):
-        trainer_cfg = dataclasses.replace(
-            base_cfg, frequency_backend=backend, kmeans_clusters=args.n_clusters
-        )
+    for backend, trainer_cfg in configs.items():
         segmentation = train(corpus, trainer_cfg)
         report = token_boundary_f1(segmentation, gold)
         results[backend] = report.token_f1

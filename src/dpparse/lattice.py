@@ -45,20 +45,37 @@ def candidate_bounds(n_blocks: int, min_len: int, max_len: int):
     return s, e
 
 
+def candidate_positions(n_blocks, starts, lengths, min_len: int, max_len: int):
+    """Position of candidate [start, start + length) among the candidates of
+    its ``n_blocks``-block utterance, in ``candidate_bounds`` order.
+
+    Each start before ``start`` holds ``max_len - min_len + 1`` candidates
+    while ``max_len`` blocks fit after it (the first ``full`` starts), then
+    one candidate fewer per start.
+    """
+    full = np.clip(n_blocks - max_len + 1, 0, starts)
+    rest = starts - full
+    return (
+        full * (max_len - min_len + 1)
+        + rest * (n_blocks - min_len + 1)
+        - rest * (full + starts - 1) // 2
+        + lengths
+        - min_len
+    )
+
+
 @lru_cache(maxsize=4096)
 def predecessors(n_blocks: int, min_len: int, max_len: int):
-    """For each node j (0..n_blocks), its incoming arcs as ``(i, o)`` pairs,
-    nearest predecessor first: arc (i, j) is the candidate at position
-    ``o`` of ``candidate_bounds`` order.
+    """For each node j (0..n_blocks), the ``candidate_bounds`` positions of
+    its incoming arcs as one ``array("l")``, nearest source first: the r-th
+    is arc (j - min_len - r, j).
     """
-    starts, _ends = candidate_bounds(n_blocks, min_len, max_len)
-    first = np.searchsorted(starts, np.arange(n_blocks)).tolist()
+    ends = np.arange(n_blocks + 1)[:, None]
+    starts = np.maximum(ends - min_len - np.arange(max_len - min_len + 1), 0)
+    table = candidate_positions(n_blocks, starts, ends - starts, min_len, max_len)
+    counts = np.clip(ends[:, 0] - min_len + 1, 0, max_len - min_len + 1)
     return tuple(
-        tuple(
-            (i, first[i] + j - i - min_len)
-            for i in range(j - min_len, max(0, j - max_len) - 1, -1)
-        )
-        for j in range(n_blocks + 1)
+        array("l", row[:count]) for row, count in zip(table.tolist(), counts.tolist())
     )
 
 
@@ -194,10 +211,12 @@ def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestL
     stack = []
     for j in range(1, n + 1):
         heap = heaps[j]
-        for i, o in preds[j]:
+        i = j - min_len
+        for o in preds[j]:
             if kept[i]:
                 neg, k, b = kept[i][0]
                 heap.append((neg - scores[o], k, b, 0, i, o))
+            i -= 1
         heapify(heap)
         rank = beam - 1 if j == n else 0
         while True:

@@ -1,18 +1,19 @@
 """Outer segmentation loop: seed, precompute base tables, iterate.
 
 Setup enumerates every candidate segment of the corpus once, as the rows
-of one ``Candidates`` table (with a type id per row in discrete mode).
-The base pool and each iteration's lexicon are sets of its rows, and the
-priors and lexicon frequencies are arrays aligned with them, each looked
-up in one pass over the table.  Each iteration (1) rebuilds the token
-lexicon from the current segmentation and (2) re-segments every utterance
-by sampling from the N-best paths of its scored lattice, which reads the
-utterance's slice of those arrays.  The whole corpus is one batch: the
-lexicon is frozen while utterances are decoded, so results do not depend
-on utterance processing order or worker count.  Utterances with equal
-blocks (a corpus may repeat utterances) are decoded one after another,
-and equal lattices among them share one N-best search (and so one
-softmax CDF); that memo lives for one group of one iteration.  Each
+of one ``Candidates`` table (with a type id per row in discrete mode), and
+builds the run's one frequency backend.  The base pool and each
+iteration's lexicon are sets of its rows, and the priors and lexicon
+frequencies are arrays aligned with them, each looked up in one pass over
+the table.  Each iteration (1) rebuilds the token lexicon from the current
+segmentation (``lexicon_word_probabilities``) and (2) re-segments every
+utterance by sampling from the N-best paths of its scored lattice, which
+reads the utterance's slice of those arrays.  The whole corpus is one
+batch: the lexicon is frozen while utterances are decoded, so results do
+not depend on utterance processing order or worker count.  Utterances
+with equal blocks (a corpus may repeat utterances) are decoded one after
+another, and equal lattices among them share one N-best search (and so
+one softmax CDF); that memo lives for one group of one iteration.  Each
 utterance samples its path with its own uniform draw, keyed by (seed,
 iteration, utterance id): it is the first double of numpy's
 ``default_rng(SeedSequence((seed, iteration, digest)))``, where the
@@ -28,7 +29,6 @@ import hashlib
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from dpparse.embed import UtteranceEmbedder
 from dpparse.lattice import (
     ScoredLattice,
     candidate_bounds,
+    candidate_positions,
     n_candidates,
     nbest,
     sample_path,
@@ -66,11 +67,6 @@ _GROUP_QUERIES = 16384
 
 # Discrete candidates are added and counted in slices of this many.
 _COUNT_SLICE = 2048
-
-# What candidates are counted against: the base store built once from the
-# sampled candidate pool, and the lexicon rebuilt from each segmentation.
-# Which type is used depends on the frequency backend (see FrequencyTables).
-Store = InstanceIndex | KMeansModel | DiscreteCountStore
 
 
 @dataclass(frozen=True)
@@ -141,10 +137,11 @@ class Candidates:
 class TrainerState:
     """Everything carried between iterations.
 
-    ``candidates`` and ``base_probs``, the prior of each of its rows,
+    ``tables``, the run's frequency backend (``_tables_for``) over its
+    ``candidates``, ``base_probs``, the prior of each candidate,
     ``groups`` (``equal_block_groups``) and ``digests``, the uint64
-    ``_utt_digest`` of each utterance in corpus order, are computed once,
-    in ``init_state``.
+    ``_utt_digest`` of each utterance in corpus order, are built once, in
+    ``init_state``.
     """
 
     iteration: int
@@ -152,9 +149,13 @@ class TrainerState:
     base_probs: np.ndarray
     beta: float | None
     n_base: int
-    candidates: Candidates
+    tables: _EmbeddedTables | _DiscreteTables = field(compare=False)
     groups: tuple[tuple[int, ...], ...]
     digests: np.ndarray
+
+    @property
+    def candidates(self) -> Candidates:
+        return self.tables.candidates
 
 
 def init_segmentation(corpus: Corpus, max_len: int = 20) -> Segmentation:
@@ -328,25 +329,6 @@ def candidate_table(corpus: Corpus, min_len: int, max_len: int) -> Candidates:
     return Candidates(codes, starts, ends, offsets, type_ids, n_types)
 
 
-def _ordinals(n_blocks, starts, lengths, min_len: int, max_len: int):
-    """Position of candidate [start, start + length) among the candidates of
-    its ``n_blocks``-block utterance, in ``candidate_bounds`` order.
-
-    Each start before ``start`` holds ``max_len - min_len + 1`` candidates
-    while ``max_len`` blocks fit after it (the first ``full`` starts), then
-    one candidate fewer per start.
-    """
-    full = np.clip(n_blocks - max_len + 1, 0, starts)
-    rest = starts - full
-    return (
-        full * (max_len - min_len + 1)
-        + rest * (n_blocks - min_len + 1)
-        - rest * (full + starts - 1) // 2
-        + lengths
-        - min_len
-    )
-
-
 def _token_rows(
     corpus: Corpus,
     config: TrainerConfig,
@@ -386,34 +368,13 @@ def _token_rows(
             f"{corpus.utterances[codes[i]].utterance_id!r} is not "
             f"{config.min_len}..{config.max_len} blocks long"
         )
-    return candidates.offsets[codes] + _ordinals(
+    return candidates.offsets[codes] + candidate_positions(
         np.array(sizes), np.array(starts), lengths, config.min_len, config.max_len
     )
 
 
 # ---------------------------------------------------------------------------
 # frequency backends
-
-class FrequencyTables(Protocol):
-    """How a frequency backend counts candidates.
-
-    Every store is an instance lexicon of rows of the tables' ``Candidates``:
-    the base store holds the sampled pool, a lexicon the tokens of one
-    segmentation.
-    """
-
-    def build_base(self, rows: np.ndarray) -> tuple[Store, float | None]:
-        """Base store of the candidates at the sorted ``rows``, and the kernel
-        beta (None when the backend has none)."""
-
-    def build_lexicon(self, rows: np.ndarray) -> Store:
-        """Lexicon of the candidates at ``rows`` (at least one)."""
-
-    def frequencies(self, store: Store, beta: float | None) -> np.ndarray:
-        """Frequency of every candidate in a base store or a lexicon, one per
-        row.  The kNN and discrete backends leave out instances that overlap
-        the candidate in time."""
-
 
 class _EmbeddedTables:
     """Continuous-mode tables: candidates are embedded by one corpus-wide
@@ -540,9 +501,8 @@ class _DiscreteTables:
         return freqs
 
 
-def _tables_for(
-    corpus: Corpus, config: TrainerConfig, candidates: Candidates
-) -> FrequencyTables:
+def _tables_for(corpus: Corpus, config: TrainerConfig, candidates: Candidates):
+    """The run's backend: ``build_base``, ``build_lexicon``, ``frequencies``."""
     if corpus.mode == "discrete":
         return _DiscreteTables(candidates)
     if config.frequency_backend == "kmeans":
@@ -553,19 +513,15 @@ def _tables_for(
 # ---------------------------------------------------------------------------
 # spec operations
 
-def build_base(
-    corpus: Corpus, config: TrainerConfig, candidates: Candidates | None = None
-):
+def build_base(tables: _EmbeddedTables | _DiscreteTables, config: TrainerConfig):
     """Subsample the candidate pool, build the base store, cache priors.
 
     Returns (base store, base_probs, beta, n_base).  A candidate's prior is
     its frequency in the base store over the pool size ``n_base``; the
     priors are constant across iterations and cached in one array, a prior
-    per row of ``candidates`` (built here when not given).
+    per row of ``tables.candidates``.
     """
-    if candidates is None:
-        candidates = candidate_table(corpus, config.min_len, config.max_len)
-    total = len(candidates)
+    total = len(tables.candidates)
     if total == 0:
         raise ValueError("corpus has no candidate segments")
     n_base = min(config.l0_subsample, total)
@@ -574,7 +530,6 @@ def build_base(
         sampled = np.sort(rng.choice(total, size=n_base, replace=False))
     else:
         sampled = np.arange(total)
-    tables = _tables_for(corpus, config, candidates)
     base, beta = tables.build_base(sampled)
     base_probs = tables.frequencies(base, beta) / n_base
     return base, base_probs, beta, n_base
@@ -595,19 +550,40 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
         raise ValueError("kmeans backend applies to continuous corpora only")
     seed_seg = init_segmentation(corpus, config.max_len)
     candidates = candidate_table(corpus, config.min_len, config.max_len)
-    _base, base_probs, beta, n_base = build_base(corpus, config, candidates)
+    tables = _tables_for(corpus, config, candidates)
+    _base, base_probs, beta, n_base = build_base(tables, config)
     return TrainerState(
         iteration=0,
         segmentation=seed_seg,
         base_probs=base_probs,
         beta=beta,
         n_base=n_base,
-        candidates=candidates,
+        tables=tables,
         groups=equal_block_groups(corpus),
         digests=np.array(
             [_utt_digest(u.utterance_id) for u in corpus], dtype=np.uint64
         ),
     )
+
+
+def lexicon_word_probabilities(
+    state: TrainerState,
+    corpus: Corpus,
+    config: TrainerConfig,
+    segmentation: Segmentation,
+) -> np.ndarray:
+    """Word probability of every row of ``state.candidates``, with the
+    tokens of ``segmentation`` as the lexicon of the state's backend."""
+    n_lexicon = segmentation.n_tokens
+    if n_lexicon:
+        tables = state.tables
+        lexicon = tables.build_lexicon(
+            _token_rows(corpus, config, state.candidates, segmentation)
+        )
+        lex_freqs = tables.frequencies(lexicon, state.beta)
+    else:
+        lex_freqs = np.zeros(len(state.candidates))
+    return word_probabilities(lex_freqs, state.base_probs, n_lexicon, config.dp)
 
 
 def run_iteration(
@@ -619,18 +595,9 @@ def run_iteration(
     been decoded; its token count becomes the lexicon mass of the NEXT
     iteration, never this one.
     """
+    word_probs = lexicon_word_probabilities(state, corpus, config, state.segmentation)
     candidates = state.candidates
     offsets = candidates.offsets.tolist()
-    n_lexicon = state.segmentation.n_tokens
-    if n_lexicon:
-        tables = _tables_for(corpus, config, candidates)
-        lexicon = tables.build_lexicon(
-            _token_rows(corpus, config, candidates, state.segmentation)
-        )
-        lex_freqs = tables.frequencies(lexicon, state.beta)
-    else:
-        lex_freqs = np.zeros(len(candidates))
-    word_probs = word_probabilities(lex_freqs, state.base_probs, n_lexicon, config.dp)
     lengths = candidates.ends - candidates.starts
     iteration = state.iteration + 1
     draws = _sampling_draws(config.seed, iteration, state.digests).tolist()

@@ -14,7 +14,7 @@ from dpparse import trainer
 from dpparse.config import load_run_config
 from dpparse.core import Segmentation, ms_to_end_block
 from dpparse.metrics import fixed_rate_segmenter, token_boundary_f1
-from dpparse.scoring import arc_scores_batch, word_probabilities
+from dpparse.scoring import arc_scores_batch
 from dpparse.synthgen import generate
 from dpparse.trainer import train
 
@@ -103,16 +103,7 @@ def test_continuous_objective_prefers_gold_to_coarse_chunks():
     chunks = fixed_rate_segmenter(corpus, 20)
     state = trainer.init_state(corpus, config)
     candidates = state.candidates
-    tables = trainer._tables_for(corpus, config, candidates)
-    lexicon = tables.build_lexicon(
-        trainer._token_rows(corpus, config, candidates, gold_seg)
-    )
-    word_probs = word_probabilities(
-        tables.frequencies(lexicon, state.beta),
-        state.base_probs,
-        gold_seg.n_tokens,
-        config.dp,
-    )
+    word_probs = trainer.lexicon_word_probabilities(state, corpus, config, gold_seg)
     arcs = arc_scores_batch(word_probs, candidates.ends - candidates.starts, config.dp)
 
     def objective(segmentation):

@@ -463,3 +463,25 @@ class TestAblateKmeans:
         assert "backend.kmeans.token_f1" in text
         summary = json.loads(text.strip().splitlines()[-1].split("\t", 1)[1])
         assert set(summary) == {"knn_token_f1", "kmeans_token_f1"}
+
+    @pytest.mark.parametrize(
+        "mode,n_clusters,message",
+        [
+            ("discrete", "4", "ablate-kmeans needs --mode continuous"),
+            ("continuous", "0", "kmeans backend needs kmeans_clusters >= 1"),
+        ],
+        ids=["mode-discrete", "n-clusters-0"],
+    )
+    def test_refused_before_training(
+        self, tmp_path, capsys, monkeypatch, mode, n_clusters, message
+    ):
+        out, corpus = _gen(tmp_path, mode)
+
+        def fail(*_args, **_kwargs):
+            raise AssertionError("trained before the settings were checked")
+
+        monkeypatch.setattr("dpparse.cli.train", fail)
+        argv = ["ablate-kmeans", str(corpus), "--alignment", str(out / "alignment.tsv")]
+        argv += ["--mode", mode, "--n-clusters", n_clusters]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dpparse.core import Corpus, FrameMatrix, SymbolSequence
 from dpparse.density import DiscreteCountStore
 from dpparse.embed import UtteranceEmbedder
-from dpparse.trainer import TrainerConfig, build_base, candidate_table
+from dpparse.trainer import TrainerConfig, _tables_for, build_base, candidate_table
 
 
 def _embed(fm, start, end):
@@ -122,7 +122,8 @@ def _base_store(*utterances, max_len=3):
     )
     config = TrainerConfig(max_len=max_len)
     table = candidate_table(corpus, config.min_len, config.max_len)
-    store, _probs, _beta, _n_base = build_base(corpus, config, table)
+    tables = _tables_for(corpus, config, table)
+    store, _probs, _beta, _n_base = build_base(tables, config)
     type_of = {}
     for code, a, b, type_id in zip(
         table.codes.tolist(), table.starts.tolist(), table.ends.tolist(),

@@ -97,15 +97,15 @@ class TestPredecessors:
         starts, ends = candidate_bounds(n_blocks, min_len, max_len)
         table = predecessors(n_blocks, min_len, max_len)
         assert len(table) == n_blocks + 1
-        for j, pairs in enumerate(table):
-            sources = [i for i, _ in pairs]
+        for j, positions in enumerate(table):
+            sources = [starts[o] for o in positions]
             assert sources == sorted(
                 i for i in range(j) if min_len <= j - i <= max_len
             )[::-1]
-            for i, o in pairs:
-                assert (starts[o], ends[o]) == (i, j)
+            for r, o in enumerate(positions):
+                assert (starts[o], ends[o]) == (j - min_len - r, j)
         # every arc is some node's incoming arc exactly once
-        positions = sorted(o for pairs in table for _, o in pairs)
+        positions = sorted(o for row in table for o in row)
         assert positions == list(range(len(starts)))
 
 

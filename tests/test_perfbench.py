@@ -41,3 +41,29 @@ def test_disc_decode_digest_reproduces(tmp_path, monkeypatch):
     baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
     recorded = baseline["workloads"]["disc-decode"]["seeds"][str(seed)]
     assert result.digest == recorded["digest_sha256"]
+
+
+def test_benchmark_command_runs():
+    # The benchmark command imports more of dpparse than the pipeline does
+    # (its env record names the top-k backend), so it is run as a whole.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "run.py"),
+            "--workload",
+            "disc-decode",
+            "--seed",
+            "201",
+            "--seconds",
+            "0",
+            "--trace",
+            "0",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dpparse.core import Corpus, SymbolSequence
 from dpparse.scoring import DPParams, arc_scores_batch, word_probabilities
-from dpparse.trainer import TrainerConfig, build_base, candidate_table
+from dpparse.trainer import TrainerConfig, _tables_for, build_base, candidate_table
 
 from oracles import direct_arc_score, direct_length_penalty, direct_word_probability
 
@@ -37,7 +37,8 @@ def _discrete_priors(*utterances, **config):
         mode="discrete",
     )
     cfg = TrainerConfig(**config)
-    _store, probs, _beta, n_base = build_base(corpus, cfg)
+    table = candidate_table(corpus, cfg.min_len, cfg.max_len)
+    _store, probs, _beta, n_base = build_base(_tables_for(corpus, cfg, table), cfg)
     return corpus, cfg, probs, n_base
 
 

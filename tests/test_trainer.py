@@ -101,6 +101,12 @@ def _config(**kw):
     return TrainerConfig(**base)
 
 
+def _build_base(corpus, config):
+    """``build_base`` with the run's backend over the corpus's candidates."""
+    table = candidate_table(corpus, config.min_len, config.max_len)
+    return build_base(trainer._tables_for(corpus, config, table), config)
+
+
 def _fail(*_args):
     raise AssertionError("token counted or embedded before the check")
 
@@ -136,10 +142,10 @@ class TestEnumerateCandidates:
         assert starts.tolist() == [0] and ends.tolist() == [1]
 
     def test_empty_corpus(self):
-        corpus = Corpus([])
+        corpus = Corpus([], mode="discrete")
         assert sum(n_candidates(u.n_blocks, 1, 20) for u in corpus) == 0
         with pytest.raises(ValueError, match="no candidate segments"):
-            build_base(corpus, _config())
+            _build_base(corpus, _config())
 
     def test_count_matches_formula(self):
         formula = sum(max(0, 9 - length + 1) for length in range(2, 6))
@@ -160,7 +166,7 @@ class TestBuildBase:
     def test_small_pool_uses_everything(self):
         corpus, _ = _continuous_corpus(n_utterances=20)
         config = _config()
-        index, probs, beta, n_base = build_base(corpus, config)
+        index, probs, beta, n_base = _build_base(corpus, config)
         total = sum(n_candidates(u.n_blocks, 1, 20) for u in corpus)
         assert n_base == total
         assert index.n == total
@@ -169,13 +175,13 @@ class TestBuildBase:
     def test_subsample_cap(self):
         corpus, _ = _continuous_corpus(n_utterances=20)
         config = _config(l0_subsample=500)
-        index, probs, beta, n_base = build_base(corpus, config)
+        index, probs, beta, n_base = _build_base(corpus, config)
         assert n_base == 500
 
     def test_prior_cache_covers_all_candidates(self):
         corpus, _ = _continuous_corpus(n_utterances=15)
         config = _config()
-        _, probs, _, _ = build_base(corpus, config)
+        _, probs, _, _ = _build_base(corpus, config)
         # one prior per row of the candidate table
         assert probs.shape == (sum(n_candidates(u.n_blocks, 1, 20) for u in corpus),)
         assert np.all(probs >= 0)
@@ -184,7 +190,7 @@ class TestBuildBase:
     def test_discrete_backend_counts(self):
         corpus, _ = _discrete_corpus(n_utterances=40)
         config = _config()
-        store, probs, beta, n_base = build_base(corpus, config)
+        store, probs, beta, n_base = _build_base(corpus, config)
         assert isinstance(store, DiscreteCountStore)
         assert beta is None
         assert n_base == store.total
@@ -278,12 +284,8 @@ class TestLookupSlices:
 
         def lookups():
             state = init_state(corpus, config)
-            table = state.candidates
-            tables = trainer._tables_for(corpus, config, table)
-            lexicon = tables.build_lexicon(
-                trainer._token_rows(corpus, config, table, seg)
-            )
-            return table, state.base_probs, tables.frequencies(lexicon, state.beta)
+            probs = trainer.lexicon_word_probabilities(state, corpus, config, seg)
+            return state.candidates, state.base_probs, probs
 
         table, *default = lookups()
         monkeypatch.setattr(trainer, "_GROUP_QUERIES", 97)
@@ -381,6 +383,24 @@ class TestRunIteration:
             assert masses == [previous.n_tokens]
             assert state.segmentation.n_tokens != previous.n_tokens
 
+    def test_backend_built_once_per_run(self, monkeypatch):
+        # The embedder holds a cumulative sum over every frame: setup builds
+        # it with the backend, and the iterations reuse it.
+        corpus, _ = _continuous_corpus(n_utterances=12)
+        config = _config()
+        built = []
+        init = UtteranceEmbedder.__init__
+
+        def counting(self, utterances):
+            built.append(len(utterances))
+            init(self, utterances)
+
+        monkeypatch.setattr(UtteranceEmbedder, "__init__", counting)
+        state = init_state(corpus, config)
+        for _ in range(3):
+            state = run_iteration(state, corpus, config)
+        assert built == [len(corpus)]
+
     def test_deterministic_rerun(self):
         corpus, _ = _continuous_corpus(n_utterances=20)
         config = _config(beam=1, temperature=1e-9)
@@ -458,9 +478,7 @@ class TestRunIteration:
         corpus, _ = _discrete_corpus(n_utterances=40)
         config = _config(max_len=6)
         seg = _random_segmentation(corpus)
-        table = candidate_table(corpus, config.min_len, config.max_len)
-        tables = trainer._tables_for(corpus, config, table)
-        lexicon = tables.build_lexicon(trainer._token_rows(corpus, config, table, seg))
+        state = init_state(corpus, config)
         asked = []
         count = DiscreteCountStore.count_excluding_overlaps
 
@@ -469,7 +487,7 @@ class TestRunIteration:
             return count(store, key, code, start, end)
 
         monkeypatch.setattr(DiscreteCountStore, "count_excluding_overlaps", counting)
-        freqs = tables.frequencies(lexicon, None)
+        probs = trainer.lexicon_word_probabilities(state, corpus, config, seg)
         tokens = [
             (corpus.utterance(t.utterance_id).symbols[t.start : t.end].tobytes(),
              corpus.position(t.utterance_id), t.start, t.end)
@@ -477,7 +495,13 @@ class TestRunIteration:
         ]
         candidates = _string_instances(corpus, config.min_len, config.max_len)
         expected = [count_excluding_overlaps(tokens, *c) for c in candidates]
-        assert freqs.tolist() == expected
+        expected_probs = word_probabilities(
+            np.array(expected, dtype=np.float64),
+            state.base_probs,
+            seg.n_tokens,
+            config.dp,
+        )
+        assert probs.tolist() == expected_probs.tolist()
         held = {string for string, *_ in tokens}
         assert asked == [(c, a, b) for s, c, a, b in candidates if s in held]
         assert 0 < len(asked) < len(candidates)
