@@ -83,14 +83,19 @@ class RunConfig:
         }
 
     def trainer_config(self, mode: str) -> TrainerConfig:
+        """The trainer settings for a run in ``mode``, checked for that mode
+        as far as settings alone allow."""
         dp = self._section("dp")
         if dp["delta"] == "auto":
             dp["delta"] = DELTA_BY_MODE[mode]
-        return TrainerConfig(
+        config = TrainerConfig(
             **self._section("trainer"),
             dp=DPParams(**dp),
             density=DensityParams(**self._section("density")),
         )
+        if mode == "discrete" and config.frequency_backend == "kmeans":
+            raise ValueError("kmeans backend applies to continuous corpora only")
+        return config
 
     def gen_config(self, mode: str) -> GenConfig:
         return GenConfig(**self._section("gen"), seed=self["trainer.seed"], mode=mode)

@@ -11,16 +11,21 @@ step per prefix pushed.  A node pushes about one prefix per prefix it
 builds and builds at most ``beam``, usually far fewer; only where many
 totals tie can the pushes approach the O(n_blocks * max_len * beam) of
 building every node's full beam.
+
+Every search builds the best two paths and pauses; the rest of the list
+is built only when a draw needs it.  A softmax draw usually picks the
+best path, and ``sample_path`` can tell from the best two totals alone
+when it must.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import inf, nextafter
+from math import exp, inf, nextafter
 
 import numpy as np
 
@@ -112,9 +117,14 @@ class ScoredLattice:
         return len(self.scores)
 
 
-@dataclass
 class NBestList:
-    """Complete paths with non-increasing total scores.
+    """Complete paths with non-increasing total scores, built on demand.
+
+    ``nbest`` stops its search once the best two paths are built; reading
+    ``paths`` (and so ``len``, ``scores`` and ``cdf``) resumes it to the
+    full list, once.  ``boundaries(i)`` of a path already built does not
+    resume it.  The paused search keeps the lattice's score list, which
+    must not change before it is resumed.
 
     Each path is the full boundary sequence (0, ..., n_blocks); its score
     is the sum of its arc scores.  ``cdf`` caches the softmax CDF of the
@@ -122,15 +132,32 @@ class NBestList:
     the N-best memo) share its CDF.
     """
 
-    paths: list[tuple[tuple[int, ...], float]]
-    _cdf: tuple[float, list[float]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    def __init__(self, top: list, search: tuple | None, beam: int):
+        # top is the search's list of the last node's prefixes, (negated
+        # total, segment count, boundaries), which grows as it resumes.
+        self._top = top
+        self._search = search
+        self.beam = beam
+        self._paths: list[tuple[tuple[int, ...], float]] | None = None
+        self._cdf: tuple[float, list[float]] | None = None
+
+    @property
+    def paths(self) -> list[tuple[tuple[int, ...], float]]:
+        if self._paths is None:
+            if self._search is not None:
+                _search(*self._search, self.beam - 1, True)
+                self._search = None
+            # 0.0 - neg, not -neg: a zero total stays +0.0, as a plain sum
+            # gives it.
+            self._paths = [(bounds, 0.0 - neg) for neg, _, bounds in self._top]
+        return self._paths
 
     def __len__(self):
         return len(self.paths)
 
     def boundaries(self, i: int) -> tuple[int, ...]:
+        if 0 <= i < len(self._top):
+            return self._top[i][2]
         return self.paths[i][0]
 
     def scores(self) -> np.ndarray:
@@ -170,6 +197,11 @@ def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestL
     yet, every stream whose next prefix can round to that total is pushed
     up to the last one that does.
 
+    The search pauses once the last node holds two paths, and the list
+    resumes it when its other paths are read.  Its whole state is in its
+    node lists, so the resumed search builds what one uninterrupted
+    search of all ``beam`` paths builds.
+
     With ``memo``, a lattice whose sizes and arc score bits equal an
     earlier one's returns that earlier result without a search.  The
     caller owns the dict and decides how long it lives.
@@ -189,36 +221,66 @@ def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestL
     # never more than ``beam`` of them.
     kept: list[list] = [[] for _ in range(n + 1)]
     kept[0].append((0.0, 0, (0,)))
-    # A heap entry is a prefix of node i with arc (i, j) added, still with
-    # i's count and boundaries: every entry of node j gains one segment and
-    # the boundary j, and two with equal counts end at different nodes, so
-    # they differ before j and the order is the same.  Then come its rank q
-    # in kept[i], i, and the arc's position o.  ahead[o] is the rank of the
-    # next prefix stream o has not pushed.  owed[j] is the entry node j took
-    # last if no later one of its stream is in the heap: that stream still
-    # has to push its next prefix.  level[j] is the total at which node j's
-    # streams were last pushed up to a tie.
-    heaps: list[list] = [[] for _ in range(n + 1)]
-    owed: list = [None] * (n + 1)
-    level: list = [None] * (n + 1)
-    ahead = [1] * len(scores)
-    preds = predecessors(n, min_len, max_len)
+    # See _search for heaps, owed, level and ahead.
+    search = (
+        kept,
+        [[] for _ in range(n + 1)],
+        [None] * (n + 1),
+        [None] * (n + 1),
+        [1] * len(scores),
+        scores,
+        predecessors(n, min_len, max_len),
+        min_len,
+        beam,
+    )
+    _search(*search, min(beam, 2) - 1, False)
+    if not kept[n]:
+        raise ValueError(f"no complete segmentation path over {n} blocks")
+    # The search loop takes a prefix before it tests its request, so only
+    # a list that can still grow keeps its search.  A last node that holds
+    # fewer than two paths has no more.
+    done = beam <= 2 or len(kept[n]) < 2
+    result = NBestList(kept[n], None if done else search, beam)
+    if memo is not None:
+        memo[key] = result
+    return result
+
+
+def _search(
+    kept, heaps, owed, level, ahead, scores, preds, min_len, beam, rank_n, resume
+):
+    """Serve every node to its best prefix and the last node to rank
+    ``rank_n``, or, with ``resume``, only the last node, whose streams
+    have started.
+
+    A heap entry is a prefix of node i with arc (i, j) added, still with
+    i's count and boundaries: every entry of node j gains one segment and
+    the boundary j, and two with equal counts end at different nodes, so
+    they differ before j and the order is the same.  Then come its rank q
+    in kept[i], i, and the arc's position o.  ahead[o] is the rank of the
+    next prefix stream o has not pushed.  owed[j] is the entry node j took
+    last if no later one of its stream is in the heap: that stream still
+    has to push its next prefix.  level[j] is the total at which node j's
+    streams were last pushed up to a tie.
+    """
+    n = len(kept) - 1
     # (node, rank) requests: grow kept[node] to rank + 1 prefixes, or as far
     # as it goes.  A node that needs a deeper prefix of a source puts itself
     # and the request for the source on the stack, and is taken up again
     # once the source is served, so the depth is that of a list, not of
     # Python calls.
     stack = []
-    for j in range(1, n + 1):
-        heap = heaps[j]
-        i = j - min_len
-        for o in preds[j]:
-            if kept[i]:
-                neg, k, b = kept[i][0]
-                heap.append((neg - scores[o], k, b, 0, i, o))
-            i -= 1
-        heapify(heap)
-        rank = beam - 1 if j == n else 0
+    for j in range(n if resume else 1, n + 1):
+        if not resume:
+            heap = heaps[j]
+            i = j - min_len
+            for o in preds[j]:
+                if kept[i]:
+                    neg, k, b = kept[i][0]
+                    heap.append((neg - scores[o], k, b, 0, i, o))
+                i -= 1
+            heapify(heap)
+        rank = rank_n if j == n else 0
         while True:
             heap = heaps[j]
             e = owed[j]
@@ -292,13 +354,6 @@ def nbest(lattice: ScoredLattice, beam: int, memo: dict | None = None) -> NBestL
                     break
             else:
                 break
-    if not kept[n]:
-        raise ValueError(f"no complete segmentation path over {n} blocks")
-    # 0.0 - neg, not -neg: a zero total stays +0.0, as a plain sum gives it.
-    result = NBestList([(bounds, 0.0 - neg) for neg, _, bounds in kept[n]])
-    if memo is not None:
-        memo[key] = result
-    return result
 
 
 def _push_ties(heap, t, kept, ahead, scores, heaps, owed, beam):
@@ -339,11 +394,36 @@ def _push_ties(heap, t, kept, ahead, scores, heaps, owed, beam):
 
 def sample_path(nbest_list: NBestList, temperature: float, u: float) -> tuple[int, ...]:
     """Draw one path from the softmax of total scores: the first whose
-    cumulative probability exceeds the uniform draw ``u`` in [0, 1)."""
-    if not nbest_list.paths:
+    cumulative probability exceeds the uniform draw ``u`` in [0, 1).
+
+    The best path is drawn without the rest of the list when ``u`` is
+    below a lower bound on its probability, so a paused list stays
+    paused.  With totals s0 >= s1 >= ... (never NaN) of the at most
+    ``beam`` paths, x = s1/T - s0/T as ``cdf`` computes it and
+    s0/T finite, every path k > 0 has s_k/T - s0/T <= x (rounding is
+    monotone), so its softmax weight relative to path 0 is at most e^x,
+    and
+
+        cdf[0] = 1 / (1 + sum_k e^(s_k/T - s0/T)) >= 1 / (1 + (beam - 1) e^x).
+
+    The factor (1 - 1e-12) covers what ``cdf`` computes differently from
+    this exact form: numpy's exp against ``math.exp``, the rounding of its
+    sum of at most ``beam`` terms and of the division, each far below
+    1e-12 relative.  So u below the bound means cdf[0] > u, which picks
+    path 0; above it the full CDF decides.
+    """
+    top = nbest_list._top
+    if not top:
         raise ValueError("empty n-best list")
     if not temperature > 0:
         raise ValueError("temperature must be > 0")
+    if len(top) == 1:
+        return top[0][2]
+    s0 = (0.0 - top[0][0]) / temperature
+    if s0 < inf:
+        x = (0.0 - top[1][0]) / temperature - s0
+        if u < (1 - 1e-12) / (1 + (nbest_list.beam - 1) * exp(x)):
+            return top[0][2]
     cum = nbest_list.cdf(temperature)
     i = min(bisect_right(cum, u), len(cum) - 1)
     return nbest_list.paths[i][0]

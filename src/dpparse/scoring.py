@@ -54,17 +54,19 @@ def word_probabilities(
     return lexicon_freqs / denom + params.alpha0 * base_probs / denom
 
 
-def arc_scores_batch(
-    word_probs: np.ndarray, lengths: np.ndarray, params: DPParams
-) -> np.ndarray:
-    """Log word probability (guarded) plus the signed length term.
-
-    The length term is ((len - 1) / delta) ** gamma, pinned to 0 at
-    length 1 for every gamma.
-    """
+def length_terms(lengths: np.ndarray, params: DPParams) -> np.ndarray:
+    """The signed length term of each length in blocks:
+    ``penalty_sign * ((len - 1) / delta) ** gamma``, pinned to 0 at
+    length 1 for every gamma."""
     lengths = np.asarray(lengths, dtype=np.float64)
     base = (lengths - 1.0) / params.delta
     q = np.where(base == 0.0, 0.0, base**params.gamma)
-    return np.log(np.asarray(word_probs, dtype=np.float64) + params.epsilon_log) + (
-        params.penalty_sign * q
-    )
+    return params.penalty_sign * q
+
+
+def arc_scores_batch(
+    word_probs: np.ndarray, terms: np.ndarray, params: DPParams
+) -> np.ndarray:
+    """Log word probability (guarded) plus the arc's ``length_terms``
+    value."""
+    return np.log(np.asarray(word_probs, dtype=np.float64) + params.epsilon_log) + terms

@@ -13,7 +13,9 @@ batch: the lexicon is frozen while utterances are decoded, so results do
 not depend on utterance processing order or worker count.  Utterances
 with equal blocks (a corpus may repeat utterances) are decoded one after
 another, and equal lattices among them share one N-best search (and so
-one softmax CDF); that memo lives for one group of one iteration.  Each
+one softmax CDF); that memo lives for one group of one iteration.  An
+arc's score adds a length term that depends only on the lattice's shape,
+so each iteration computes the terms once per utterance length.  Each
 utterance samples its path with its own uniform draw, keyed by (seed,
 iteration, utterance id): it is the first double of numpy's
 ``default_rng(SeedSequence((seed, iteration, digest)))``, where the
@@ -55,7 +57,12 @@ from dpparse.lattice import (
     nbest,
     sample_path,
 )
-from dpparse.scoring import DPParams, arc_scores_batch, word_probabilities
+from dpparse.scoring import (
+    DPParams,
+    arc_scores_batch,
+    length_terms,
+    word_probabilities,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -596,13 +603,14 @@ def run_iteration(
     iteration, never this one.
     """
     word_probs = lexicon_word_probabilities(state, corpus, config, state.segmentation)
-    candidates = state.candidates
-    offsets = candidates.offsets.tolist()
-    lengths = candidates.ends - candidates.starts
+    offsets = state.candidates.offsets.tolist()
     iteration = state.iteration + 1
     draws = _sampling_draws(config.seed, iteration, state.digests).tolist()
     utterances = corpus.utterances
     bounds: list = [None] * len(utterances)
+    # The length term of each arc, per utterance length: it depends on the
+    # lattice's shape only.
+    terms_of: dict[int, np.ndarray] = {}
     # Utterances with equal blocks are decoded one after another and share
     # a memo, so that equal lattices share one N-best list.  A memo lives
     # for one group, so it holds at most that group's lists.
@@ -611,7 +619,13 @@ def run_iteration(
         for code in group:
             utt = utterances[code]
             rows = slice(offsets[code], offsets[code + 1])
-            arc = arc_scores_batch(word_probs[rows], lengths[rows], config.dp)
+            terms = terms_of.get(utt.n_blocks)
+            if terms is None:
+                starts, ends = candidate_bounds(
+                    utt.n_blocks, config.min_len, config.max_len
+                )
+                terms = terms_of[utt.n_blocks] = length_terms(ends - starts, config.dp)
+            arc = arc_scores_batch(word_probs[rows], terms, config.dp)
             lattice = ScoredLattice(
                 utt.n_blocks, config.min_len, config.max_len, arc.tolist()
             )

@@ -14,7 +14,7 @@ from dpparse import trainer
 from dpparse.config import load_run_config
 from dpparse.core import Segmentation, ms_to_end_block
 from dpparse.metrics import fixed_rate_segmenter, token_boundary_f1
-from dpparse.scoring import arc_scores_batch
+from dpparse.scoring import arc_scores_batch, length_terms
 from dpparse.synthgen import generate
 from dpparse.trainer import train
 
@@ -104,7 +104,8 @@ def test_continuous_objective_prefers_gold_to_coarse_chunks():
     state = trainer.init_state(corpus, config)
     candidates = state.candidates
     word_probs = trainer.lexicon_word_probabilities(state, corpus, config, gold_seg)
-    arcs = arc_scores_batch(word_probs, candidates.ends - candidates.starts, config.dp)
+    terms = length_terms(candidates.ends - candidates.starts, config.dp)
+    arcs = arc_scores_batch(word_probs, terms, config.dp)
 
     def objective(segmentation):
         rows = trainer._token_rows(corpus, config, candidates, segmentation)

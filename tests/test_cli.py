@@ -202,6 +202,21 @@ class TestFlags:
         assert err.splitlines() == ["error: trainer.seed must be >= 0, got -1"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_discrete_kmeans_refused_before_any_input(self, tmp_path, capsys):
+        # The input file does not exist: the settings must be refused first.
+        argv = [
+            "segment", str(tmp_path / "missing.txt"), "--mode", "discrete",
+            "--out", str(tmp_path / "seg.tsv"),
+            "--set", "trainer.frequency_backend=kmeans",
+            "--set", "trainer.kmeans_clusters=5",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: kmeans backend applies to continuous corpora only"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGenSegmentEval:
     def test_end_to_end_continuous(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
+import math
 import sys
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dpparse import lattice as lattice_module
 from dpparse.lattice import (
     ScoredLattice,
     candidate_bounds,
@@ -30,11 +33,47 @@ def _arc_dict(lat):
     return dict(zip(zip(starts.tolist(), ends.tolist()), lat.scores))
 
 
+def _bits(paths):
+    """Paths with their totals as exact bit strings (-0.0 is not 0.0)."""
+    return [(bounds, score.hex()) for bounds, score in paths]
+
+
 def _matches_beam_spec(lat, beam):
-    """nbest returns exactly what ``beam_paths`` returns."""
+    """nbest returns exactly what ``beam_paths`` returns, score bits
+    included, when its best two paths are read before it resumes."""
     arcs = _arc_dict(lat)
     want = beam_paths(lat.n_blocks, arcs, lat.min_len, lat.max_len, beam)
-    return nbest(lat, beam).paths == want
+    result = nbest(lat, beam)
+    first = [result.boundaries(i) for i in range(min(2, len(want)))]
+    return first == [b for b, _ in want[:2]] and _bits(result.paths) == _bits(want)
+
+
+def _bisect_draw(lat, beam, temperature, u):
+    """The path a bisect of the full softmax CDF of ``beam_paths`` draws,
+    and that CDF."""
+    want = beam_paths(
+        lat.n_blocks, _arc_dict(lat), lat.min_len, lat.max_len, beam
+    )
+    logits = np.array([s for _, s in want]) / temperature
+    logits -= logits.max()
+    probs = np.exp(logits)
+    probs /= probs.sum()
+    cum = np.cumsum(probs).tolist()
+    return want[min(bisect_right(cum, u), len(cum) - 1)][0], cum
+
+
+@pytest.fixture
+def resumes(monkeypatch):
+    """Counts the searches that an N-best list resumes."""
+    calls = []
+    search = lattice_module._search
+
+    def spy(*args):
+        calls.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(lattice_module, "_search", spy)
+    return lambda: sum(calls)
 
 
 def _stack_depth():
@@ -207,10 +246,9 @@ class TestNBest:
         arc_scores = st.sampled_from([0.0, -1.0, -2.0, 1e17, -1e17])
         scores = data.draw(st.lists(arc_scores, min_size=n_arcs, max_size=n_arcs))
         lat = ScoredLattice(n, min_len, max_len, scores)
-        arcs = _arc_dict(lat)
-        assume(enumerate_paths(n, arcs, min_len, max_len))
+        assume(enumerate_paths(n, _arc_dict(lat), min_len, max_len))
         beam = data.draw(st.integers(1, 12))
-        assert nbest(lat, beam).paths == beam_paths(n, arcs, min_len, max_len, beam)
+        assert _matches_beam_spec(lat, beam)
 
     def test_tie_after_the_next_arc_favours_the_lower_ranked_prefix(self):
         # At node 3, (0, 2, 3) totals -1 and outranks (0, 1, 3) at -2; both
@@ -310,6 +348,78 @@ class TestNBest:
         bumped[(0, 3)] = bumped[(0, 3)] + 5.0
         lat2 = _lattice(6, lambda i, j: bumped[(i, j)], 1, 6)
         assert nbest(lat2, 1).paths[0][1] >= best
+
+
+class TestPausedSearch:
+    @pytest.mark.parametrize("beam", [1, 2, 3, 10])
+    def test_random_lattices_read_after_the_pause_match_beam_spec(self, beam):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            n = int(rng.integers(1, 13))
+            lat = _random_lattice(rng, n, 1, int(rng.integers(1, n + 1)))
+            assert _matches_beam_spec(lat, beam)
+
+    def test_best_two_boundaries_do_not_resume(self, resumes):
+        rng = np.random.default_rng(31)
+        lat = _random_lattice(rng, 8)
+        want = beam_paths(8, _arc_dict(lat), 1, 8, 10)
+        result = nbest(lat, 10)
+        assert [result.boundaries(i) for i in (0, 1)] == [b for b, _ in want[:2]]
+        assert resumes() == 0
+        assert result.boundaries(2) == want[2][0]
+        assert resumes() == 1
+        assert _bits(result.paths) == _bits(want)
+        assert resumes() == 1
+
+    # A best total that overflows once divided by the temperature makes
+    # the whole CDF NaN, and the bisect then draws the last path.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("temperature", [1e-9, 1.0, 100.0])
+    @pytest.mark.parametrize(
+        "kind", ["random", "best-two-tied", "one-path", "overflowing"]
+    )
+    def test_draw_equals_full_cdf_bisect_at_the_cut(self, kind, temperature):
+        beam = 10
+        rng = np.random.default_rng(37)
+        lat = {
+            "random": lambda: _random_lattice(rng, 8),
+            # every path totals -6
+            "best-two-tied": lambda: _lattice(6, lambda i, j: float(i - j), 1, 3),
+            "one-path": lambda: _lattice(4, lambda i, j: -1.0, 4, 4),
+            "overflowing": lambda: _lattice(
+                3, lambda i, j: 1e300 if (i, j) == (0, 3) else -1.0, 1, 3
+            ),
+        }[kind]()
+        want = beam_paths(lat.n_blocks, _arc_dict(lat), lat.min_len, lat.max_len, beam)
+        _path, cum = _bisect_draw(lat, beam, temperature, 0.0)
+        cuts = [cum[0]]
+        if len(want) > 1:
+            s0, s1 = want[0][1], want[1][1]
+            assert (s1 == s0) == (kind == "best-two-tied")
+            x = s1 / temperature - s0 / temperature
+            cuts.append((1 - 1e-12) / (1 + (beam - 1) * math.exp(x)))
+        draws = [0.0, math.nextafter(1.0, 0.0), *rng.random(20)]
+        for cut in cuts:
+            draws += [math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0)]
+        for u in draws:
+            if u < 1.0:
+                expected, _cum = _bisect_draw(lat, beam, temperature, u)
+                assert sample_path(nbest(lat, beam), temperature, u) == expected
+
+    def test_memo_shared_list_resumed_by_the_second_decode(self, resumes):
+        rng = np.random.default_rng(41)
+        lat = _random_lattice(rng, 9)
+        want = beam_paths(9, _arc_dict(lat), 1, 9, 10)
+        memo = {}
+        low, high = 0.0, math.nextafter(1.0, 0.0)
+        first = nbest(lat, 10, memo)
+        assert sample_path(first, 1.0, low) == _bisect_draw(lat, 10, 1.0, low)[0]
+        assert resumes() == 0
+        second = nbest(ScoredLattice(9, 1, 9, list(lat.scores)), 10, memo)
+        assert second is first
+        assert sample_path(second, 1.0, high) == _bisect_draw(lat, 10, 1.0, high)[0]
+        assert resumes() == 1
+        assert _bits(first.paths) == _bits(want)
 
 
 class TestSamplePath:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpparse.core import Corpus, SymbolSequence
-from dpparse.scoring import DPParams, arc_scores_batch, word_probabilities
+from dpparse.scoring import (
+    DPParams,
+    arc_scores_batch,
+    length_terms,
+    word_probabilities,
+)
 from dpparse.trainer import TrainerConfig, _tables_for, build_base, candidate_table
 
 from oracles import direct_arc_score, direct_length_penalty, direct_word_probability
@@ -19,16 +24,15 @@ def _word_probability(lexicon_freq, base_prob, n_lexicon, params):
 
 
 def _length_term(lengths, gamma, delta):
-    # With word probability 1 the log term is exactly log(1) = 0, so the
-    # arc score is the signed length term alone.
-    lengths = np.atleast_1d(lengths)
-    params = DPParams(gamma=gamma, delta=delta, epsilon_log=1e-300, penalty_sign=1.0)
-    return arc_scores_batch(np.ones(len(lengths)), lengths, params)
+    """length_terms with the sign +1: the length term itself."""
+    params = DPParams(gamma=gamma, delta=delta, penalty_sign=1.0)
+    return length_terms(np.atleast_1d(lengths), params)
 
 
 def _arc_score(word_prob, len_blocks, params):
     """arc_scores_batch on one row."""
-    return arc_scores_batch(np.array([word_prob]), np.array([len_blocks]), params)[0]
+    terms = length_terms(np.array([len_blocks]), params)
+    return arc_scores_batch(np.array([word_prob]), terms, params)[0]
 
 
 def _discrete_priors(*utterances, **config):
@@ -161,13 +165,14 @@ class TestArcScore:
         params = DPParams()
         probs = np.repeat([0.0, 1e-12, 0.5, 1.0], 3)
         lens = np.tile([1, 7, 20], 4)
-        assert np.all(np.isfinite(arc_scores_batch(probs, lens, params)))
+        scores = arc_scores_batch(probs, length_terms(lens, params), params)
+        assert np.all(np.isfinite(scores))
 
     def test_batch_matches_scalar(self):
         params = DPParams(gamma=0.0)
         probs = np.array([0.0, 0.3, 1.0])
         lens = np.array([1, 5, 20])
-        batch = arc_scores_batch(probs, lens, params)
+        batch = arc_scores_batch(probs, length_terms(lens, params), params)
         for b, p, n in zip(batch, probs, lens):
             oracle = direct_arc_score(
                 float(p),
