@@ -1,4 +1,4 @@
-"""Segment embedding: mean-pooling of frame blocks."""
+"""Segment embedding: sums of frame blocks over four equal sub-spans."""
 
 from __future__ import annotations
 
@@ -6,13 +6,15 @@ import numpy as np
 
 from dpparse.core import FrameMatrix
 
+PARTS = 4  # a segment's vector concatenates this many sub-span sums
+
 
 class UtteranceEmbedder:
-    """Cumulative-sum mean-pooler for segments of a list of utterances.
+    """Cumulative-sum sub-span embedder for segments of a list of utterances.
 
     Each utterance keeps its own float64 prefix sums, with a leading zero
-    row; they are stacked in utterance order.  Each row matches a direct
-    float64 mean of the covered blocks to rounding.
+    row; they are stacked in utterance order.  Each part matches a direct
+    float64 sum of its blocks to rounding.
     """
 
     def __init__(self, utterances: list[FrameMatrix]):
@@ -27,7 +29,9 @@ class UtteranceEmbedder:
     def embed_many(
         self, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
     ) -> np.ndarray:
-        """Mean of blocks ``[starts[i], ends[i])`` of utterance ``codes[i]``."""
+        """Blocks ``[starts[i], ends[i])`` of utterance ``codes[i]``, as
+        ``PARTS`` sums, ``PARTS * dim`` wide: part k of ``[a, a + L)`` sums
+        blocks ``[a + L*k // PARTS, a + L*(k+1) // PARTS)``, zero if empty."""
         bad = np.flatnonzero(
             (starts < 0) | (ends <= starts) | (ends > self._n_blocks[codes])
         )
@@ -37,6 +41,8 @@ class UtteranceEmbedder:
                 f"segment [{starts[i]}, {ends[i]}) is empty or out of bounds of "
                 f"utterance {codes[i]} ({self._n_blocks[codes[i]]} blocks)"
             )
-        first = self._first[codes]
-        lengths = (ends - starts).astype(np.float64)
-        return (self._csum[first + ends] - self._csum[first + starts]) / lengths[:, None]
+        lengths = ends - starts
+        first = self._first[codes] + starts
+        cuts = first[:, None] + lengths[:, None] * np.arange(PARTS + 1) // PARTS
+        parts = np.diff(np.take(self._csum, cuts, axis=0), axis=1)
+        return parts.reshape(len(cuts), -1)

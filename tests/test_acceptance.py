@@ -8,8 +8,6 @@ The seed, sizes and margin were fixed before any tuning; do not retune
 them to make a gate pass.
 """
 
-import pytest
-
 from dpparse import trainer
 from dpparse.config import load_run_config
 from dpparse.core import Segmentation, ms_to_end_block
@@ -69,28 +67,18 @@ def test_discrete_recovers_planted_words_of_a_large_vocabulary():
     assert f1 >= 0.85
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="continuous mode under-segments: token F1 0.0144 against a "
-    "fixed-rate baseline of 0.0898 (needs >= baseline + 0.05)",
-)
 def test_continuous_beats_fixed_rate_baseline():
     f1, baseline = _run("continuous", 200, "trainer.l0_subsample=2000")
     print(f"continuous token_f1={f1:.4f} fixed-rate baseline={baseline:.4f}")
     assert f1 >= baseline + BASELINE_MARGIN
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: mean-pooled embeddings make the objective prefer "
-    "coarse cuts (gold -7235 against -4777 for 20-block chunks)",
-)
 def test_continuous_objective_prefers_gold_to_coarse_chunks():
-    # ROADMAP item 1's first step.  On the continuous gate's corpus, with
-    # the gold tokens as the lexicon, the model's objective (the sum of
-    # arc scores along a segmentation) must rank the gold segmentation
-    # above cutting every utterance into 20-block chunks.  It depends on
-    # neither sampling nor the beam.
+    # On the continuous gate's corpus, with the gold tokens as the
+    # lexicon, the model's objective (the sum of arc scores along a
+    # segmentation) must rank the gold segmentation above cutting every
+    # utterance into 20-block chunks.  It depends on neither sampling nor
+    # the beam.
     cfg = _run_config(200, "trainer.l0_subsample=2000")
     corpus, gold, _words = generate(cfg.gen_config("continuous"))
     config = cfg.trainer_config("continuous")

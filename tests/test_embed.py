@@ -10,6 +10,8 @@ from dpparse.density import DiscreteCountStore
 from dpparse.embed import UtteranceEmbedder
 from dpparse.trainer import TrainerConfig, _tables_for, build_base, candidate_table
 
+from oracles import subspan_sums
+
 
 def _embed(fm, start, end):
     """embed_many on one row of a one-utterance embedder."""
@@ -18,20 +20,31 @@ def _embed(fm, start, end):
 
 
 class TestMeanPool:
+    # Named for the mean pooling the embedder once did; each test now
+    # checks the sub-span sums against ``oracles.subspan_sums``.
+
     def test_single_block_identity(self):
+        # One block: parts 0-2 are empty, part 3 is the block itself.
         fm = FrameMatrix("u", np.array([[1.0, 2.0], [5.0, 7.0]]))
         out = _embed(fm, 1, 2)
-        assert np.allclose(out, [5.0, 7.0])
+        assert np.array_equal(out, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 7.0])
+        assert np.array_equal(out, subspan_sums(fm.data, 1, 2))
 
     def test_two_block_mean(self):
+        # Two blocks fall in parts 1 and 3, so the parts add up to twice
+        # the mean.
         fm = FrameMatrix("u", np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]))
         out = _embed(fm, 0, 2)
-        assert np.allclose(out, [2.0, 3.0, 4.0])
+        assert np.allclose(out, subspan_sums(fm.data, 0, 2), rtol=0, atol=1e-12)
+        assert np.allclose(out.reshape(4, 3).sum(axis=0), 2 * fm.data.mean(axis=0))
 
     def test_constant_matrix_any_segment(self):
         fm = FrameMatrix("u", np.full((6, 4), 1.5))
         for start, end in ((0, 6), (2, 3), (1, 5)):
-            assert np.allclose(_embed(fm, start, end), 1.5)
+            out = _embed(fm, start, end).reshape(4, 4)
+            widths = np.diff((end - start) * np.arange(5) // 4)
+            assert np.allclose(out, 1.5 * widths[:, None])
+            assert np.allclose(out.ravel(), subspan_sums(fm.data, start, end))
 
     def test_out_of_bounds(self):
         fm = FrameMatrix("u", np.ones((3, 2)))
@@ -48,25 +61,29 @@ class TestMeanPool:
     @given(st.integers(2, 6), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_repeated_blocks_scale_invariance(self, k, seed):
+        # k copies of one block: each part is the block times its width,
+        # so the parts sum to k times the one-block embedding's.
         rng = np.random.default_rng(seed)
         block = rng.normal(size=(1, 4))
         fm = FrameMatrix("u", np.repeat(block, k, axis=0))
-        one = _embed(FrameMatrix("u", block), 0, 1)
+        one = _embed(FrameMatrix("u", block), 0, 1).reshape(4, 4).sum(axis=0)
         many = _embed(fm, 0, k)
-        assert np.allclose(one, many, rtol=1e-12, atol=1e-12)
+        assert np.allclose(many.reshape(4, 4).sum(axis=0), k * one, rtol=1e-12)
+        assert np.allclose(many, subspan_sums(fm.data, 0, k), rtol=1e-12, atol=1e-12)
 
 
 class TestBatchEmbedder:
     def test_matches_direct_mean(self):
+        # Named for the mean it once matched; now the sub-span oracle.
         rng = np.random.default_rng(2)
         fm = FrameMatrix("u", rng.normal(size=(20, 6)))
         emb = UtteranceEmbedder([fm])
         starts = np.array([0, 3, 10])
         ends = np.array([5, 4, 20])
         batch = emb.embed_many(np.zeros(3, dtype=int), starts, ends)
+        assert batch.shape == (3, 4 * 6)
         for row, (a, b) in zip(batch, zip(starts, ends)):
-            direct = fm.data[a:b].mean(axis=0, dtype=np.float64)
-            assert np.allclose(row, direct, rtol=1e-10)
+            assert np.allclose(row, subspan_sums(fm.data, a, b), rtol=1e-10, atol=1e-12)
 
     def _utterances(self):
         rng = np.random.default_rng(4)
@@ -86,10 +103,34 @@ class TestBatchEmbedder:
         codes, starts, ends = np.array(segments).T
         batch = UtteranceEmbedder(utterances).embed_many(codes, starts, ends)
         for row, (code, a, b) in zip(batch, segments):
-            direct = utterances[code].data[a:b].mean(axis=0, dtype=np.float64)
-            assert np.allclose(row, direct, rtol=1e-10)
+            direct = subspan_sums(utterances[code].data, a, b)
+            assert np.allclose(row, direct, rtol=1e-10, atol=1e-12)
             # bit for bit what a one-utterance embedder gives
             assert row.tobytes() == _embed(utterances[code], a, b).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_segments_match_subspan_oracle(self, data):
+        # Any segments of any utterances, 1-3 block ones included, whose
+        # empty parts must be exactly zero.
+        sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        utterances = [
+            FrameMatrix(f"u{i}", rng.normal(size=(n, 3))) for i, n in enumerate(sizes)
+        ]
+        segments = []
+        for _ in range(data.draw(st.integers(1, 20))):
+            code = data.draw(st.integers(0, len(sizes) - 1))
+            a = data.draw(st.integers(0, sizes[code] - 1))
+            b = data.draw(st.integers(a + 1, sizes[code]))
+            segments.append((code, a, b))
+        codes, starts, ends = np.array(segments).T
+        batch = UtteranceEmbedder(utterances).embed_many(codes, starts, ends)
+        for row, (code, a, b) in zip(batch, segments):
+            direct = subspan_sums(utterances[code].data, a, b)
+            empty = np.repeat(np.diff((b - a) * np.arange(5) // 4) == 0, 3)
+            assert np.all(row[empty] == 0.0)
+            assert np.allclose(row, direct, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize(
         "code, start, end", [(0, 3, 6), (1, 0, 2), (2, -1, 2), (0, 2, 2)]
