@@ -3,14 +3,16 @@
 The continuous backend is exact k-nearest-neighbour search plus a
 Gaussian-kernel weighted sum (a Parzen-Rosenblatt soft count between 0
 and k).  Neighbours whose provenance segment overlaps the query in time
-are discarded, which removes self-matches.  Discrete corpora use exact
-multiset counts instead; a k-means cluster-size backend exists for
-ablation runs.
+are discarded, which removes self-matches.  The kernel's width comes from
+the base pool's own nearest-neighbour distances (``calibrate_beta``).
+Discrete corpora use exact multiset counts instead; a k-means
+cluster-size backend exists for ablation runs.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from array import array
 from bisect import bisect_left, insort
 from collections.abc import Hashable
@@ -48,19 +50,17 @@ def _block_rows(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Neighbour count, kernel inverse-width, and the "frequency of one" cut."""
+    """Neighbour count, and the kernel inverse-width used where none can
+    be calibrated."""
 
     k: int = 100
     beta: float = 1.0
-    epsilon_f: float = 1e-3
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
-        if not 0 < self.epsilon_f < 1:
-            raise ValueError("epsilon_f must be in (0, 1)")
 
 
 class InstanceIndex:
@@ -185,64 +185,38 @@ class InstanceIndex:
         return out
 
 
-# Calibration stops once the below-epsilon fraction is this close to its
-# target; log10(beta) is bisected between these bounds.
-_TOLERANCE = 0.02
-_LOG10_BETA_BOUNDS = (-12.0, 12.0)
+# beta is this many times the inverse of the typical squared distance from
+# an entry to its nearest non-overlapping neighbour.
+_BANDWIDTH_SCALE = 4.0
 
 
-def calibrate_beta(
-    index: InstanceIndex,
-    rows: np.ndarray,
-    k: int,
-    epsilon_f: float,
-    target: float = 0.5,
-) -> float:
-    """Bisect log-beta until the wanted fraction of sample soft counts is tiny.
+def calibrate_beta(index: InstanceIndex, rows: np.ndarray, k: int) -> float | None:
+    """Kernel inverse-width from the index's own neighbour scale.
 
-    The sample is the index entries at the sorted positions ``rows``.  An
-    entry "has frequency one" when its soft count, excluding the entry
-    itself (removed by overlap exclusion), falls below ``epsilon_f``.  The
-    returned beta puts that fraction within _TOLERANCE of ``target``.
+    Each sampled entry (the sorted positions ``rows``) gets the squared
+    distance to its nearest neighbour among its ``k`` nearest that does not
+    overlap it, so not itself; rows with none are left out.  beta is
+    _BANDWIDTH_SCALE over the median of these, so that a typical nearest
+    neighbour weighs exp(-_BANDWIDTH_SCALE).  None when no row is left or
+    the median is 0 (most of the sample has an exact duplicate).
     """
     if len(rows) < 100:
         raise ValueError(f"calibration sample has {len(rows)} items, need >= 100")
-    if not 0 < target < 1:
-        raise ValueError("target must be in (0, 1)")
-    idx, d2 = index.query(index.vectors[rows], min(k, index.n))
-    excluded = index.overlap_mask(
+    idx, _d2 = index.query(index.vectors[rows], min(k, index.n))
+    kept = ~index.overlap_mask(
         idx, index.codes[rows], index.starts[rows], index.ends[rows]
     )
-
-    def below_fraction(beta: float) -> float:
-        w = np.exp(-beta * d2)
-        w[excluded] = 0.0
-        return float(np.mean(w.sum(axis=1) < epsilon_f))
-
-    lo, hi = _LOG10_BETA_BOUNDS
-    f_lo = below_fraction(10.0**lo)
-    f_hi = below_fraction(10.0**hi)
-    if f_lo > target + _TOLERANCE or f_hi < target - _TOLERANCE:
-        raise ValueError(
-            "calibration target unreachable: below-epsilon fraction is "
-            f"{f_lo:.4f} at beta={10.0**lo:g} and {f_hi:.4f} at beta={10.0**hi:g}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        beta = 10.0**mid
-        f_mid = below_fraction(beta)
-        if abs(f_mid - target) <= _TOLERANCE:
-            logger.info("calibrated beta=%.6g (fraction %.4f)", beta, f_mid)
-            return beta
-        if f_mid < target:
-            lo = mid
-        else:
-            hi = mid
-    raise ValueError(
-        "calibration did not converge: fraction "
-        f"{below_fraction(10.0**lo):.4f} at beta={10.0**lo:g}, "
-        f"{below_fraction(10.0**hi):.4f} at beta={10.0**hi:g}"
+    free = kept.any(axis=1)
+    # Taken directly, not by the norm trick, so an exact duplicate is at 0.
+    diff = index.vectors[rows[free]] - index.vectors[idx[free, kept[free].argmax(1)]]
+    nearest_d2 = np.einsum("ij,ij->i", diff, diff)
+    median = float(np.median(nearest_d2)) if len(nearest_d2) else 0.0
+    beta = _BANDWIDTH_SCALE / median if median > 0 else math.inf
+    logger.info(
+        "beta %.6g: median nearest d2 %.6g over %d of %d sampled entries",
+        beta, median, len(nearest_d2), len(rows),
     )
+    return beta if math.isfinite(beta) else None
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,13 @@ class TrainerConfig:
             raise ValueError("kmeans backend needs kmeans_clusters >= 1")
         if self.calibration_sample < 100:
             raise ValueError("calibration_sample must be >= 100")
+        with np.errstate(over="ignore"):  # the term grows with length
+            longest = length_terms(self.max_len, self.dp)
+        if not np.isfinite(longest):
+            raise ValueError(
+                f"the length term of a {self.max_len}-block token overflows "
+                f"(dp.gamma {self.dp.gamma:g}, dp.delta {self.dp.delta:g})"
+            )
 
 
 @dataclass(frozen=True)
@@ -416,17 +423,20 @@ class _KnnTables(_EmbeddedTables):
 
     def _calibrate(self, index: InstanceIndex) -> float:
         config = self.config
-        if index.n < 100:
-            logger.warning(
-                "base pool too small to calibrate (%d entries); using beta=%g",
-                index.n,
-                config.density.beta,
-            )
-            return config.density.beta
-        rng = _derived_rng(config.seed, _TAG_CALIBRATION)
-        m = min(config.calibration_sample, index.n)
-        rows = np.sort(rng.choice(index.n, size=m, replace=False))
-        return calibrate_beta(index, rows, config.density.k, config.density.epsilon_f)
+        if index.n >= 100:
+            rng = _derived_rng(config.seed, _TAG_CALIBRATION)
+            m = min(config.calibration_sample, index.n)
+            rows = np.sort(rng.choice(index.n, size=m, replace=False))
+            beta = calibrate_beta(index, rows, config.density.k)
+            if beta is not None:
+                return beta
+        logger.warning(
+            "no kernel width to calibrate from a base pool of %d entries; "
+            "using beta=%g",
+            index.n,
+            config.density.beta,
+        )
+        return config.density.beta
 
     def build_lexicon(self, rows: np.ndarray):
         c = self.candidates
@@ -434,8 +444,8 @@ class _KnnTables(_EmbeddedTables):
         return InstanceIndex(vectors, c.codes[rows], c.starts[rows], c.ends[rows])
 
     def _lookup(self, index, rows, beta) -> np.ndarray:
-        c, density = self.candidates, self.config.density
-        params = DensityParams(density.k, beta, density.epsilon_f)
+        c = self.candidates
+        params = DensityParams(self.config.density.k, beta)
         return index.kernel_frequencies_arrays(
             self._embeddings(rows), c.codes[rows], c.starts[rows], c.ends[rows], params
         )

@@ -8,6 +8,7 @@ evaluated directly.
 """
 
 import math
+import statistics
 
 import numpy as np
 
@@ -117,3 +118,22 @@ def subspan_sums(data, start: int, end: int, parts: int = 4) -> np.ndarray:
         for i in range(start + length * k // parts, start + length * (k + 1) // parts):
             out[k] += data[i]
     return out.ravel()
+
+
+def calibrated_beta(vectors, codes, starts, ends, rows, k: int, scale: float):
+    """``scale`` over the median, over sample ``rows``, of the squared
+    distance from each entry to its nearest entry among its ``k`` nearest
+    (``linear_scan_knn``) that lies in another utterance or does not
+    strictly intersect it; rows with no such entry are skipped.  None when
+    no row is left or the median is 0."""
+    nearest = []
+    for r in rows:
+        order, d2 = linear_scan_knn(vectors, vectors[r], k)
+        for j, d in zip(order, d2):
+            if not (codes[j] == codes[r] and starts[j] < ends[r] and starts[r] < ends[j]):
+                nearest.append(float(d))
+                break
+    if not nearest:
+        return None
+    median = statistics.median(nearest)
+    return scale / median if median > 0 else None

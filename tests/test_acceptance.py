@@ -8,6 +8,10 @@ The seed, sizes and margin were fixed before any tuning; do not retune
 them to make a gate pass.
 """
 
+import dataclasses
+
+import pytest
+
 from dpparse import trainer
 from dpparse.config import load_run_config
 from dpparse.core import Segmentation, ms_to_end_block
@@ -20,6 +24,11 @@ SEED = 7
 # The continuous gate: token F1 at least this far above the fixed-rate
 # baseline with one token every 3 blocks (120ms).
 BASELINE_MARGIN = 0.05
+# The gold-start test: corpus seeds (not the gates' seed), and how near gold
+# one iteration must stay.  Fixed before the test first ran.
+GOLD_START_SEEDS = (11, 13)
+GOLD_START_MIN_F1 = 0.90
+GOLD_START_TOKEN_SHARE = 0.10
 
 
 def _run_config(n_utterances, *overrides, vocab_size=50):
@@ -43,6 +52,15 @@ def _run(mode, n_utterances, *overrides, vocab_size=50):
     return (
         token_boundary_f1(segmentation, gold).token_f1,
         token_boundary_f1(baseline, gold).token_f1,
+    )
+
+
+def _gold_segmentation(gold):
+    return Segmentation(
+        {
+            utt_id: (0, *(ms_to_end_block(end) for _start, end in words))
+            for utt_id, words in gold.words.items()
+        }
     )
 
 
@@ -82,12 +100,7 @@ def test_continuous_objective_prefers_gold_to_coarse_chunks():
     cfg = _run_config(200, "trainer.l0_subsample=2000")
     corpus, gold, _words = generate(cfg.gen_config("continuous"))
     config = cfg.trainer_config("continuous")
-    gold_seg = Segmentation(
-        {
-            utt_id: (0, *(ms_to_end_block(end) for _start, end in words))
-            for utt_id, words in gold.words.items()
-        }
-    )
+    gold_seg = _gold_segmentation(gold)
     chunks = fixed_rate_segmenter(corpus, 20)
     state = trainer.init_state(corpus, config)
     candidates = state.candidates
@@ -102,3 +115,30 @@ def test_continuous_objective_prefers_gold_to_coarse_chunks():
     gold_score, coarse_score = objective(gold_seg), objective(chunks)
     print(f"objective gold={gold_score:.1f} 20-block chunks={coarse_score:.1f}")
     assert gold_score > coarse_score
+
+
+@pytest.mark.parametrize("seed", GOLD_START_SEEDS)
+def test_continuous_gold_start_stays_near_gold(seed):
+    # A model started at the truth should stay there.  At the default
+    # base pool (every candidate), one iteration from the gold
+    # segmentation must keep the token count and token F1 near gold: the
+    # objective and the kernel width are tested together, with no search
+    # from a bad start.
+    cfg = load_run_config(
+        overrides=["gen.n_utterances=100", "gen.vocab_size=50"],
+        **{"trainer.seed": seed},
+    )
+    corpus, gold, _words = generate(cfg.gen_config("continuous"))
+    config = cfg.trainer_config("continuous")
+    gold_seg = _gold_segmentation(gold)
+    state = dataclasses.replace(
+        trainer.init_state(corpus, config), segmentation=gold_seg
+    )
+    seg = trainer.run_iteration(state, corpus, config).segmentation
+    f1 = token_boundary_f1(seg, gold).token_f1
+    print(
+        f"gold start seed {seed}: tokens {seg.n_tokens} of {gold_seg.n_tokens}, "
+        f"token_f1={f1:.4f}"
+    )
+    assert f1 >= GOLD_START_MIN_F1
+    assert abs(seg.n_tokens - gold_seg.n_tokens) <= GOLD_START_TOKEN_SHARE * gold_seg.n_tokens

@@ -69,7 +69,7 @@ class TestConfig:
             "trainer": "n_iterations beam l0_subsample seed workers min_len max_len "
             "temperature frequency_backend kmeans_clusters calibration_sample",
             "dp": "alpha0 gamma delta epsilon_log penalty_sign",
-            "density": "k beta epsilon_f",
+            "density": "k beta",
             "gen": "vocab_size n_utterances dim zipf_exponent word_len_min "
             "word_len_max words_per_utterance_min words_per_utterance_max "
             "noise_sigma alphabet_size",
@@ -214,6 +214,20 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "error: kmeans backend applies to continuous corpora only"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_length_term_refused_before_any_input(self, tmp_path, capsys):
+        argv = [
+            "segment", str(tmp_path / "missing.txt"), "--mode", "discrete",
+            "--out", str(tmp_path / "seg.tsv"),
+            "--set", "dp.gamma=500", "--set", "dp.delta=4",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: the length term of a 20-block token overflows "
+            "(dp.gamma 500, dp.delta 4)"
         ]
         assert list(tmp_path.iterdir()) == []
 

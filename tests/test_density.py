@@ -15,6 +15,7 @@ from dpparse.density import (
     calibrate_beta,
 )
 
+from oracles import calibrated_beta as oracle_beta
 from oracles import count_excluding_overlaps, linear_scan_knn, overlap_mask
 
 
@@ -299,42 +300,81 @@ class TestCalibrateBeta:
         rng = np.random.default_rng(1)
         items = self._well_separated_sample(rng, n=150, dup_fraction=0.0)
         index = _index_of(items)
-        params = DensityParams(k=10, beta=1e-12, epsilon_f=1e-3)
+        params = DensityParams(k=10, beta=1e-12)
         freqs = _soft_counts(index, [v for v, _ in items[:50]], [_FRESH] * 50, params)
         # beta -> 0 means every neighbour contributes ~1
         assert all(f > 9.0 for f in freqs)
-
-    def test_half_duplicates_calibrates_to_half(self):
-        rng = np.random.default_rng(2)
-        items = self._well_separated_sample(rng, n=200, dup_fraction=1.0)
-        # sample only the originals: each has exactly one exact duplicate
-        # elsewhere, so their below-epsilon indicator never fires; add the
-        # same number of isolated points which cross as beta grows.
-        isolated = [
-            (rng.normal(size=6) * 50.0 + 500.0, (1000 + i, 0, 1)) for i in range(400)
-        ]
-        index = _index_of(items + isolated)
-        rows = np.r_[0:200, len(items) : len(items) + 200]
-        beta = calibrate_beta(index, rows, k=20, epsilon_f=1e-3, target=0.5)
-        params = DensityParams(k=20, beta=beta, epsilon_f=1e-3)
-        vectors, provenance = zip(*(items[:200] + isolated[:200]))
-        below = _soft_counts(index, vectors, provenance, params) < 1e-3
-        assert 0.48 <= np.mean(below) <= 0.52
 
     def test_small_sample_rejected(self):
         rng = np.random.default_rng(3)
         items = self._well_separated_sample(rng, n=120, dup_fraction=0.0)
         index = _index_of(items)
         with pytest.raises(ValueError, match="100"):
-            calibrate_beta(index, np.arange(50), k=5, epsilon_f=1e-3)
+            calibrate_beta(index, np.arange(50), k=5)
 
-    def test_unreachable_target_reports_both_bounds(self):
-        rng = np.random.default_rng(4)
-        # every point duplicated: fraction can never reach 0.9
-        items = self._well_separated_sample(rng, n=150, dup_fraction=1.0)
+    @staticmethod
+    def _overlapping_sample(rng, n_utterances, per_utterance, spread):
+        # Entries of one utterance cluster around its own centre and all
+        # cover its block 0, so they overlap one another; the nearest
+        # non-overlapping neighbour then sits in another utterance.
+        items = []
+        for code in range(n_utterances):
+            centre = rng.normal(size=5) * spread
+            for i in range(per_utterance):
+                vector = centre + rng.normal(size=5) * 0.1
+                items.append((vector, (code, 0, 1 + i)))
+        return items
+
+    @pytest.mark.parametrize("seed, k", [(0, 50), (1, 5), (2, 3)])
+    def test_matches_linear_scan_oracle(self, seed, k):
+        # Utterances of 3 overlapping entries at nearby centres: with k = 3
+        # some rows see only their own utterance and are left out (53 of
+        # 120 at seed 2); with k = 5 or 50 every row finds one elsewhere.
+        rng = np.random.default_rng(seed)
+        items = self._overlapping_sample(rng, 60, 3, spread=0.3)
         index = _index_of(items)
-        with pytest.raises(ValueError, match="unreachable"):
-            calibrate_beta(index, np.arange(index.n), k=10, epsilon_f=1e-3, target=0.9)
+        rows = np.sort(rng.choice(index.n, size=120, replace=False))
+        want = oracle_beta(
+            index.vectors, index.codes, index.starts, index.ends, rows, k,
+            density._BANDWIDTH_SCALE,
+        )
+        assert want is not None
+        got = calibrate_beta(index, rows, k=k)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_zero_median_gives_none(self):
+        # Most sampled entries have an exact duplicate in another
+        # utterance, so the median nearest distance is 0.
+        rng = np.random.default_rng(5)
+        items = self._well_separated_sample(rng, n=150, dup_fraction=0.6)
+        assert calibrate_beta(_index_of(items), np.arange(150), k=10) is None
+        # Below half duplicated, the median is a real distance again.
+        items = self._well_separated_sample(rng, n=150, dup_fraction=0.4)
+        beta = calibrate_beta(_index_of(items), np.arange(150), k=10)
+        assert math.isfinite(beta) and beta > 0
+
+    def test_all_neighbours_overlapping_gives_none(self):
+        # Each utterance's 4 entries all cover block 0 and lie far from
+        # other utterances, so each entry's 3 nearest are its own
+        # utterance's: no row has a non-overlapping neighbour.
+        rng = np.random.default_rng(6)
+        index = _index_of(self._overlapping_sample(rng, 40, 4, spread=1000.0))
+        assert calibrate_beta(index, np.arange(index.n), k=3) is None
+        # With one more neighbour each row reaches another utterance.
+        assert calibrate_beta(index, np.arange(index.n), k=5) > 0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e-3, 1.0, 1e150])
+    def test_beta_finite_at_any_scale(self, scale):
+        # beta is never inf or NaN: at 1e-200 the squared distances
+        # underflow to 0 and there is no scale to calibrate from.
+        rng = np.random.default_rng(7)
+        items = self._well_separated_sample(rng, n=150, dup_fraction=0.0)
+        index = _index_of([(v * scale, p) for v, p in items])
+        beta = calibrate_beta(index, np.arange(150), k=10)
+        if scale == 1e-200:
+            assert beta is None
+        else:
+            assert math.isfinite(beta) and beta > 0
 
 
 class TestDiscreteCounts:

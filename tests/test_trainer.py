@@ -737,6 +737,17 @@ class TestTrain:
                 _config(calibration_sample=bad)
         assert _config(calibration_sample=100).calibration_sample == 100
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_overflowing_length_term_rejected(self, sign):
+        # ((20 - 1) / 4) ** 460 overflows a double: every 20-block arc would
+        # score -inf or +inf.  Just below, at gamma 450, the term is finite.
+        with pytest.raises(ValueError, match="20-block token overflows"):
+            _config(dp=DPParams(gamma=460.0, penalty_sign=sign))
+        with pytest.raises(ValueError, match="6-block token overflows"):
+            _config(max_len=6, dp=DPParams(gamma=1000.0, delta=1.0, penalty_sign=sign))
+        assert _config(dp=DPParams(gamma=450.0, penalty_sign=sign)).max_len == 20
+        assert _config(max_len=5, dp=DPParams(gamma=1000.0, delta=4.0)).max_len == 5
+
     def test_discrete_training_runs(self):
         corpus, gold = _discrete_corpus(n_utterances=80)
         config = _config(n_iterations=3, dp=DPParams(delta=2.0))
@@ -763,3 +774,16 @@ class TestTrain:
         config = _config(min_len=1, max_len=3, density=DensityParams(k=5, beta=2.0))
         state = init_state(corpus, config)
         assert state.beta == 2.0  # configured value, calibration skipped
+
+    def test_calibration_fallback_for_repeated_utterances(self, caplog):
+        # Every utterance appears twice, so every sampled candidate has an
+        # exact duplicate in the other copy: the median nearest distance is
+        # 0 and the configured beta is used, with a warning.
+        rng = np.random.default_rng(0)
+        data = [rng.normal(size=(6, 3)) for _ in range(20)]
+        corpus = Corpus([FrameMatrix(f"u{i}", data[i % 20]) for i in range(40)])
+        config = _config(max_len=6, density=DensityParams(beta=3.0))
+        with caplog.at_level("WARNING", logger="dpparse.trainer"):
+            state = init_state(corpus, config)
+        assert state.beta == 3.0
+        assert "using beta=3" in caplog.text
