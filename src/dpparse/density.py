@@ -25,9 +25,15 @@ from dpparse._kernels import topk_select
 logger = logging.getLogger(__name__)
 
 # Queries are answered in row blocks of about _BLOCK_BYTES: one distance
-# GEMM per block, then the norm finish and top-k selection per row tile of
-# about _TILE_BYTES, while the tile is still in cache.  No distance matrix
-# larger than one block ever exists.
+# GEMM per block into the query's one block buffer, then the norm finish
+# and top-k selection per row tile of about _TILE_BYTES, while the tile is
+# still in cache.  No distance matrix larger than one block ever exists,
+# and only one exists at a time.  Keep the block this large: glibc serves
+# an 8 MB buffer by mmap, and freeing it raises glibc's mmap and trim
+# thresholds, so the smaller temporaries of a query group stay in a heap
+# that is not trimmed between groups.  On the cont-lexicon benchmark, one
+# 2 MB GEMM per tile kept the bits but raised a pass's minor page faults
+# to 166k and its iteration time by 70-90%.
 _BLOCK_BYTES = 8 * 1024 * 1024
 _TILE_BYTES = 2 * 1024 * 1024
 
@@ -96,6 +102,8 @@ class InstanceIndex:
 
         Returns (indices, sq_distances), each of shape (n_queries,
         min(k, n)), rows sorted ascending by (distance, entry index).
+        Beyond the outputs, a query holds one distance block (about
+        _BLOCK_BYTES) however many rows it has.
         """
         queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float64)
         if queries.shape[1] != self.dim:
@@ -115,16 +123,18 @@ class InstanceIndex:
         """Yield (first row, squared distances) tiles of ``queries`` x index.
 
         ``queries`` is a C-contiguous float64 (m, dim) array, as ``query``
-        makes it.  One GEMM per ``_block_rows(n, k)`` query rows; each tile
-        of a block is finished just before it is yielded and is overwritten
-        by the next block, so a consumer must be done with it by then.
+        makes it.  One GEMM per ``_block_rows(n, k)`` query rows, each
+        written into the same (min(block, m), n) buffer; each tile of a
+        block is finished just before it is yielded and is overwritten by
+        the next block, so a consumer must be done with it by then.
         """
         block = _block_rows(self.n, k)
         tile = max(1, _TILE_BYTES // (8 * self.n))
+        buf = np.empty((min(block, len(queries)), self.n))
         for lo in range(0, len(queries), block):
             q = queries[lo : lo + block]
             # |q - b|^2 = |q|^2 + |b|^2 - 2 q.b, clamped against rounding.
-            d = q @ self.vectors.T
+            d = np.matmul(q, self.vectors.T, out=buf[: len(q)])
             q_sq = np.einsum("ij,ij->i", q, q)
             for t in range(0, len(q), tile):
                 dt = d[t : t + tile]
@@ -166,23 +176,39 @@ class InstanceIndex:
     ) -> np.ndarray:
         """Batched soft counts sum_j exp(-beta * d_j^2) over kept neighbours.
 
-        Streams ``query`` over ``_block_rows`` blocks, the split a one-shot
-        ``query`` uses, so no (m, k) array exists for all queries at once
-        and each count equals one computed from a one-shot ``query``.
+        Streams over ``_neighbour_blocks``, so no (m, k) array exists for
+        all queries at once and each count equals one computed from a
+        one-shot ``query``.
         """
         queries = np.atleast_2d(queries)
         out = np.empty(len(queries), dtype=np.float64)
-        block = _block_rows(self.n, params.k)
-        for lo in range(0, len(queries), block):
-            rows = slice(lo, lo + block)
-            idx, d2 = self.query(queries[rows], params.k)
+        blocks = self._neighbour_blocks(
+            queries, query_codes, query_starts, query_ends, params.k
+        )
+        for rows, _idx, d2, excluded in blocks:
             weights = np.exp(-params.beta * d2)
-            excluded = self.overlap_mask(
-                idx, query_codes[rows], query_starts[rows], query_ends[rows]
-            )
             weights[excluded] = 0.0
             out[rows] = weights.sum(axis=1)
         return out
+
+    def _neighbour_blocks(self, queries, codes, starts, ends, k, rows=None):
+        """Yield (part, indices, sq_distances, excluded) per query block.
+
+        The queries are ``queries[rows]`` with provenance ``codes[rows]``,
+        ``starts[rows]`` and ``ends[rows]`` (all rows when ``rows`` is
+        None), gathered ``_block_rows(n, k)`` at a time: the split a
+        one-shot ``query`` uses, so each result equals the one-shot one.
+        Each block is one ``query`` and one ``overlap_mask`` (``excluded``);
+        ``part`` is its slice of the query positions.
+        """
+        m = len(queries) if rows is None else len(rows)
+        block = _block_rows(self.n, k)
+        for lo in range(0, m, block):
+            part = slice(lo, lo + block)
+            take = part if rows is None else rows[part]
+            idx, d2 = self.query(queries[take], k)
+            excluded = self.overlap_mask(idx, codes[take], starts[take], ends[take])
+            yield part, idx, d2, excluded
 
 
 # beta is this many times the inverse of the typical squared distance from
@@ -198,18 +224,24 @@ def calibrate_beta(index: InstanceIndex, rows: np.ndarray, k: int) -> float | No
     overlap it, so not itself; rows with none are left out.  beta is
     _BANDWIDTH_SCALE over the median of these, so that a typical nearest
     neighbour weighs exp(-_BANDWIDTH_SCALE).  None when no row is left or
-    the median is 0 (most of the sample has an exact duplicate).
+    the median is 0 (most of the sample has an exact duplicate).  The
+    sample is streamed through the index's query blocks, as soft counts
+    are, so no (len(rows), k) array exists at once.
     """
     if len(rows) < 100:
         raise ValueError(f"calibration sample has {len(rows)} items, need >= 100")
-    idx, _d2 = index.query(index.vectors[rows], min(k, index.n))
-    kept = ~index.overlap_mask(
-        idx, index.codes[rows], index.starts[rows], index.ends[rows]
+    nearest = []
+    blocks = index._neighbour_blocks(
+        index.vectors, index.codes, index.starts, index.ends, min(k, index.n), rows
     )
-    free = kept.any(axis=1)
-    # Taken directly, not by the norm trick, so an exact duplicate is at 0.
-    diff = index.vectors[rows[free]] - index.vectors[idx[free, kept[free].argmax(1)]]
-    nearest_d2 = np.einsum("ij,ij->i", diff, diff)
+    for part, idx, _d2, excluded in blocks:
+        kept = ~excluded
+        free = kept.any(axis=1)
+        # Taken directly, not by the norm trick, so an exact duplicate is at 0.
+        first = idx[free, kept[free].argmax(1)]
+        diff = index.vectors[rows[part][free]] - index.vectors[first]
+        nearest.append(np.einsum("ij,ij->i", diff, diff))
+    nearest_d2 = np.concatenate(nearest)
     median = float(np.median(nearest_d2)) if len(nearest_d2) else 0.0
     beta = _BANDWIDTH_SCALE / median if median > 0 else math.inf
     logger.info(

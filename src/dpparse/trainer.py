@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -555,6 +556,25 @@ def build_base(tables: _EmbeddedTables | _DiscreteTables, config: TrainerConfig)
     return base, base_probs, beta, n_base
 
 
+def _check_temperature(corpus: Corpus, config: TrainerConfig) -> None:
+    """Refuse a temperature at which a path's total over it can overflow.
+
+    A word probability is in [0, 1], so an arc scores at most
+    max(|log eps|, log(1 + eps)) plus the length term of ``max_len`` in
+    magnitude, and a path has at most one arc per block.  An infinite
+    total over the temperature would make the sampling CDF NaN.
+    """
+    eps = config.dp.epsilon_log
+    arc = max(abs(math.log(eps)), math.log1p(eps))
+    arc += abs(float(length_terms(config.max_len, config.dp)))
+    longest = max(utt.n_blocks for utt in corpus.utterances)
+    if not math.isfinite(longest * arc / config.temperature):
+        raise ValueError(
+            f"trainer.temperature {config.temperature!r} is too small: path "
+            f"scores of a {longest}-block utterance over it overflow"
+        )
+
+
 def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
     """Validate, seed the segmentation, and precompute base tables."""
     report = validate_corpus(corpus)
@@ -568,6 +588,7 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
         )
     if corpus.mode == "discrete" and config.frequency_backend == "kmeans":
         raise ValueError("kmeans backend applies to continuous corpora only")
+    _check_temperature(corpus, config)
     seed_seg = init_segmentation(corpus, config.max_len)
     candidates = candidate_table(corpus, config.min_len, config.max_len)
     tables = _tables_for(corpus, config, candidates)

@@ -91,6 +91,17 @@ def test_continuous_beats_fixed_rate_baseline():
     assert f1 >= baseline + BASELINE_MARGIN
 
 
+def test_continuous_beats_fixed_rate_baseline_at_default_pool():
+    # The gate above at the documented defaults: every candidate is in
+    # the base pool, and beta is calibrated on a 10,000-entry sample.
+    f1, baseline = _run("continuous", 200)
+    print(
+        f"continuous default pool token_f1={f1:.4f} "
+        f"fixed-rate baseline={baseline:.4f}"
+    )
+    assert f1 >= baseline + BASELINE_MARGIN
+
+
 def test_continuous_objective_prefers_gold_to_coarse_chunks():
     # On the continuous gate's corpus, with the gold tokens as the
     # lexicon, the model's objective (the sum of arc scores along a

@@ -231,6 +231,18 @@ class TestFlags:
         ]
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_temperature_refused(self, tmp_path, capsys):
+        _out, corpus_file = _gen(tmp_path, mode="discrete")
+        seg_file = tmp_path / "seg.tsv"
+        argv = [
+            "segment", str(corpus_file), "--mode", "discrete",
+            "--out", str(seg_file), "--set", "trainer.temperature=1e-320",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trainer.temperature 1e-320 is too small")
+        assert not seg_file.exists()
+
 
 class TestGenSegmentEval:
     def test_end_to_end_continuous(self, tmp_path, capsys):

@@ -270,6 +270,35 @@ class TestEstimateFrequency:
         assert counts.shape == (m,)
         assert peak < 16 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
 
+    def test_query_holds_one_block_at_a_time(self):
+        # 2000 rows are 4 blocks of 8 MB: one block plus the 3.2 MB of
+        # (m, k) outputs fit the bound, a second block would not.
+        rng = np.random.default_rng(8)
+        index = _index_from(rng.normal(size=(2000, 16)))
+        queries = rng.normal(size=(2000, 16))
+        tracemalloc.start()
+        try:
+            idx, _d2 = index.query(queries, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert idx.shape == (2000, 100)
+        assert peak < 16 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
+
+    def test_calibration_streams_by_block(self):
+        # A 2000-row sample of a 2000-entry pool: the calibration holds
+        # one distance block and one block's neighbours at a time.
+        rng = np.random.default_rng(9)
+        index = _index_from(rng.normal(size=(2000, 16)))
+        tracemalloc.start()
+        try:
+            beta = calibrate_beta(index, np.arange(2000), k=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(beta) and beta > 0
+        assert peak < 16 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
+
 
 class TestCalibrateBeta:
     def _well_separated_sample(self, rng, n=300, dup_fraction=0.5):
@@ -282,19 +311,22 @@ class TestCalibrateBeta:
         return items
 
     def test_monotone_in_beta(self):
+        # A wider kernel never counts less: on the same sample, every soft
+        # count falls or stays as beta grows.
         rng = np.random.default_rng(0)
         items = self._well_separated_sample(rng, n=200)
         index = _index_of(items)
-        idx, d2 = index.query(index.vectors, 20)
-        mask = index.overlap_mask(idx, index.codes, index.starts, index.ends)
-
-        def frac(beta):
-            w = np.exp(-beta * d2)
-            w[mask] = 0.0
-            return np.mean(w.sum(axis=1) < 1e-3)
-
-        fractions = [frac(b) for b in (1e-6, 1e-2, 1.0, 1e2, 1e6)]
-        assert all(a <= b + 1e-12 for a, b in zip(fractions, fractions[1:]))
+        queries = index.vectors + rng.normal(size=index.vectors.shape) * 20.0
+        provenance = (index.codes, index.starts, index.ends)
+        counts = [
+            index.kernel_frequencies_arrays(
+                queries, *provenance, DensityParams(k=20, beta=beta)
+            )
+            for beta in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e6)
+        ]
+        for wider, narrower in zip(counts, counts[1:]):
+            assert np.all(narrower <= wider)
+        assert counts[0].min() > 15.0 and counts[-1].max() == 0.0
 
     def test_tiny_beta_keeps_everything_above_epsilon(self):
         rng = np.random.default_rng(1)

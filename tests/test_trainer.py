@@ -322,6 +322,18 @@ class TestInitState:
         with pytest.raises(ValueError, match=r"3\.\.3 blocks cannot tile: a$"):
             init_state(corpus, _config(min_len=3, max_len=3))
 
+    def test_overflowing_temperature_rejected(self, monkeypatch):
+        # At 1e-320 every path total over the temperature overflows, and
+        # the sampling CDF would be NaN: refused before any candidate is
+        # enumerated.  At 1e-300 the totals are finite, and training runs.
+        corpus, _ = _discrete_corpus(n_utterances=30)
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "candidate_table", _fail)
+            with pytest.raises(ValueError, match=r"^trainer\.temperature 1e-320 "):
+                init_state(corpus, _config(temperature=1e-320))
+        seg = train(corpus, _config(temperature=1e-300))
+        assert seg.validate(corpus) == []
+
     def test_seed_and_tables(self):
         corpus, _ = _continuous_corpus(n_utterances=12)
         state = init_state(corpus, _config())
