@@ -1,17 +1,16 @@
-"""Command-line interface: gen, segment, baseline, eval, ablate-kmeans.
+"""Command-line interface: gen, segment, baseline, eval.
 
 Every command is deterministic given --seed, a non-negative integer that
 is checked, with the other settings, before any input is read.  All
 randomness flows from that single seed: each utterance's sampling draw is
 keyed by (seed, iteration, utterance id), so results do not depend on
-decode order or --workers.
+decode order.  --workers is accepted and recorded but changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
+import io
 import logging
 import math
 import sys
@@ -75,26 +74,6 @@ def _reject(path: str, what: str, errors: list[str]) -> None:
         raise ValueError(f"invalid {what} {path}:\n" + "\n".join(errors))
 
 
-def _listed(what: str, utterance_ids: list[str]) -> list[str]:
-    """One error naming up to ten ``utterance_ids``; none when it is empty."""
-    if not utterance_ids:
-        return []
-    n = len(utterance_ids)
-    more = f" and {n - 10} more" if n > 10 else ""
-    return [f"{what}: " + ", ".join(utterance_ids[:10]) + more]
-
-
-def _gold_end_errors(gold, ends: dict[str, int], what: str) -> list[str]:
-    """One error per utterance of ``ends`` whose last block is not the end
-    block of its last gold word; utterances with no gold words are skipped."""
-    gold_ends = {u: ms_to_end_block(words[-1][1]) for u, words in gold.words.items()}
-    return [
-        f"{u}: {what} at block {end}, gold words at block {gold_ends[u]}"
-        for u, end in ends.items()
-        if u in gold_ends and end != gold_ends[u]
-    ]
-
-
 def _check_output_dirs(*paths) -> None:
     """Fail before any training when an output file's directory is missing."""
     for path in paths:
@@ -133,13 +112,13 @@ def cmd_segment(args) -> int:
     _check_output_dirs(args.out, args.log)
     trainer_cfg = _run_config(args).trainer_config(args.mode)
     corpus = _load_input_corpus(args.input, args.mode)
-    log_stream = open(args.log, "w", encoding="utf-8") if args.log else None
-    try:
-        segmentation = train(corpus, trainer_cfg, log_stream=log_stream)
-    finally:
-        if log_stream is not None:
-            log_stream.close()
+    # The log is kept in memory and written with the segmentation, so a
+    # refused or failed run leaves neither file behind.
+    log_stream = io.StringIO()
+    segmentation = train(corpus, trainer_cfg, log_stream=log_stream)
     dpio.write_segmentation(args.out, segmentation)
+    if args.log:
+        Path(args.log).write_text(log_stream.getvalue(), encoding="utf-8")
     logger.info("wrote %s (%d tokens)", args.out, segmentation.n_tokens)
     return 0
 
@@ -173,65 +152,28 @@ def cmd_eval(args) -> int:
     hyp = dpio.read_segmentation(args.segmentation)
     gold = dpio.read_alignment(args.alignment)
     _reject(args.alignment, "alignment", gold.validate())
-    ends = {utt_id: bounds[-1] for utt_id, bounds in hyp.items()}
-    errors = [
-        f"{utt_id}: no gold words in {args.alignment}"
-        for utt_id in ends
-        if utt_id not in gold.words
-    ]
-    errors += _gold_end_errors(gold, ends, "tokens end")
+    gold_ends = {u: ms_to_end_block(words[-1][1]) for u, words in gold.words.items()}
+    errors = []
+    for utt_id, bounds in hyp.items():
+        if utt_id not in gold_ends:
+            errors.append(f"{utt_id}: no gold words in {args.alignment}")
+        elif bounds[-1] != gold_ends[utt_id]:
+            errors.append(
+                f"{utt_id}: tokens end at block {bounds[-1]}, "
+                f"gold words at block {gold_ends[utt_id]}"
+            )
     missing = [utt_id for utt_id in gold.words if utt_id not in hyp]
-    errors += _listed("gold utterances with no tokens", missing)
+    if missing:
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        errors.append(
+            "gold utterances with no tokens: " + ", ".join(missing[:10]) + more
+        )
     _reject(args.segmentation, "segmentation", errors)
     report = token_boundary_f1(hyp, gold)
     for line in dpio.report_lines(report):
         print(line)
     if args.out:
         dpio.write_report(args.out, report)
-    return 0
-
-
-def cmd_ablate_kmeans(args) -> int:
-    _check_output_dirs(args.out)
-    if args.mode == "discrete":
-        raise ValueError("ablate-kmeans needs --mode continuous")
-    base_cfg = _run_config(args).trainer_config(args.mode)
-    configs = {
-        backend: dataclasses.replace(
-            base_cfg, frequency_backend=backend, kmeans_clusters=args.n_clusters
-        )
-        for backend in ("knn", "kmeans")
-    }
-    corpus = _load_input_corpus(args.input, args.mode)
-    gold = dpio.read_alignment(args.alignment)
-    missing = [u.utterance_id for u in corpus if u.utterance_id not in gold.words]
-    errors = gold.validate() + _listed("corpus utterances with no gold words", missing)
-    ends = {u.utterance_id: u.n_blocks for u in corpus}
-    errors += _gold_end_errors(gold, ends, "utterance ends")
-    _reject(args.alignment, "alignment", errors)
-    results = {}
-    for backend, trainer_cfg in configs.items():
-        segmentation = train(corpus, trainer_cfg)
-        report = token_boundary_f1(segmentation, gold)
-        results[backend] = report.token_f1
-        logger.info("%s backend: token F1 %.4f", backend, report.token_f1)
-    lines = [
-        f"backend.knn.token_f1\t{results['knn']:.6f}",
-        f"backend.kmeans.token_f1\t{results['kmeans']:.6f}",
-        "SUMMARY\t"
-        + json.dumps(
-            {
-                "knn_token_f1": round(results["knn"], 6),
-                "kmeans_token_f1": round(results["kmeans"], 6),
-            },
-            sort_keys=True,
-        ),
-    ]
-    for line in lines:
-        print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -255,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("segment", cmd_segment, "train and write a segmentation")
     p.add_argument("input", help="manifest (continuous) or text corpus (discrete)")
     p.add_argument("--out", required=True, help="segmentation output file")
-    p.add_argument("--log", help="per-iteration run log")
+    p.add_argument("--log", help="per-iteration run log, written when the run ends")
     _add_config(p)
 
     p = command("baseline", cmd_baseline, "fixed-rate segmenter, content ignored")
@@ -268,17 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("segmentation")
     p.add_argument("--alignment", required=True)
     p.add_argument("--out", help="write the report here as well")
-
-    p = command(
-        "ablate-kmeans",
-        cmd_ablate_kmeans,
-        "train with kNN and k-means frequency backends, report both",
-    )
-    p.add_argument("input")
-    p.add_argument("--alignment", required=True)
-    p.add_argument("--n-clusters", type=int, required=True)
-    p.add_argument("--out")
-    _add_config(p)
 
     return parser
 

@@ -9,6 +9,7 @@ experiment records stay trustworthy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from dpparse.density import DensityParams
@@ -24,11 +25,18 @@ def _optional_int(text: str):
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _auto_float(text: str):
     lowered = text.strip().lower()
     if lowered == "auto":
         return "auto"
-    return float(text)
+    return _finite_float(text)
 
 
 DELTA_BY_MODE = {"continuous": 4.0, "discrete": 2.0}
@@ -47,6 +55,8 @@ _NOT_KEYS = {"trainer.dp", "trainer.density", "gen.seed", "gen.mode"}
 def _parser(default):
     if default is None:
         return _optional_int
+    if isinstance(default, float):
+        return _finite_float
     return type(default)
 
 

@@ -50,9 +50,9 @@ class GenConfig:
             raise ValueError("word lengths must fit the 1..20 block bounds")
         if not 1 <= self.words_per_utterance_min <= self.words_per_utterance_max:
             raise ValueError("bad words_per_utterance_min/max")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.zipf_exponent < 0:
+        if not self.zipf_exponent >= 0:
             raise ValueError("zipf_exponent must be >= 0")
         if self.mode not in ("continuous", "discrete"):
             raise ValueError(f"unknown mode {self.mode!r}")

@@ -14,10 +14,9 @@ import pytest
 
 from dpparse import trainer
 from dpparse.config import load_run_config
-from dpparse.core import Segmentation, ms_to_end_block
 from dpparse.metrics import fixed_rate_segmenter, token_boundary_f1
 from dpparse.scoring import arc_scores_batch, length_terms
-from dpparse.synthgen import generate
+from dpparse.synthgen import generate, gold_segmentation
 from dpparse.trainer import train
 
 SEED = 7
@@ -29,9 +28,17 @@ BASELINE_MARGIN = 0.05
 GOLD_START_SEEDS = (11, 13)
 GOLD_START_MIN_F1 = 0.90
 GOLD_START_TOKEN_SHARE = 0.10
+# The two claims of the paper, on the continuous gate's corpus and settings.
+# Corpus seeds of the instance-against-type test, the first the gates' seed.
+CLAIM_SEEDS = (7, 2, 3)
+# Noise levels of the representation test, best representation first, and
+# how far token F1 may rise from one level to the next: sampling noise near
+# the ceiling and a few lucky tokens near the floor, not a better model.
+NOISE_SIGMAS = (0.05, 0.1, 0.2, 0.4)
+NOISE_RISE_TOLERANCE = 0.02
 
 
-def _run_config(n_utterances, *overrides, vocab_size=50):
+def _run_config(n_utterances, *overrides, vocab_size=50, seed=SEED):
     return load_run_config(
         overrides=[
             f"gen.n_utterances={n_utterances}",
@@ -40,27 +47,18 @@ def _run_config(n_utterances, *overrides, vocab_size=50):
             "trainer.workers=1",
             *overrides,
         ],
-        **{"trainer.seed": SEED},
+        **{"trainer.seed": seed},
     )
 
 
-def _run(mode, n_utterances, *overrides, vocab_size=50):
-    cfg = _run_config(n_utterances, *overrides, vocab_size=vocab_size)
+def _run(mode, n_utterances, *overrides, vocab_size=50, seed=SEED):
+    cfg = _run_config(n_utterances, *overrides, vocab_size=vocab_size, seed=seed)
     corpus, gold, _words = generate(cfg.gen_config(mode))
     segmentation = train(corpus, cfg.trainer_config(mode))
     baseline = fixed_rate_segmenter(corpus, 3)
     return (
         token_boundary_f1(segmentation, gold).token_f1,
         token_boundary_f1(baseline, gold).token_f1,
-    )
-
-
-def _gold_segmentation(gold):
-    return Segmentation(
-        {
-            utt_id: (0, *(ms_to_end_block(end) for _start, end in words))
-            for utt_id, words in gold.words.items()
-        }
     )
 
 
@@ -102,6 +100,51 @@ def test_continuous_beats_fixed_rate_baseline_at_default_pool():
     assert f1 >= baseline + BASELINE_MARGIN
 
 
+def test_instance_lexicon_beats_type_lexicon():
+    # The instance lexicon (kNN over every token) against a type lexicon:
+    # k-means with one cluster per planted word, as in ES-KMeans.  The
+    # same corpus, seed and settings for both; only the backend differs.
+    f1s = {}
+    for seed in CLAIM_SEEDS:
+        knn, _baseline = _run(
+            "continuous", 200, "trainer.l0_subsample=2000", seed=seed
+        )
+        kmeans, _baseline = _run(
+            "continuous",
+            200,
+            "trainer.l0_subsample=2000",
+            "trainer.frequency_backend=kmeans",
+            "trainer.kmeans_clusters=50",
+            seed=seed,
+        )
+        f1s[seed] = knn, kmeans
+        print(f"seed {seed}: knn token_f1={knn:.4f} kmeans token_f1={kmeans:.4f}")
+    for seed, (knn, kmeans) in f1s.items():
+        assert knn >= kmeans + BASELINE_MARGIN, seed
+
+
+def test_token_f1_does_not_rise_with_noise():
+    # Worse input representations must not segment better: token F1 may
+    # not rise, beyond the tolerance, as the frame noise grows.
+    f1s, baselines = zip(
+        *(
+            _run(
+                "continuous",
+                200,
+                "trainer.l0_subsample=2000",
+                f"gen.noise_sigma={sigma}",
+            )
+            for sigma in NOISE_SIGMAS
+        )
+    )
+    for sigma, f1 in zip(NOISE_SIGMAS, f1s):
+        print(f"noise_sigma {sigma}: token_f1={f1:.4f}")
+    # A model stuck at the floor would pass the steps below.
+    assert f1s[0] >= baselines[0] + BASELINE_MARGIN
+    for sigma, f1, next_f1 in zip(NOISE_SIGMAS[1:], f1s, f1s[1:]):
+        assert next_f1 <= f1 + NOISE_RISE_TOLERANCE, sigma
+
+
 def test_continuous_objective_prefers_gold_to_coarse_chunks():
     # On the continuous gate's corpus, with the gold tokens as the
     # lexicon, the model's objective (the sum of arc scores along a
@@ -111,7 +154,7 @@ def test_continuous_objective_prefers_gold_to_coarse_chunks():
     cfg = _run_config(200, "trainer.l0_subsample=2000")
     corpus, gold, _words = generate(cfg.gen_config("continuous"))
     config = cfg.trainer_config("continuous")
-    gold_seg = _gold_segmentation(gold)
+    gold_seg = gold_segmentation(corpus, gold)
     chunks = fixed_rate_segmenter(corpus, 20)
     state = trainer.init_state(corpus, config)
     candidates = state.candidates
@@ -141,7 +184,7 @@ def test_continuous_gold_start_stays_near_gold(seed):
     )
     corpus, gold, _words = generate(cfg.gen_config("continuous"))
     config = cfg.trainer_config("continuous")
-    gold_seg = _gold_segmentation(gold)
+    gold_seg = gold_segmentation(corpus, gold)
     state = dataclasses.replace(
         trainer.init_state(corpus, config), segmentation=gold_seg
     )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -43,6 +44,13 @@ def _gen(tmp_path, mode="continuous", extra=()):
     assert main(args) == 0
     corpus_file = out / ("manifest.tsv" if mode == "continuous" else "corpus.txt")
     return out, corpus_file
+
+
+# Every key whose value is a float; dp.delta also takes "auto".
+_FLOAT_KEYS = [
+    "dp.alpha0", "dp.gamma", "dp.delta", "dp.epsilon_log", "dp.penalty_sign",
+    "density.beta", "gen.zipf_exponent", "gen.noise_sigma", "trainer.temperature",
+]
 
 
 class TestConfig:
@@ -115,6 +123,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="run.cfg:1"):
             read_config_file(path)
 
+    def test_non_finite_value_reported_with_location(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("dp.gamma = 1.5\n\ndp.alpha0 = inf\n")
+        with pytest.raises(ValueError, match="run.cfg:3: bad value for dp.alpha0"):
+            read_config_file(path)
+
 
 class TestReadme:
     """The README's examples parse and its settings are the real defaults."""
@@ -136,6 +150,13 @@ class TestReadme:
         assert commands
         for argv in commands:
             build_parser().parse_args(argv)
+
+    def test_commands_are_the_parser_commands(self):
+        parser = build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert {argv[0] for argv in self._commands()} == set(subparsers.choices)
 
     def test_set_keys_exist(self):
         keys = [
@@ -179,7 +200,7 @@ class TestFlags:
         assert exc.value.code == 2
         assert "argument --period-ms" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["segment", "gen", "ablate-kmeans"])
+    @pytest.mark.parametrize("command", ["segment", "gen"])
     def test_negative_seed_refused_before_any_input(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -193,9 +214,6 @@ class TestFlags:
         argv = {
             "segment": ["segment", corpus, "--mode", "discrete", "--out", out],
             "gen": ["gen", "--out-dir", str(tmp_path / "data")],
-            "ablate-kmeans": [
-                "ablate-kmeans", corpus, "--alignment", "gold.tsv", "--n-clusters", "5"
-            ],
         }[command]
         assert main([*argv, "--seed", "-1"]) == 1
         err = capsys.readouterr().err
@@ -214,6 +232,33 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "error: kmeans backend applies to continuous corpora only"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kmeans_without_clusters_refused_before_any_input(self, tmp_path, capsys):
+        argv = [
+            "segment", str(tmp_path / "missing.tsv"),
+            "--out", str(tmp_path / "seg.tsv"),
+            "--set", "trainer.frequency_backend=kmeans",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: kmeans backend needs kmeans_clusters >= 1"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    def test_non_finite_float_refused_naming_key(self, tmp_path, capsys, key, value):
+        argv = [
+            "segment", str(tmp_path / "missing.tsv"),
+            "--out", str(tmp_path / "seg.tsv"),
+            "--log", str(tmp_path / "run.log"),
+            "--set", f"{key}={value}",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: bad value for {key}: {value!r} (must be finite)"
         ]
         assert list(tmp_path.iterdir()) == []
 
@@ -241,6 +286,21 @@ class TestFlags:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: trainer.temperature 1e-320 is too small")
+        assert not seg_file.exists()
+
+    def test_refused_run_leaves_log_alone(self, tmp_path, capsys):
+        _out, corpus_file = _gen(tmp_path, mode="discrete")
+        seg_file, log_file = tmp_path / "seg.tsv", tmp_path / "run.log"
+        argv = [
+            "segment", str(corpus_file), "--mode", "discrete",
+            "--out", str(seg_file), "--log", str(log_file),
+            "--set", "trainer.temperature=1e-320",
+        ]
+        assert main(argv) == 1
+        assert not log_file.exists()
+        log_file.write_text("an earlier run\n")
+        assert main(argv) == 1
+        assert log_file.read_text() == "an earlier run\n"
         assert not seg_file.exists()
 
 
@@ -378,6 +438,25 @@ class TestGenSegmentEval:
         corpus = dpio.load_text_corpus(corpus_file)
         assert dpio.read_segmentation(seg_file).validate(corpus) == []
 
+    def test_kmeans_backend_segment_and_eval(self, tmp_path, capsys):
+        # The type-lexicon ablation: the k-means backend through segment.
+        out, manifest = _gen(tmp_path)
+        seg_file = tmp_path / "seg.tsv"
+        argv = [
+            "segment", str(manifest), "--out", str(seg_file), "--seed", "5",
+            "--set", "trainer.n_iterations=2",
+            "--set", "trainer.frequency_backend=kmeans",
+            "--set", "trainer.kmeans_clusters=8",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        argv = ["eval", str(seg_file), "--alignment", str(out / "alignment.tsv")]
+        assert main(argv) == 0
+        assert any(
+            line.startswith("token_f1\t")
+            for line in capsys.readouterr().out.splitlines()
+        )
+
     def test_determinism_across_seeds_and_workers(self, tmp_path):
         _, manifest = _gen(tmp_path)
         outs = []
@@ -443,86 +522,3 @@ class TestEvalInputs:
         assert f"invalid {what} {files[bad]}" in captured.err
         assert named in captured.err
         assert "token_f1" not in captured.out
-
-    def test_ablate_kmeans_rejects_bad_gold_before_training(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        out, manifest = _gen(tmp_path)
-        lines = (out / "alignment.tsv").read_text().splitlines(keepends=True)
-        last_word = [l for l in lines if l.startswith("u000000\tWORD\t")][-1]
-        cases = {
-            "overlap.tsv": ("u1\tWORD\t0\t80\nu1\tWORD\t40\t160\n", "u1"),
-            # covers every corpus utterance but u000003
-            "uncovered.tsv": (
-                "".join(l for l in lines if not l.startswith("u000003\t")),
-                "u000003",
-            ),
-            # u000000's last word left out: its words stop short of its end
-            "short.tsv": (
-                "".join(l for l in lines if l != last_word),
-                "u000000: utterance ends at block",
-            ),
-        }
-        trained = []
-        monkeypatch.setattr(
-            "dpparse.cli.train", lambda *a, **k: trained.append(a) or Segmentation()
-        )
-        for name, (text, named) in cases.items():
-            gold = tmp_path / name
-            gold.write_text(text)
-            argv = ["ablate-kmeans", str(manifest), "--alignment", str(gold)]
-            assert main(argv + ["--n-clusters", "4"]) != 0
-            err = capsys.readouterr().err
-            assert f"invalid alignment {gold}" in err
-            assert named in err
-        assert trained == []
-
-
-class TestAblateKmeans:
-    def test_reports_both_backends(self, tmp_path, capsys):
-        out, manifest = _gen(tmp_path)
-        report = tmp_path / "ablate.tsv"
-        code = main(
-            [
-                "ablate-kmeans",
-                str(manifest),
-                "--alignment",
-                str(out / "alignment.tsv"),
-                "--n-clusters",
-                "8",
-                "--out",
-                str(report),
-                "--seed",
-                "5",
-                "--set",
-                "trainer.n_iterations=2",
-            ]
-        )
-        assert code == 0
-        text = report.read_text()
-        assert "backend.knn.token_f1" in text
-        assert "backend.kmeans.token_f1" in text
-        summary = json.loads(text.strip().splitlines()[-1].split("\t", 1)[1])
-        assert set(summary) == {"knn_token_f1", "kmeans_token_f1"}
-
-    @pytest.mark.parametrize(
-        "mode,n_clusters,message",
-        [
-            ("discrete", "4", "ablate-kmeans needs --mode continuous"),
-            ("continuous", "0", "kmeans backend needs kmeans_clusters >= 1"),
-        ],
-        ids=["mode-discrete", "n-clusters-0"],
-    )
-    def test_refused_before_training(
-        self, tmp_path, capsys, monkeypatch, mode, n_clusters, message
-    ):
-        out, corpus = _gen(tmp_path, mode)
-
-        def fail(*_args, **_kwargs):
-            raise AssertionError("trained before the settings were checked")
-
-        monkeypatch.setattr("dpparse.cli.train", fail)
-        argv = ["ablate-kmeans", str(corpus), "--alignment", str(out / "alignment.tsv")]
-        argv += ["--mode", mode, "--n-clusters", n_clusters]
-        assert main(argv) == 1
-        assert message in capsys.readouterr().err
