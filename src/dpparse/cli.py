@@ -4,7 +4,7 @@ Every command is deterministic given --seed, a non-negative integer that
 is checked, with the other settings, before any input is read.  All
 randomness flows from that single seed: each utterance's sampling draw is
 keyed by (seed, iteration, utterance id), so results do not depend on
-decode order.  --workers is accepted and recorded but changes nothing.
+decode order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
         help="override one config key, e.g. --set dp.gamma=0",
     )
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
     _add_mode(parser)
 
 
@@ -49,12 +48,7 @@ def _add_mode(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_config(args) -> "RunConfig":
-    direct = {}
-    if args.seed is not None:
-        direct["trainer.seed"] = args.seed
-    if args.workers is not None:
-        direct["trainer.workers"] = args.workers
-    return load_run_config(args.config, args.overrides, **direct)
+    return load_run_config(args.config, args.overrides, **{"trainer.seed": args.seed})
 
 
 def _load_input_corpus(path: str, mode: str) -> Corpus:
@@ -135,6 +129,7 @@ def _period_ms(text: str) -> float:
 
 
 def cmd_baseline(args) -> int:
+    _check_output_dirs(args.out)
     corpus = _load_input_corpus(args.input, args.mode)
     period_blocks = max(1, round(args.period_ms / BLOCK_MS))
     segmentation = fixed_rate_segmenter(corpus, period_blocks)
@@ -149,6 +144,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_output_dirs(args.out)
     hyp = dpio.read_segmentation(args.segmentation)
     gold = dpio.read_alignment(args.alignment)
     _reject(args.alignment, "alignment", gold.validate())

@@ -103,7 +103,7 @@ class RunConfig:
             dp=DPParams(**dp),
             density=DensityParams(**self._section("density")),
         )
-        if mode == "discrete" and config.frequency_backend == "kmeans":
+        if mode == "discrete" and config.kmeans_clusters:
             raise ValueError("kmeans backend applies to continuous corpora only")
         return config
 

@@ -65,8 +65,8 @@ class DensityParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be > 0 and finite")
 
 
 class InstanceIndex:

@@ -2,11 +2,9 @@
 
 A candidate's probability interpolates its soft count in the current
 token lexicon with a base distribution over all candidate segments,
-weighted by the Dirichlet-process concentration.  Arc scores add a
-length-dependent term to the log probability; by default long tokens
-are penalized (``penalty_sign=-1``), matching the "favors short tokens"
-behaviour.  ``penalty_sign=+1`` gives the additive variant where the
-term acts as a length bonus.
+weighted by the Dirichlet-process concentration.  Arc scores subtract a
+length-dependent term from the log probability, so long tokens are
+penalized, matching the "favors short tokens" behaviour.
 
 All arithmetic is 64-bit regardless of 32-bit input storage: path scores
 sum many logs.
@@ -18,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Added to a word probability before its log, so that 0 scores finitely.
+EPS = 1e-10
+
 
 @dataclass(frozen=True)
 class DPParams:
@@ -26,20 +27,14 @@ class DPParams:
     alpha0: float = 100.0
     gamma: float = 1.8
     delta: float = 4.0
-    epsilon_log: float = 1e-10
-    penalty_sign: float = -1.0
 
     def __post_init__(self):
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be > 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
-        if not self.epsilon_log > 0:
-            raise ValueError("epsilon_log must be > 0")
-        if self.penalty_sign not in (-1.0, 1.0):
-            raise ValueError("penalty_sign must be -1 or +1")
+        if not 0 < self.alpha0 < np.inf:
+            raise ValueError("alpha0 must be > 0 and finite")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be >= 0 and finite")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be > 0 and finite")
 
 
 def word_probabilities(
@@ -55,18 +50,16 @@ def word_probabilities(
 
 
 def length_terms(lengths: np.ndarray, params: DPParams) -> np.ndarray:
-    """The signed length term of each length in blocks:
-    ``penalty_sign * ((len - 1) / delta) ** gamma``, pinned to 0 at
-    length 1 for every gamma."""
+    """The length term of each length in blocks:
+    ``-((len - 1) / delta) ** gamma``, pinned to 0 at length 1 for every
+    gamma."""
     lengths = np.asarray(lengths, dtype=np.float64)
     base = (lengths - 1.0) / params.delta
     q = np.where(base == 0.0, 0.0, base**params.gamma)
-    return params.penalty_sign * q
+    return -q
 
 
-def arc_scores_batch(
-    word_probs: np.ndarray, terms: np.ndarray, params: DPParams
-) -> np.ndarray:
-    """Log word probability (guarded) plus the arc's ``length_terms``
-    value."""
-    return np.log(np.asarray(word_probs, dtype=np.float64) + params.epsilon_log) + terms
+def arc_scores_batch(word_probs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Log word probability (guarded by ``EPS``) plus the arc's
+    ``length_terms`` value."""
+    return np.log(np.asarray(word_probs, dtype=np.float64) + EPS) + terms

@@ -50,12 +50,14 @@ class GenConfig:
             raise ValueError("word lengths must fit the 1..20 block bounds")
         if not 1 <= self.words_per_utterance_min <= self.words_per_utterance_max:
             raise ValueError("bad words_per_utterance_min/max")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if not self.zipf_exponent >= 0:
-            raise ValueError("zipf_exponent must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be >= 0 and finite")
+        if not 0 <= self.zipf_exponent < np.inf:
+            raise ValueError("zipf_exponent must be >= 0 and finite")
         if self.mode not in ("continuous", "discrete"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "continuous" and self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.mode == "discrete" and self.alphabet_size < 2:
             raise ValueError("alphabet_size must be >= 2")
 

@@ -32,6 +32,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from dpparse.lattice import (
     sample_path,
 )
 from dpparse.scoring import (
+    EPS,
     DPParams,
     arc_scores_batch,
     length_terms,
@@ -87,16 +89,18 @@ class TrainerConfig:
     l0_subsample: int = 1_000_000
     seed: int = 0
     # Read by nothing in dpparse: kept only because the perfbench benchmark
-    # sets and records it (``--workers``, ``trainer.workers``).
+    # sets and records it (``trainer.workers``).
     workers: int | None = None
     min_len: int = 1
     max_len: int = 20
     temperature: float = 1.0
-    frequency_backend: str = "knn"  # "knn" or "kmeans" (continuous corpora)
+    # 0: the instance lexicon (kNN).  N >= 1: the k-means type lexicon of N
+    # clusters (continuous corpora only).
     kmeans_clusters: int = 0
-    calibration_sample: int = 10_000
     dp: DPParams = field(default_factory=DPParams)
     density: DensityParams = field(default_factory=DensityParams)
+    # Base-pool entries that beta is calibrated on.
+    calibration_sample: ClassVar[int] = 10_000
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -109,14 +113,10 @@ class TrainerConfig:
             raise ValueError("beam must be >= 1")
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError("need 1 <= min_len <= max_len")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be > 0")
-        if self.frequency_backend not in ("knn", "kmeans"):
-            raise ValueError(f"unknown frequency backend {self.frequency_backend!r}")
-        if self.frequency_backend == "kmeans" and self.kmeans_clusters < 1:
-            raise ValueError("kmeans backend needs kmeans_clusters >= 1")
-        if self.calibration_sample < 100:
-            raise ValueError("calibration_sample must be >= 100")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be > 0 and finite")
+        if self.kmeans_clusters < 0:
+            raise ValueError("kmeans_clusters must be >= 0")
         with np.errstate(over="ignore"):  # the term grows with length
             longest = length_terms(self.max_len, self.dp)
         if not np.isfinite(longest):
@@ -526,7 +526,7 @@ def _tables_for(corpus: Corpus, config: TrainerConfig, candidates: Candidates):
     """The run's backend: ``build_base``, ``build_lexicon``, ``frequencies``."""
     if corpus.mode == "discrete":
         return _DiscreteTables(candidates)
-    if config.frequency_backend == "kmeans":
+    if config.kmeans_clusters:
         return _KMeansTables(corpus, config, candidates)
     return _KnnTables(corpus, config, candidates)
 
@@ -559,14 +559,12 @@ def build_base(tables: _EmbeddedTables | _DiscreteTables, config: TrainerConfig)
 def _check_temperature(corpus: Corpus, config: TrainerConfig) -> None:
     """Refuse a temperature at which a path's total over it can overflow.
 
-    A word probability is in [0, 1], so an arc scores at most
-    max(|log eps|, log(1 + eps)) plus the length term of ``max_len`` in
-    magnitude, and a path has at most one arc per block.  An infinite
-    total over the temperature would make the sampling CDF NaN.
+    A word probability is in [0, 1], so an arc scores at most -log(EPS)
+    plus the length term of ``max_len`` in magnitude, and a path has at
+    most one arc per block.  An infinite total over the temperature would
+    make the sampling CDF NaN.
     """
-    eps = config.dp.epsilon_log
-    arc = max(abs(math.log(eps)), math.log1p(eps))
-    arc += abs(float(length_terms(config.max_len, config.dp)))
+    arc = -math.log(EPS) + abs(float(length_terms(config.max_len, config.dp)))
     longest = max(utt.n_blocks for utt in corpus.utterances)
     if not math.isfinite(longest * arc / config.temperature):
         raise ValueError(
@@ -586,7 +584,7 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
             f"utterances that segments of {config.min_len}..{config.max_len} "
             "blocks cannot tile: " + ", ".join(untileable[:10])
         )
-    if corpus.mode == "discrete" and config.frequency_backend == "kmeans":
+    if corpus.mode == "discrete" and config.kmeans_clusters:
         raise ValueError("kmeans backend applies to continuous corpora only")
     _check_temperature(corpus, config)
     seed_seg = init_segmentation(corpus, config.max_len)
@@ -659,7 +657,7 @@ def run_iteration(
                     utt.n_blocks, config.min_len, config.max_len
                 )
                 terms = terms_of[utt.n_blocks] = length_terms(ends - starts, config.dp)
-            arc = arc_scores_batch(word_probs[rows], terms, config.dp)
+            arc = arc_scores_batch(word_probs[rows], terms)
             lattice = ScoredLattice(
                 utt.n_blocks, config.min_len, config.max_len, arc.tolist()
             )

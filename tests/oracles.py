@@ -76,8 +76,8 @@ def direct_length_penalty(len_blocks, gamma, delta):
     return math.exp(gamma * math.log(x)) if x > 0 else x**gamma
 
 
-def direct_arc_score(word_prob, len_blocks, *, epsilon_log, gamma, delta, sign):
-    return math.log(word_prob + epsilon_log) + sign * direct_length_penalty(
+def direct_arc_score(word_prob, len_blocks, *, eps, gamma, delta):
+    return math.log(word_prob + eps) - direct_length_penalty(
         len_blocks, gamma, delta
     )
 

@@ -113,7 +113,6 @@ def test_instance_lexicon_beats_type_lexicon():
             "continuous",
             200,
             "trainer.l0_subsample=2000",
-            "trainer.frequency_backend=kmeans",
             "trainer.kmeans_clusters=50",
             seed=seed,
         )
@@ -160,7 +159,7 @@ def test_continuous_objective_prefers_gold_to_coarse_chunks():
     candidates = state.candidates
     word_probs = trainer.lexicon_word_probabilities(state, corpus, config, gold_seg)
     terms = length_terms(candidates.ends - candidates.starts, config.dp)
-    arcs = arc_scores_batch(word_probs, terms, config.dp)
+    arcs = arc_scores_batch(word_probs, terms)
 
     def objective(segmentation):
         rows = trainer._token_rows(corpus, config, candidates, segmentation)

@@ -48,8 +48,8 @@ def _gen(tmp_path, mode="continuous", extra=()):
 
 # Every key whose value is a float; dp.delta also takes "auto".
 _FLOAT_KEYS = [
-    "dp.alpha0", "dp.gamma", "dp.delta", "dp.epsilon_log", "dp.penalty_sign",
-    "density.beta", "gen.zipf_exponent", "gen.noise_sigma", "trainer.temperature",
+    "dp.alpha0", "dp.gamma", "dp.delta", "density.beta",
+    "gen.zipf_exponent", "gen.noise_sigma", "trainer.temperature",
 ]
 
 
@@ -75,8 +75,8 @@ class TestConfig:
     def test_key_names_unchanged(self):
         sections = {
             "trainer": "n_iterations beam l0_subsample seed workers min_len max_len "
-            "temperature frequency_backend kmeans_clusters calibration_sample",
-            "dp": "alpha0 gamma delta epsilon_log penalty_sign",
+            "temperature kmeans_clusters",
+            "dp": "alpha0 gamma delta",
             "density": "k beta",
             "gen": "vocab_size n_utterances dim zipf_exponent word_len_min "
             "word_len_max words_per_utterance_min words_per_utterance_max "
@@ -183,8 +183,10 @@ class TestFlags:
         [
             ["eval", "seg.tsv", "--alignment", "gold.tsv", "--seed", "1"],
             ["baseline", "manifest.tsv", "--out", "b.tsv", "--set", "dp.gamma=0"],
+            ["gen", "--out-dir", "data", "--workers", "2"],
+            ["segment", "corpus.txt", "--out", "seg.tsv", "--workers", "2"],
         ],
-        ids=["eval-seed", "baseline-set"],
+        ids=["eval-seed", "baseline-set", "gen-workers", "segment-workers"],
     )
     def test_unread_flags_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -220,12 +222,17 @@ class TestFlags:
         assert err.splitlines() == ["error: trainer.seed must be >= 0, got -1"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_gen_refuses_dim_below_one(self, tmp_path, capsys):
+        argv = ["gen", "--out-dir", str(tmp_path / "data"), "--set", "gen.dim=0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: dim must be >= 1"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_discrete_kmeans_refused_before_any_input(self, tmp_path, capsys):
         # The input file does not exist: the settings must be refused first.
         argv = [
             "segment", str(tmp_path / "missing.txt"), "--mode", "discrete",
             "--out", str(tmp_path / "seg.tsv"),
-            "--set", "trainer.frequency_backend=kmeans",
             "--set", "trainer.kmeans_clusters=5",
         ]
         assert main(argv) == 1
@@ -233,17 +240,6 @@ class TestFlags:
         assert err.splitlines() == [
             "error: kmeans backend applies to continuous corpora only"
         ]
-        assert list(tmp_path.iterdir()) == []
-
-    def test_kmeans_without_clusters_refused_before_any_input(self, tmp_path, capsys):
-        argv = [
-            "segment", str(tmp_path / "missing.tsv"),
-            "--out", str(tmp_path / "seg.tsv"),
-            "--set", "trainer.frequency_backend=kmeans",
-        ]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == ["error: kmeans backend needs kmeans_clusters >= 1"]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -404,6 +400,27 @@ class TestGenSegmentEval:
             assert "nodir" in capsys.readouterr().err
         assert trained == []
 
+    def test_baseline_and_eval_check_output_directory_first(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out, manifest = _gen(tmp_path)
+        hyp = tmp_path / "base.tsv"
+        assert main(["baseline", str(manifest), "--out", str(hyp)]) == 0
+        capsys.readouterr()
+        segmented = []
+        monkeypatch.setattr(
+            "dpparse.cli.fixed_rate_segmenter", lambda *a: segmented.append(a)
+        )
+        missing = str(tmp_path / "nodir" / "out.tsv")
+        assert main(["baseline", str(manifest), "--out", missing]) == 1
+        assert "nodir" in capsys.readouterr().err
+        assert segmented == []
+        gold = str(out / "alignment.tsv")
+        assert main(["eval", str(hyp), "--alignment", gold, "--out", missing]) == 1
+        captured = capsys.readouterr()
+        assert "nodir" in captured.err
+        assert captured.out == ""  # no report printed before the refusal
+
     def test_baseline_and_eval(self, tmp_path, capsys):
         out, manifest = _gen(tmp_path)
         base_file = tmp_path / "base.tsv"
@@ -445,7 +462,6 @@ class TestGenSegmentEval:
         argv = [
             "segment", str(manifest), "--out", str(seg_file), "--seed", "5",
             "--set", "trainer.n_iterations=2",
-            "--set", "trainer.frequency_backend=kmeans",
             "--set", "trainer.kmeans_clusters=8",
         ]
         assert main(argv) == 0
@@ -460,7 +476,7 @@ class TestGenSegmentEval:
     def test_determinism_across_seeds_and_workers(self, tmp_path):
         _, manifest = _gen(tmp_path)
         outs = []
-        for name, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+        for name in "abc":
             seg_file = tmp_path / f"seg_{name}.tsv"
             assert (
                 main(
@@ -471,8 +487,6 @@ class TestGenSegmentEval:
                         str(seg_file),
                         "--seed",
                         "9",
-                        "--workers",
-                        workers,
                         "--set",
                         "trainer.n_iterations=2",
                     ]

@@ -568,3 +568,9 @@ class TestKMeans:
         m2 = KMeansModel(5, seed=7).fit(pts)
         assert np.array_equal(m1.centroids, m2.centroids)
         assert np.array_equal(m1.cluster_sizes, m2.cluster_sizes)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_beta_refused(value):
+    with pytest.raises(ValueError, match="^beta must be > 0 and finite"):
+        DensityParams(beta=float(value))

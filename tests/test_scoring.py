@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dpparse.core import Corpus, SymbolSequence
 from dpparse.scoring import (
+    EPS,
     DPParams,
     arc_scores_batch,
     length_terms,
@@ -24,15 +25,15 @@ def _word_probability(lexicon_freq, base_prob, n_lexicon, params):
 
 
 def _length_term(lengths, gamma, delta):
-    """length_terms with the sign +1: the length term itself."""
-    params = DPParams(gamma=gamma, delta=delta, penalty_sign=1.0)
-    return length_terms(np.atleast_1d(lengths), params)
+    """The length penalty itself: ``length_terms`` negated."""
+    params = DPParams(gamma=gamma, delta=delta)
+    return -length_terms(np.atleast_1d(lengths), params)
 
 
 def _arc_score(word_prob, len_blocks, params):
     """arc_scores_batch on one row."""
     terms = length_terms(np.array([len_blocks]), params)
-    return arc_scores_batch(np.array([word_prob]), terms, params)[0]
+    return arc_scores_batch(np.array([word_prob]), terms)[0]
 
 
 def _discrete_priors(*utterances, **config):
@@ -87,6 +88,15 @@ class TestBaseProbability:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="no candidate segments"):
             _discrete_priors([1, 2], min_len=3, max_len=4)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha0", "inf"), ("gamma", "nan"), ("gamma", "inf"), ("delta", "inf")],
+)
+def test_non_finite_params_refused(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be .* and finite"):
+        DPParams(**{key: float(value)})
 
 
 class TestWordProbability:
@@ -144,43 +154,40 @@ class TestArcScore:
         s = _arc_score(0.0, 4, params)
         assert math.isfinite(s)
         assert s == pytest.approx(
-            math.log(1e-10) + params.penalty_sign * direct_length_penalty(4, 1.8, 4.0)
+            math.log(1e-10) - direct_length_penalty(4, 1.8, 4.0)
         )
 
     def test_probability_one_length_one(self):
         assert _arc_score(1.0, 1, DPParams()) == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_value_literal_form(self):
-        # additive length term: log(e^-2) + ((5-1)/4)^1.8 = -2 + 1
-        params = DPParams(penalty_sign=1.0)
-        got = _arc_score(math.exp(-2.0), 5, params)
-        assert got == pytest.approx(-1.0, rel=1e-9)
+        # subtracted length term: log(e^-2) - ((5-1)/4)^1.8 = -2 - 1
+        got = _arc_score(math.exp(-2.0), 5, DPParams())
+        assert got == pytest.approx(-3.0, rel=1e-9)
 
     def test_default_sign_penalizes_length(self):
         params = DPParams()
-        assert params.penalty_sign == -1.0
         assert _arc_score(0.5, 10, params) < _arc_score(0.5, 1, params)
 
     def test_finite_over_full_domain(self):
         params = DPParams()
         probs = np.repeat([0.0, 1e-12, 0.5, 1.0], 3)
         lens = np.tile([1, 7, 20], 4)
-        scores = arc_scores_batch(probs, length_terms(lens, params), params)
+        scores = arc_scores_batch(probs, length_terms(lens, params))
         assert np.all(np.isfinite(scores))
 
     def test_batch_matches_scalar(self):
         params = DPParams(gamma=0.0)
         probs = np.array([0.0, 0.3, 1.0])
         lens = np.array([1, 5, 20])
-        batch = arc_scores_batch(probs, length_terms(lens, params), params)
+        batch = arc_scores_batch(probs, length_terms(lens, params))
         for b, p, n in zip(batch, probs, lens):
             oracle = direct_arc_score(
                 float(p),
                 int(n),
-                epsilon_log=params.epsilon_log,
+                eps=EPS,
                 gamma=params.gamma,
                 delta=params.delta,
-                sign=params.penalty_sign,
             )
             assert b == pytest.approx(oracle, rel=1e-12)
 

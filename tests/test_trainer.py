@@ -742,22 +742,23 @@ class TestTrain:
         with pytest.raises(ValueError):
             _config(n_iterations=0)
 
-    def test_small_calibration_sample_rejected(self):
-        # calibrate_beta needs >= 100 items; refuse before any setup work
-        for bad in (99, 0, -5):
-            with pytest.raises(ValueError, match="calibration_sample"):
-                _config(calibration_sample=bad)
-        assert _config(calibration_sample=100).calibration_sample == 100
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_temperature_refused(self, value):
+        with pytest.raises(ValueError, match="^temperature must be > 0 and finite"):
+            _config(temperature=float(value))
 
-    @pytest.mark.parametrize("sign", [-1.0, 1.0])
-    def test_overflowing_length_term_rejected(self, sign):
+    def test_negative_kmeans_clusters_refused(self):
+        with pytest.raises(ValueError, match="^kmeans_clusters must be >= 0"):
+            _config(kmeans_clusters=-1)
+
+    def test_overflowing_length_term_rejected(self):
         # ((20 - 1) / 4) ** 460 overflows a double: every 20-block arc would
-        # score -inf or +inf.  Just below, at gamma 450, the term is finite.
+        # score -inf.  Just below, at gamma 450, the term is finite.
         with pytest.raises(ValueError, match="20-block token overflows"):
-            _config(dp=DPParams(gamma=460.0, penalty_sign=sign))
+            _config(dp=DPParams(gamma=460.0))
         with pytest.raises(ValueError, match="6-block token overflows"):
-            _config(max_len=6, dp=DPParams(gamma=1000.0, delta=1.0, penalty_sign=sign))
-        assert _config(dp=DPParams(gamma=450.0, penalty_sign=sign)).max_len == 20
+            _config(max_len=6, dp=DPParams(gamma=1000.0, delta=1.0))
+        assert _config(dp=DPParams(gamma=450.0)).max_len == 20
         assert _config(max_len=5, dp=DPParams(gamma=1000.0, delta=4.0)).max_len == 5
 
     def test_discrete_training_runs(self):
@@ -768,13 +769,13 @@ class TestTrain:
 
     def test_kmeans_backend_runs(self):
         corpus, _ = _continuous_corpus(n_utterances=20)
-        config = _config(frequency_backend="kmeans", kmeans_clusters=8)
+        config = _config(kmeans_clusters=8)
         seg = train(corpus, config)
         assert seg.validate(corpus) == []
 
     def test_kmeans_backend_rejected_for_discrete(self):
         corpus, _ = _discrete_corpus(n_utterances=30)
-        config = _config(frequency_backend="kmeans", kmeans_clusters=4)
+        config = _config(kmeans_clusters=4)
         with pytest.raises(ValueError, match="continuous"):
             init_state(corpus, config)
 
