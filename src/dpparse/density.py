@@ -4,7 +4,8 @@ The continuous backend is exact k-nearest-neighbour search plus a
 Gaussian-kernel weighted sum (a Parzen-Rosenblatt soft count between 0
 and k).  Neighbours whose provenance segment overlaps the query in time
 are discarded, which removes self-matches.  The kernel's width comes from
-the base pool's own nearest-neighbour distances (``calibrate_beta``).
+the base pool's own nearest-neighbour distances (``calibrate_beta``);
+where they give none, the caller uses a fixed width.
 Discrete corpora use exact multiset counts instead; a k-means
 cluster-size backend exists for ablation runs.
 """
@@ -56,17 +57,14 @@ def _block_rows(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Neighbour count, and the kernel inverse-width used where none can
-    be calibrated."""
+    """Neighbour count of a soft count (the kernel's width is calibrated,
+    not set)."""
 
     k: int = 100
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0 < self.beta < np.inf:
-            raise ValueError("beta must be > 0 and finite")
 
 
 class InstanceIndex:
@@ -172,9 +170,11 @@ class InstanceIndex:
         query_codes: np.ndarray,
         query_starts: np.ndarray,
         query_ends: np.ndarray,
-        params: DensityParams,
+        k: int,
+        beta: float,
     ) -> np.ndarray:
-        """Batched soft counts sum_j exp(-beta * d_j^2) over kept neighbours.
+        """Batched soft counts sum_j exp(-beta * d_j^2) over the kept ones
+        of each query's ``k`` nearest neighbours.
 
         Streams over ``_neighbour_blocks``, so no (m, k) array exists for
         all queries at once and each count equals one computed from a
@@ -183,10 +183,10 @@ class InstanceIndex:
         queries = np.atleast_2d(queries)
         out = np.empty(len(queries), dtype=np.float64)
         blocks = self._neighbour_blocks(
-            queries, query_codes, query_starts, query_ends, params.k
+            queries, query_codes, query_starts, query_ends, k
         )
         for rows, _idx, d2, excluded in blocks:
-            weights = np.exp(-params.beta * d2)
+            weights = np.exp(-beta * d2)
             weights[excluded] = 0.0
             out[rows] = weights.sum(axis=1)
         return out
@@ -223,13 +223,14 @@ def calibrate_beta(index: InstanceIndex, rows: np.ndarray, k: int) -> float | No
     distance to its nearest neighbour among its ``k`` nearest that does not
     overlap it, so not itself; rows with none are left out.  beta is
     _BANDWIDTH_SCALE over the median of these, so that a typical nearest
-    neighbour weighs exp(-_BANDWIDTH_SCALE).  None when no row is left or
-    the median is 0 (most of the sample has an exact duplicate).  The
-    sample is streamed through the index's query blocks, as soft counts
-    are, so no (len(rows), k) array exists at once.
+    neighbour weighs exp(-_BANDWIDTH_SCALE).  None for a sample under 100
+    rows, when no row is left, or when the median is 0 (most of the sample
+    has an exact duplicate).  The sample is streamed through the index's
+    query blocks, as soft counts are, so no (len(rows), k) array exists at
+    once.
     """
     if len(rows) < 100:
-        raise ValueError(f"calibration sample has {len(rows)} items, need >= 100")
+        return None
     nearest = []
     blocks = index._neighbour_blocks(
         index.vectors, index.codes, index.starts, index.ends, min(k, index.n), rows
@@ -392,14 +393,12 @@ class KMeansModel:
     def _assign(points, centroids):
         return np.argmin(_pairwise_sq(points, centroids), axis=1)
 
-    def assign(self, queries: np.ndarray) -> np.ndarray:
-        if self.centroids is None:
-            raise RuntimeError("model not fitted")
-        return self._assign(np.atleast_2d(queries), self.centroids)
-
     def frequencies(self, queries: np.ndarray) -> np.ndarray:
         """Size of the cluster each query lands in."""
-        return self.cluster_sizes[self.assign(queries)].astype(np.float64)
+        if self.centroids is None:
+            raise RuntimeError("model not fitted")
+        labels = self._assign(np.atleast_2d(queries), self.centroids)
+        return self.cluster_sizes[labels].astype(np.float64)
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -53,7 +53,8 @@ def _ratio(num: int, denom: int) -> float:
 def _snapper(phones):
     """The function that snaps one boundary time onto the edges of
     ``phones``, (start, end[, label]) intervals covering an utterance
-    without overlap; the identity when there are none."""
+    without overlap; the identity when there are none.  A boundary on an
+    edge stays put, so snapping a snapped boundary changes nothing."""
     if not phones:
         return lambda b: b
     phones = sorted(phones, key=lambda p: p[0])
@@ -76,17 +77,6 @@ def _snapper(phones):
         return s
 
     return snap
-
-
-def snap_boundaries(hyp_ms, phones) -> list[float]:
-    """Snap boundary times onto phoneme edges; sorted and deduplicated.
-
-    Boundaries already on an edge stay put, and all of them do when
-    ``phones`` is empty.  Idempotent: snapping snapped boundaries is the
-    identity.
-    """
-    snap = _snapper(phones)
-    return sorted({snap(float(b)) for b in hyp_ms})
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,10 @@ _GROUP_QUERIES = 1024
 # Discrete candidates are added and counted in slices of this many.
 _COUNT_SLICE = 2048
 
+# The kernel's inverse width where the base pool gives no width to
+# calibrate (``density.calibrate_beta`` returns None).
+_FALLBACK_BETA = 1.0
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -424,20 +428,19 @@ class _KnnTables(_EmbeddedTables):
 
     def _calibrate(self, index: InstanceIndex) -> float:
         config = self.config
-        if index.n >= 100:
-            rng = _derived_rng(config.seed, _TAG_CALIBRATION)
-            m = min(config.calibration_sample, index.n)
-            rows = np.sort(rng.choice(index.n, size=m, replace=False))
-            beta = calibrate_beta(index, rows, config.density.k)
-            if beta is not None:
-                return beta
+        rng = _derived_rng(config.seed, _TAG_CALIBRATION)
+        m = min(config.calibration_sample, index.n)
+        rows = np.sort(rng.choice(index.n, size=m, replace=False))
+        beta = calibrate_beta(index, rows, config.density.k)
+        if beta is not None:
+            return beta
         logger.warning(
             "no kernel width to calibrate from a base pool of %d entries; "
             "using beta=%g",
             index.n,
-            config.density.beta,
+            _FALLBACK_BETA,
         )
-        return config.density.beta
+        return _FALLBACK_BETA
 
     def build_lexicon(self, rows: np.ndarray):
         c = self.candidates
@@ -446,9 +449,10 @@ class _KnnTables(_EmbeddedTables):
 
     def _lookup(self, index, rows, beta) -> np.ndarray:
         c = self.candidates
-        params = DensityParams(self.config.density.k, beta)
+        vectors = self._embeddings(rows)
+        k = self.config.density.k
         return index.kernel_frequencies_arrays(
-            self._embeddings(rows), c.codes[rows], c.starts[rows], c.ends[rows], params
+            vectors, c.codes[rows], c.starts[rows], c.ends[rows], k, beta
         )
 
 

@@ -48,7 +48,7 @@ def _gen(tmp_path, mode="continuous", extra=()):
 
 # Every key whose value is a float; dp.delta also takes "auto".
 _FLOAT_KEYS = [
-    "dp.alpha0", "dp.gamma", "dp.delta", "density.beta",
+    "dp.alpha0", "dp.gamma", "dp.delta",
     "gen.zipf_exponent", "gen.noise_sigma", "trainer.temperature",
 ]
 
@@ -77,7 +77,7 @@ class TestConfig:
             "trainer": "n_iterations beam l0_subsample seed workers min_len max_len "
             "temperature kmeans_clusters",
             "dp": "alpha0 gamma delta",
-            "density": "k beta",
+            "density": "k",
             "gen": "vocab_size n_utterances dim zipf_exponent word_len_min "
             "word_len_max words_per_utterance_min words_per_utterance_max "
             "noise_sigma alphabet_size",
@@ -109,13 +109,23 @@ class TestConfig:
         assert cfg["trainer.beam"] == 7
         assert cfg["dp.gamma"] == 0.5
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("trainer.bogus = 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
             read_config_file(path)
         with pytest.raises(ValueError, match="unknown config key"):
             load_run_config(overrides=["nope=3"])
+        # density.beta is no key (the kernel width is calibrated): it is
+        # refused, in a file and in --set, before the missing input is read.
+        path.write_text("density.beta = 2.0\n")
+        out = ["--out", str(tmp_path / "seg.tsv")]
+        segment = ["segment", str(tmp_path / "missing.tsv"), *out]
+        for extra in (["--config", str(path)], ["--set", "density.beta=2.0"]):
+            assert main([*segment, *extra]) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert "unknown config key 'density.beta'" in line
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_value_reported_with_location(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -167,6 +177,15 @@ class TestReadme:
         ]
         assert keys
         assert [k for k in keys if k not in _SCHEMA] == []
+
+    def test_prose_keys_exist(self):
+        # gen.seed and gen.mode are named only to say that they are not keys.
+        names = re.findall(
+            r"`((?:trainer|dp|density|gen)\.\w+)(?:=[^`]*)?`", self.readme
+        )
+        assert names
+        not_keys = {"gen.seed", "gen.mode"}
+        assert [n for n in names if n not in _SCHEMA and n not in not_keys] == []
 
     def test_documented_defaults(self):
         bullets = re.findall(r"^- `([\w.]+)` \(default `([^`]*)`\)", self.readme, re.M)

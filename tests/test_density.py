@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dpparse import density
 from dpparse.density import (
-    DensityParams,
     DiscreteCountStore,
     InstanceIndex,
     KMeansModel,
@@ -39,12 +38,13 @@ def _index_of(items):
     return InstanceIndex(vectors, *_arrays([p for _, p in items]))
 
 
-def _soft_counts(index, queries, provenance, params):
+def _soft_counts(index, queries, provenance, k, beta):
     """kernel_frequencies_arrays with provenance taken from triples."""
     return index.kernel_frequencies_arrays(
         np.atleast_2d(np.asarray(queries, dtype=np.float64)),
         *_arrays(provenance),
-        params,
+        k,
+        beta,
     )
 
 
@@ -157,7 +157,7 @@ class TestEstimateFrequency:
     def test_identical_nonoverlapping_neighbor_counts_one(self):
         v = np.array([0.3, -0.7])
         index = _index_of([(v, (0, 0, 1))])
-        f = _soft_counts(index, v, [(1, 0, 1)], DensityParams(k=5, beta=2.0))
+        f = _soft_counts(index, v, [(1, 0, 1)], k=5, beta=2.0)
         assert f[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_equidistant_ring_hand_value(self):
@@ -165,39 +165,38 @@ class TestEstimateFrequency:
         k, d = 8, 0.49
         base = np.sqrt(d) * np.vstack([np.eye(4), -np.eye(4)])
         index = _index_from(base)
-        params = DensityParams(k=k, beta=1.0 / d)
-        f = _soft_counts(index, np.zeros(4), [_FRESH], params)
+        f = _soft_counts(index, np.zeros(4), [_FRESH], k=k, beta=1.0 / d)
         assert f[0] == pytest.approx(k * math.exp(-1.0), rel=1e-12)
 
     def test_all_neighbors_overlapping_gives_zero(self):
         v = np.array([1.0, 2.0])
         items = [(v, (0, 0, 3)), (v, (0, 2, 5))]
         index = _index_of(items)
-        f = _soft_counts(index, v, [(0, 1, 4)], DensityParams(k=5, beta=1.0))
+        f = _soft_counts(index, v, [(0, 1, 4)], k=5, beta=1.0)
         assert f[0] == 0.0
 
     def test_shared_endpoint_is_not_overlap(self):
         v = np.array([1.0, 2.0])
         index = _index_of([(v, (0, 0, 3))])
-        f = _soft_counts(index, v, [(0, 3, 5)], DensityParams(k=5, beta=1.0))
+        f = _soft_counts(index, v, [(0, 3, 5)], k=5, beta=1.0)
         assert f[0] == pytest.approx(1.0)
 
     def test_bounded_by_k(self):
         rng = np.random.default_rng(1)
         base = rng.normal(size=(50, 3)) * 1e-3  # everything close together
         index = _index_from(base)
-        params = DensityParams(k=7, beta=1e-9)
-        f = _soft_counts(index, base[0], [_FRESH], params)
-        assert 0.0 <= f[0] <= params.k
+        f = _soft_counts(index, base[0], [_FRESH], k=7, beta=1e-9)
+        assert 0.0 <= f[0] <= 7
 
     def test_insertion_order_invariance(self):
         rng = np.random.default_rng(9)
         base = rng.normal(size=(60, 5))
         perm = rng.permutation(60)
-        params = DensityParams(k=11, beta=0.7)
         q = rng.normal(size=5)
-        f1 = _soft_counts(_index_from(base), q, [_FRESH], params)
-        f2 = _soft_counts(_index_from(base[perm], codes=perm), q, [_FRESH], params)
+        f1 = _soft_counts(_index_from(base), q, [_FRESH], k=11, beta=0.7)
+        f2 = _soft_counts(
+            _index_from(base[perm], codes=perm), q, [_FRESH], k=11, beta=0.7
+        )
         assert f1[0] == pytest.approx(f2[0], rel=1e-12)
 
     def test_matches_exact_count_on_orthogonal_codes(self):
@@ -211,8 +210,7 @@ class TestEstimateFrequency:
             store.add(_key(key), i, 0, 1)
             items.append((np.eye(dim)[key], (i, 0, 1)))
         index = _index_of(items)
-        params = DensityParams(k=50, beta=50.0)
-        f = _soft_counts(index, np.eye(dim), [_FRESH] * dim, params)
+        f = _soft_counts(index, np.eye(dim), [_FRESH] * dim, k=50, beta=50.0)
         for key in range(dim):
             exact = store.count_excluding_overlaps(_key(key), *_FRESH)
             assert f[key] == pytest.approx(exact, abs=1e-6)
@@ -230,7 +228,7 @@ class TestEstimateFrequency:
         # and fresh vectors.
         queries = np.vstack([base[:13], rng.normal(size=(10, dim))])
         q_prov = provenance[:13] + [(i, 0, 3) for i in range(10)]
-        params = DensityParams(k=k, beta=0.8)
+        beta = 0.8
         query = InstanceIndex.query
         calls = []
 
@@ -239,11 +237,11 @@ class TestEstimateFrequency:
             return query(self, queries, k)
 
         monkeypatch.setattr(InstanceIndex, "query", counting)
-        streamed = _soft_counts(index, queries, q_prov, params)
+        streamed = _soft_counts(index, queries, q_prov, k, beta)
         assert calls == [5, 5, 5, 5, 3]
 
         idx, d2 = query(index, queries, k)
-        weights = np.exp(-params.beta * d2)
+        weights = np.exp(-beta * d2)
         excluded = index.overlap_mask(idx, *_arrays(q_prov))
         assert excluded.any()
         weights[excluded] = 0.0
@@ -258,11 +256,10 @@ class TestEstimateFrequency:
         codes = np.full(m, -1)
         starts = np.zeros(m, dtype=np.int64)
         ends = np.ones(m, dtype=np.int64)
-        params = DensityParams(k=100, beta=1.0)
         tracemalloc.start()
         try:
             counts = index.kernel_frequencies_arrays(
-                queries, codes, starts, ends, params
+                queries, codes, starts, ends, k=100, beta=1.0
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -319,9 +316,7 @@ class TestCalibrateBeta:
         queries = index.vectors + rng.normal(size=index.vectors.shape) * 20.0
         provenance = (index.codes, index.starts, index.ends)
         counts = [
-            index.kernel_frequencies_arrays(
-                queries, *provenance, DensityParams(k=20, beta=beta)
-            )
+            index.kernel_frequencies_arrays(queries, *provenance, k=20, beta=beta)
             for beta in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e6)
         ]
         for wider, narrower in zip(counts, counts[1:]):
@@ -332,17 +327,18 @@ class TestCalibrateBeta:
         rng = np.random.default_rng(1)
         items = self._well_separated_sample(rng, n=150, dup_fraction=0.0)
         index = _index_of(items)
-        params = DensityParams(k=10, beta=1e-12)
-        freqs = _soft_counts(index, [v for v, _ in items[:50]], [_FRESH] * 50, params)
+        queries = [v for v, _ in items[:50]]
+        freqs = _soft_counts(index, queries, [_FRESH] * 50, k=10, beta=1e-12)
         # beta -> 0 means every neighbour contributes ~1
         assert all(f > 9.0 for f in freqs)
 
     def test_small_sample_rejected(self):
+        # Under 100 sampled rows there is no width; at 100 there is one.
         rng = np.random.default_rng(3)
         items = self._well_separated_sample(rng, n=120, dup_fraction=0.0)
         index = _index_of(items)
-        with pytest.raises(ValueError, match="100"):
-            calibrate_beta(index, np.arange(50), k=5)
+        assert calibrate_beta(index, np.arange(99), k=5) is None
+        assert calibrate_beta(index, np.arange(100), k=5) > 0
 
     @staticmethod
     def _overlapping_sample(rng, n_utterances, per_utterance, spread):
@@ -561,6 +557,10 @@ class TestKMeans:
         with pytest.raises(ValueError, match="exceeds population"):
             KMeansModel(5).fit(np.ones((3, 2)))
 
+    def test_frequencies_before_fit_refused(self):
+        with pytest.raises(RuntimeError, match="model not fitted"):
+            KMeansModel(2).frequencies(np.zeros((1, 2)))
+
     def test_seeded_determinism(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(40, 4))
@@ -568,9 +568,3 @@ class TestKMeans:
         m2 = KMeansModel(5, seed=7).fit(pts)
         assert np.array_equal(m1.centroids, m2.centroids)
         assert np.array_equal(m1.cluster_sizes, m2.cluster_sizes)
-
-
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_non_finite_beta_refused(value):
-    with pytest.raises(ValueError, match="^beta must be > 0 and finite"):
-        DensityParams(beta=float(value))

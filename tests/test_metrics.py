@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpparse.core import Corpus, FrameMatrix, GoldAlignment, Segmentation
-from dpparse.metrics import fixed_rate_segmenter, snap_boundaries, token_boundary_f1
+from dpparse.metrics import _snapper, fixed_rate_segmenter, token_boundary_f1
 
 
 def _phones(edges, labels=None):
@@ -15,43 +15,44 @@ def _phones(edges, labels=None):
 
 
 class TestSnapBoundaries:
+    """``_snapper(phones)``, the snapping that ``token_boundary_f1`` runs."""
+
     def test_more_than_30ms_snaps_to_end(self):
-        phones = _phones([0.0, 80.0, 160.0])
-        assert snap_boundaries([115.0], phones) == [160.0]  # 35ms into [80,160)
+        snap = _snapper(_phones([0.0, 80.0, 160.0]))
+        assert snap(115.0) == 160.0  # 35ms into [80,160)
 
     def test_more_than_half_snaps_to_end(self):
-        phones = _phones([0.0, 30.0, 200.0])
-        assert snap_boundaries([20.0], phones) == [30.0]  # 20 > 15 = half of 30
+        snap = _snapper(_phones([0.0, 30.0, 200.0]))
+        assert snap(20.0) == 30.0  # 20 > 15 = half of 30
 
     def test_neither_condition_snaps_to_start(self):
-        phones = _phones([0.0, 100.0, 200.0])
-        assert snap_boundaries([110.0], phones) == [100.0]  # 10ms into [100,200)
+        snap = _snapper(_phones([0.0, 100.0, 200.0]))
+        assert snap(110.0) == 100.0  # 10ms into [100,200)
 
     def test_exactly_30ms_stays_before(self):
         # strict ">": 30ms into a 100ms phone goes to the start
-        phones = _phones([0.0, 100.0, 200.0])
-        assert snap_boundaries([130.0], phones) == [100.0]
+        snap = _snapper(_phones([0.0, 100.0, 200.0]))
+        assert snap(130.0) == 100.0
 
     def test_boundary_on_edge_unchanged(self):
-        phones = _phones([0.0, 40.0, 80.0])
-        assert snap_boundaries([40.0, 80.0, 0.0], phones) == [0.0, 40.0, 80.0]
+        snap = _snapper(_phones([0.0, 40.0, 80.0]))
+        assert [snap(b) for b in (40.0, 80.0, 0.0)] == [40.0, 80.0, 0.0]
 
     def test_idempotent(self):
-        phones = _phones([0.0, 70.0, 120.0, 260.0])
-        once = snap_boundaries([10.0, 100.0, 200.0], phones)
-        assert snap_boundaries(once, phones) == once
-
-    def test_deduplicated(self):
-        phones = _phones([0.0, 80.0, 160.0])
-        assert snap_boundaries([115.0, 125.0], phones) == [160.0]
+        snap = _snapper(_phones([0.0, 70.0, 120.0, 260.0]))
+        once = [snap(b) for b in (10.0, 100.0, 200.0)]
+        assert [snap(b) for b in once] == once
 
     def test_no_phones_leaves_boundaries_unsnapped(self):
-        assert snap_boundaries([115.0, 0.0, 115.0], []) == [0.0, 115.0]
+        # [] from a caller, None for an utterance the alignment has no
+        # phones for
+        for phones in ([], None):
+            assert _snapper(phones)(115.0) == 115.0
 
     def test_outside_coverage_rejected(self):
-        phones = _phones([0.0, 80.0])
+        snap = _snapper(_phones([0.0, 80.0]))
         with pytest.raises(ValueError, match="coverage"):
-            snap_boundaries([90.0], phones)
+            snap(90.0)
 
 
 def _gold(words_blocks, utt="u"):

@@ -160,7 +160,7 @@ class TestGenerate:
 
     def test_frequency_estimate_recovers_counts_at_zero_noise(self):
         # end-to-end sanity of the soft-count estimator on clean data
-        from dpparse.density import DensityParams, InstanceIndex
+        from dpparse.density import InstanceIndex
 
         corpus, gold, _ = generate(
             _config(noise_sigma=0.0, n_utterances=120, vocab_size=6, seed=3)
@@ -173,7 +173,6 @@ class TestGenerate:
             provenance.append((corpus.position(t.utterance_id), t.start, t.end))
         index = InstanceIndex(np.stack(vecs), *np.array(provenance).T)
         k = len(vecs)  # retrieve everything: no truncation
-        params = DensityParams(k=k, beta=1e6)
         counts: dict[bytes, int] = {}
         for v in vecs:
             counts[v.tobytes()] = counts.get(v.tobytes(), 0) + 1
@@ -181,7 +180,7 @@ class TestGenerate:
         # is excluded.
         fresh = np.array([-1]), np.array([0]), np.array([1])
         for i in (0, 5, 17):
-            f = index.kernel_frequencies_arrays(vecs[i][None, :], *fresh, params)[0]
+            f = index.kernel_frequencies_arrays(vecs[i][None, :], *fresh, k, 1e6)[0]
             assert f == pytest.approx(counts[vecs[i].tobytes()], abs=1e-3)
 
 

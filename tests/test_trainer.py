@@ -780,23 +780,32 @@ class TestTrain:
             init_state(corpus, config)
 
     def test_calibration_fallback_for_tiny_pool(self, caplog):
+        # A pool of 27 entries is under calibrate_beta's 100-row minimum.
         corpus = Corpus(
             [FrameMatrix(f"u{i}", np.random.default_rng(i).normal(size=(4, 3)))
              for i in range(3)]
         )
-        config = _config(min_len=1, max_len=3, density=DensityParams(k=5, beta=2.0))
-        state = init_state(corpus, config)
-        assert state.beta == 2.0  # configured value, calibration skipped
+        config = _config(min_len=1, max_len=3, density=DensityParams(k=5))
+        with caplog.at_level("WARNING", logger="dpparse.trainer"):
+            state = init_state(corpus, config)
+        assert state.beta == trainer._FALLBACK_BETA == 1.0
+        assert (
+            "no kernel width to calibrate from a base pool of 27 entries; "
+            "using beta=1" in caplog.text
+        )
 
     def test_calibration_fallback_for_repeated_utterances(self, caplog):
         # Every utterance appears twice, so every sampled candidate has an
         # exact duplicate in the other copy: the median nearest distance is
-        # 0 and the configured beta is used, with a warning.
+        # 0 and the fallback beta is used, with a warning.
         rng = np.random.default_rng(0)
         data = [rng.normal(size=(6, 3)) for _ in range(20)]
         corpus = Corpus([FrameMatrix(f"u{i}", data[i % 20]) for i in range(40)])
-        config = _config(max_len=6, density=DensityParams(beta=3.0))
+        config = _config(max_len=6)
         with caplog.at_level("WARNING", logger="dpparse.trainer"):
             state = init_state(corpus, config)
-        assert state.beta == 3.0
-        assert "using beta=3" in caplog.text
+        assert state.beta == trainer._FALLBACK_BETA == 1.0
+        assert (
+            "no kernel width to calibrate from a base pool of 840 entries; "
+            "using beta=1" in caplog.text
+        )
