@@ -48,7 +48,10 @@ def _add_mode(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_config(args) -> "RunConfig":
-    return load_run_config(args.config, args.overrides, **{"trainer.seed": args.seed})
+    """The settings flags' config; ``--seed N`` is ``--set trainer.seed=N``
+    given last."""
+    seed = [] if args.seed is None else [f"trainer.seed={args.seed}"]
+    return load_run_config(args.config, [*args.overrides, *seed])
 
 
 def _load_input_corpus(path: str, mode: str) -> Corpus:

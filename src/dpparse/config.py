@@ -104,7 +104,7 @@ class RunConfig:
             density=DensityParams(**self._section("density")),
         )
         if mode == "discrete" and config.kmeans_clusters:
-            raise ValueError("kmeans backend applies to continuous corpora only")
+            raise ValueError("trainer.kmeans_clusters is for continuous corpora only")
         return config
 
     def gen_config(self, mode: str) -> GenConfig:
@@ -140,14 +140,11 @@ def read_config_file(path) -> dict:
     return values
 
 
-def load_run_config(
-    config_path=None, overrides: list[str] | None = None, **direct
-) -> RunConfig:
+def load_run_config(config_path=None, overrides: list[str] | None = None) -> RunConfig:
     """Merge defaults, an optional config file, and flag overrides.
 
-    ``overrides`` are ``section.key=value`` strings from ``--set`` flags;
-    ``direct`` values (already typed) win over everything and come from
-    dedicated flags such as ``--seed``.
+    ``overrides`` are ``section.key=value`` strings, applied in order, so a
+    later one wins: those of ``--set`` flags, then ``--seed``'s.
     """
     values: dict = {}
     if config_path is not None:
@@ -158,9 +155,4 @@ def load_run_config(
         key, raw = item.split("=", 1)
         key, value = _parse_pair(key, raw)
         values[key] = value
-    for key, value in direct.items():
-        if value is not None:
-            if key not in _SCHEMA:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = value
     return RunConfig(values)

@@ -64,7 +64,7 @@ class DensityParams:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError("density.k must be >= 1")
 
 
 class InstanceIndex:
@@ -255,76 +255,56 @@ def calibrate_beta(index: InstanceIndex, rows: np.ndarray, k: int) -> float | No
 # ---------------------------------------------------------------------------
 # discrete exact counts
 
-# Instances of one key are packed as ``code << _START_BITS | start`` into
-# one int64 array, so code must fit in 31 bits and start in 32.
-_START_BITS = 32
-_CODE_LIMIT = 1 << 31
-_START_LIMIT = 1 << _START_BITS
-
-
 class DiscreteCountStore:
-    """Multiset of keys; each instance keeps its provenance (utterance code,
-    start, end) for overlap exclusion.
+    """Multiset of keys; each instance keeps its provenance (utterance code
+    and start) for overlap exclusion.
 
-    A key names one symbol string (the trainer keys by candidate type id),
-    so every instance of a key has the same length L.  A key maps to (L,
-    sorted ``array('q')`` of its packed ``code << 32 | start``): 8 bytes per
-    instance, plus one key, tuple and array per distinct key.  An instance
-    of the key in utterance ``code`` overlaps ``[start, end)`` iff it starts
-    in ``(start - L, end)``, so two bisects give the count that overlap
+    The trainer keys by candidate type id, and a type fixes the symbol
+    string, so every instance of a key has the length of any query of it.
+    A key maps to one sorted ``array('q')`` of its instances' packed
+    ``code << 32 | start``: 8 bytes per instance, plus one key and array
+    per distinct key.  Codes and starts are those of candidate-table rows,
+    non-negative int32, so they pack without a check.  An instance of the
+    query's utterance ``code`` overlaps ``[start, end)`` iff it starts in
+    ``(2 * start - end, end)``, so two bisects give the count that overlap
     exclusion removes.  A key the store does not hold counts 0, so callers
     may skip the keys missing from ``keys()``.
     """
 
     def __init__(self):
-        self.total = 0
-        self._instances: dict[Hashable, tuple[int, array]] = {}
+        self._instances: dict[Hashable, array] = {}
 
     def keys(self):
         """The keys with at least one instance."""
         return self._instances.keys()
 
-    def add(self, key: Hashable, code: int, start: int, end: int) -> None:
-        if not (0 <= code < _CODE_LIMIT and 0 <= start < _START_LIMIT):
-            raise ValueError(
-                f"provenance ({code}, {start}) outside 0 <= code < 2**31, "
-                "0 <= start < 2**32"
-            )
-        packed = code << _START_BITS | start
-        entry = self._instances.get(key)
-        if entry is None:
-            self._instances[key] = (end - start, array("q", (packed,)))
+    def add(self, key: Hashable, code: int, start: int) -> None:
+        packed = code << 32 | start
+        starts = self._instances.get(key)
+        if starts is None:
+            self._instances[key] = array("q", (packed,))
+        # Adds arrive in corpus order, but a segmentation read from a file
+        # may list its utterances in any order.
+        elif packed >= starts[-1]:
+            starts.append(packed)
         else:
-            length, starts = entry
-            if end - start != length:
-                raise ValueError(
-                    f"key {key!r} has length {length}, got [{start}, {end})"
-                )
-            # Adds arrive in corpus order; any other order stays sorted.
-            if packed >= starts[-1]:
-                starts.append(packed)
-            else:
-                insort(starts, packed)
-        self.total += 1
+            insort(starts, packed)
 
     def count_excluding_overlaps(
         self, key: Hashable, code: int, start: int, end: int
     ) -> int:
-        entry = self._instances.get(key)
-        if entry is None:
+        starts = self._instances.get(key)
+        if starts is None:
             return 0
-        length, starts = entry
-        # Overlapping instances start in [lo, hi) of utterance ``code``;
-        # clamping to the packable starts keeps the range inside it, and an
-        # empty range finds nothing because the second bisect starts at the
-        # first.
-        lo = start - length + 1
+        # Overlapping instances start in [lo, end) of utterance ``code``;
+        # the clamp keeps the range inside it, and an empty range finds
+        # nothing because the second bisect starts at the first.
+        lo = 2 * start - end + 1
         if lo < 0:
             lo = 0
-        hi = end if end < _START_LIMIT else _START_LIMIT
-        base = code << _START_BITS
+        base = code << 32
         first = bisect_left(starts, base + lo)
-        return len(starts) - (bisect_left(starts, base + hi, first) - first)
+        return len(starts) - (bisect_left(starts, base + end, first) - first)
 
 
 # ---------------------------------------------------------------------------

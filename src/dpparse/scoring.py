@@ -30,11 +30,11 @@ class DPParams:
 
     def __post_init__(self):
         if not 0 < self.alpha0 < np.inf:
-            raise ValueError("alpha0 must be > 0 and finite")
+            raise ValueError("dp.alpha0 must be > 0 and finite")
         if not 0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be >= 0 and finite")
+            raise ValueError("dp.gamma must be >= 0 and finite")
         if not 0 < self.delta < np.inf:
-            raise ValueError("delta must be > 0 and finite")
+            raise ValueError("dp.delta must be > 0 and finite")
 
 
 def word_probabilities(

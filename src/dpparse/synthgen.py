@@ -41,25 +41,32 @@ class GenConfig:
 
     def __post_init__(self):
         if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
+            raise ValueError("gen.vocab_size must be >= 1")
         if self.n_utterances < 1:
-            raise ValueError("n_utterances must be >= 1")
+            raise ValueError("gen.n_utterances must be >= 1")
         if self.seed < 0:
             raise ValueError(f"trainer.seed must be >= 0, got {self.seed}")
         if not 1 <= self.word_len_min <= self.word_len_max <= 20:
-            raise ValueError("word lengths must fit the 1..20 block bounds")
+            raise ValueError(
+                "need 1 <= gen.word_len_min <= gen.word_len_max <= 20, got "
+                f"{self.word_len_min} and {self.word_len_max}"
+            )
         if not 1 <= self.words_per_utterance_min <= self.words_per_utterance_max:
-            raise ValueError("bad words_per_utterance_min/max")
+            raise ValueError(
+                "need 1 <= gen.words_per_utterance_min <= "
+                "gen.words_per_utterance_max, got "
+                f"{self.words_per_utterance_min} and {self.words_per_utterance_max}"
+            )
         if not 0 <= self.noise_sigma < np.inf:
-            raise ValueError("noise_sigma must be >= 0 and finite")
+            raise ValueError("gen.noise_sigma must be >= 0 and finite")
         if not 0 <= self.zipf_exponent < np.inf:
-            raise ValueError("zipf_exponent must be >= 0 and finite")
+            raise ValueError("gen.zipf_exponent must be >= 0 and finite")
         if self.mode not in ("continuous", "discrete"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "continuous" and self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ValueError("gen.dim must be >= 1")
         if self.mode == "discrete" and self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
+            raise ValueError("gen.alphabet_size must be >= 2")
 
 
 @dataclass(frozen=True)

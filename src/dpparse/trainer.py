@@ -108,19 +108,22 @@ class TrainerConfig:
 
     def __post_init__(self):
         if self.n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
+            raise ValueError("trainer.n_iterations must be >= 1")
         if self.seed < 0:
             raise ValueError(f"trainer.seed must be >= 0, got {self.seed}")
         if self.l0_subsample < 1:
-            raise ValueError("l0_subsample must be >= 1")
+            raise ValueError("trainer.l0_subsample must be >= 1")
         if self.beam < 1:
-            raise ValueError("beam must be >= 1")
+            raise ValueError("trainer.beam must be >= 1")
         if not 1 <= self.min_len <= self.max_len:
-            raise ValueError("need 1 <= min_len <= max_len")
+            raise ValueError(
+                "need 1 <= trainer.min_len <= trainer.max_len, got "
+                f"{self.min_len} and {self.max_len}"
+            )
         if not 0 < self.temperature < np.inf:
-            raise ValueError("temperature must be > 0 and finite")
+            raise ValueError("trainer.temperature must be > 0 and finite")
         if self.kmeans_clusters < 0:
-            raise ValueError("kmeans_clusters must be >= 0")
+            raise ValueError("trainer.kmeans_clusters must be >= 0")
         with np.errstate(over="ignore"):  # the term grows with length
             longest = length_terms(self.max_len, self.dp)
         if not np.isfinite(longest):
@@ -478,7 +481,9 @@ class _KMeansTables(_EmbeddedTables):
 
 class _DiscreteTables:
     """Text-mode stores: exact multiset counts with overlap exclusion, keyed
-    by candidate type id.
+    by candidate type id.  A store holds each row's utterance position and
+    start; the type fixes the length, so a row's end is read only when it
+    is counted.
 
     Rows are turned into Python ints ``_COUNT_SLICE`` at a time: those of a
     whole base pool would add to the setup's peak memory.
@@ -496,13 +501,12 @@ class _DiscreteTables:
         add = store.add
         for lo in range(0, len(rows), _COUNT_SLICE):
             part = rows[lo : lo + _COUNT_SLICE]
-            for key, code, a, b in zip(
+            for key, code, start in zip(
                 c.type_ids[part].tolist(),
                 c.codes[part].tolist(),
                 c.starts[part].tolist(),
-                c.ends[part].tolist(),
             ):
-                add(key, code, a, b)
+                add(key, code, start)
         return store
 
     def frequencies(self, store, beta) -> np.ndarray:
@@ -589,7 +593,7 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
             "blocks cannot tile: " + ", ".join(untileable[:10])
         )
     if corpus.mode == "discrete" and config.kmeans_clusters:
-        raise ValueError("kmeans backend applies to continuous corpora only")
+        raise ValueError("trainer.kmeans_clusters is for continuous corpora only")
     _check_temperature(corpus, config)
     seed_seg = init_segmentation(corpus, config.max_len)
     candidates = candidate_table(corpus, config.min_len, config.max_len)

@@ -90,6 +90,12 @@ def count_excluding_overlaps(instances, key, code: int, start: int, end: int):
     return len(same) - len(crossing)
 
 
+def held_instances(store):
+    """Instances a ``DiscreteCountStore`` holds: the sum over its keys of the
+    count for utterance code -1, which no instance has, so none is left out."""
+    return sum(store.count_excluding_overlaps(key, -1, 0, 1) for key in store.keys())
+
+
 def overlap_mask(
     codes, starts, ends, neighbor_idx, query_codes, query_starts, query_ends
 ):

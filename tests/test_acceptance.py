@@ -46,8 +46,8 @@ def _run_config(n_utterances, *overrides, vocab_size=50, seed=SEED):
             "trainer.n_iterations=5",
             "trainer.workers=1",
             *overrides,
-        ],
-        **{"trainer.seed": seed},
+            f"trainer.seed={seed}",
+        ]
     )
 
 
@@ -178,8 +178,7 @@ def test_continuous_gold_start_stays_near_gold(seed):
     # objective and the kernel width are tested together, with no search
     # from a bad start.
     cfg = load_run_config(
-        overrides=["gen.n_utterances=100", "gen.vocab_size=50"],
-        **{"trainer.seed": seed},
+        overrides=["gen.n_utterances=100", "gen.vocab_size=50", f"trainer.seed={seed}"]
     )
     corpus, gold, _words = generate(cfg.gen_config("continuous"))
     config = cfg.trainer_config("continuous")

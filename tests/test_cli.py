@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import dpparse
 from dpparse import io as dpio
-from dpparse.cli import build_parser, main
+from dpparse.cli import _run_config, build_parser, main
 from dpparse.config import _SCHEMA, DELTA_BY_MODE, load_run_config, read_config_file
 from dpparse.core import Segmentation
 from dpparse.scoring import DPParams
@@ -51,6 +52,19 @@ _FLOAT_KEYS = [
     "dp.alpha0", "dp.gamma", "dp.delta",
     "gen.zipf_exponent", "gen.noise_sigma", "trainer.temperature",
 ]
+
+# One value out of range for every key with a bound (trainer.workers has
+# none).
+_BAD_VALUES = {
+    "trainer.n_iterations": "0", "trainer.beam": "0", "trainer.l0_subsample": "0",
+    "trainer.seed": "-1", "trainer.min_len": "0", "trainer.max_len": "0",
+    "trainer.temperature": "0", "trainer.kmeans_clusters": "-1",
+    "dp.alpha0": "0", "dp.gamma": "-1", "dp.delta": "0", "density.k": "0",
+    "gen.vocab_size": "0", "gen.n_utterances": "0", "gen.dim": "0",
+    "gen.zipf_exponent": "-1", "gen.word_len_min": "0", "gen.word_len_max": "25",
+    "gen.words_per_utterance_min": "0", "gen.words_per_utterance_max": "1",
+    "gen.noise_sigma": "-1", "gen.alphabet_size": "1",
+}
 
 
 class TestConfig:
@@ -109,6 +123,16 @@ class TestConfig:
         assert cfg["trainer.beam"] == 7
         assert cfg["dp.gamma"] == 0.5
 
+    def test_seed_flag_wins_over_file_and_set(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("trainer.seed = 1\n")
+        argv = ["segment", "c.txt", "--out", "s.tsv", "--config", str(path)]
+        args = build_parser().parse_args([*argv, "--set", "trainer.seed=2"])
+        assert _run_config(args)["trainer.seed"] == 2
+        argv += ["--seed", "3", "--set", "trainer.seed=2"]
+        args = build_parser().parse_args(argv)
+        assert _run_config(args)["trainer.seed"] == 3
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("trainer.bogus = 1\n")
@@ -132,6 +156,16 @@ class TestConfig:
         path.write_text("trainer.beam = fast\n")
         with pytest.raises(ValueError, match="run.cfg:1"):
             read_config_file(path)
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("trainer.beam = 4\ntrainer.beam 5\n")
+        argv = ["segment", str(tmp_path / "missing.tsv"), "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "seg.tsv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:2: expected 'section.key = value'"
+        ]
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_non_finite_value_reported_with_location(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -186,6 +220,14 @@ class TestReadme:
         assert names
         not_keys = {"gen.seed", "gen.mode"}
         assert [n for n in names if n not in _SCHEMA and n not in not_keys] == []
+
+    def test_library_table_lists_every_module(self):
+        section = self.readme.split("## Library layout", 1)[1]
+        listed = set(re.findall(r"`dpparse\.(\w+)`", section.split("\n\n## ")[0]))
+        package = Path(dpparse.__file__).parent
+        modules = {p.stem for p in package.glob("*.py") if p.stem != "__init__"}
+        modules |= {p.parent.name for p in package.glob("*/__init__.py")}
+        assert listed == modules
 
     def test_documented_defaults(self):
         bullets = re.findall(r"^- `([\w.]+)` \(default `([^`]*)`\)", self.readme, re.M)
@@ -244,7 +286,7 @@ class TestFlags:
     def test_gen_refuses_dim_below_one(self, tmp_path, capsys):
         argv = ["gen", "--out-dir", str(tmp_path / "data"), "--set", "gen.dim=0"]
         assert main(argv) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: dim must be >= 1"]
+        assert capsys.readouterr().err.splitlines() == ["error: gen.dim must be >= 1"]
         assert list(tmp_path.iterdir()) == []
 
     def test_discrete_kmeans_refused_before_any_input(self, tmp_path, capsys):
@@ -257,7 +299,7 @@ class TestFlags:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            "error: kmeans backend applies to continuous corpora only"
+            "error: trainer.kmeans_clusters is for continuous corpora only"
         ]
         assert list(tmp_path.iterdir()) == []
 
@@ -274,6 +316,33 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             f"error: bad value for {key}: {value!r} (must be finite)"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_bounded_key_has_a_bad_value(self):
+        assert set(_BAD_VALUES) == set(_SCHEMA) - {"trainer.workers"}
+
+    @pytest.mark.parametrize("key, value", list(_BAD_VALUES.items()))
+    def test_out_of_range_value_refused_naming_key(self, tmp_path, capsys, key, value):
+        if key.startswith("gen."):
+            mode = "discrete" if key == "gen.alphabet_size" else "continuous"
+            argv = ["gen", "--out-dir", str(tmp_path / "data"), "--mode", mode]
+        else:
+            argv = [
+                "segment", str(tmp_path / "missing.tsv"),
+                "--out", str(tmp_path / "seg.tsv"),
+                "--log", str(tmp_path / "run.log"),
+            ]
+        assert main([*argv, "--set", f"{key}={value}"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and key in line
+        assert list(tmp_path.iterdir()) == []
+
+    def test_set_without_equals_names_the_flag(self, tmp_path, capsys):
+        argv = ["gen", "--out-dir", str(tmp_path / "data"), "--set", "gen.dim"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --set expects section.key=value, got 'gen.dim'"
         ]
         assert list(tmp_path.iterdir()) == []
 
@@ -446,10 +515,14 @@ class TestGenSegmentEval:
         assert main(["baseline", str(manifest), "--out", str(base_file)]) == 0
         seg = dpio.read_segmentation(base_file)
         assert all(s.length <= 3 for s in seg.tokens())
-        assert (
-            main(["eval", str(base_file), "--alignment", str(out / "alignment.tsv")])
-            == 0
-        )
+        capsys.readouterr()
+        report = tmp_path / "report.tsv"
+        gold = str(out / "alignment.tsv")
+        argv = ["eval", str(base_file), "--alignment", gold, "--out", str(report)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1].startswith("SUMMARY\t")
+        assert report.read_text(encoding="utf-8").splitlines() == printed
 
     def test_discrete_mode_runs(self, tmp_path):
         out, corpus_file = _gen(tmp_path, mode="discrete")

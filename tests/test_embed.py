@@ -10,7 +10,7 @@ from dpparse.density import DiscreteCountStore
 from dpparse.embed import UtteranceEmbedder
 from dpparse.trainer import TrainerConfig, _tables_for, build_base, candidate_table
 
-from oracles import subspan_sums
+from oracles import held_instances, subspan_sums
 
 
 def _embed(fm, start, end):
@@ -152,7 +152,7 @@ class _BaseStore:
 
     @property
     def total(self):
-        return self.store.total
+        return held_instances(self.store)
 
 
 def _base_store(*utterances, max_len=3):

@@ -71,6 +71,31 @@ def test_manifest_duplicate_id_names_both_lines(tmp_path):
         dpio.load_corpus(manifest)
 
 
+@pytest.mark.parametrize("line", ["u2\n", "u2\ta.dppf\tx\n"], ids=["one", "three"])
+def test_manifest_line_without_two_fields_names_file_and_line(tmp_path, line):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("u1\ta.dppf\n" + line)
+    message = f"{manifest}:2: expected 2 fields"
+    with pytest.raises(dpio.FileFormatError, match=re.escape(message)):
+        dpio.read_manifest(manifest)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("u1\tWORD\t80\n", "expected >= 4 fields"),
+        ("u1\tSYLLABLE\t80\t160\n", "unknown record 'SYLLABLE'"),
+    ],
+    ids=["three-fields", "unknown-kind"],
+)
+def test_bad_alignment_line_names_file_and_line(tmp_path, line, message):
+    path = tmp_path / "align.tsv"
+    path.write_text("u1\tWORD\t0\t80\n" + line, encoding="utf-8")
+    message = f"{path}:2: {message}"
+    with pytest.raises(dpio.FileFormatError, match=re.escape(message)):
+        dpio.read_alignment(path)
+
+
 def test_alignment_round_trip(tmp_path):
     gold = GoldAlignment(
         words={"u0": [(0.0, 80.0), (80.0, 200.0)]},
@@ -158,8 +183,11 @@ def test_text_corpus_blank_line_names_file_and_line(tmp_path, blank):
 
 @pytest.mark.parametrize(
     "line",
-    ["u1\tabc\t80\n", "u1\t0\tinf\n", "u1\t80\t40\n", "u1\t40\t40\n", "u1\t-80\t40\n"],
-    ids=["bad-time", "infinite-time", "inverted", "empty", "negative"],
+    [
+        "u1\tabc\t80\n", "u1\t0\tinf\n", "u1\t80\t40\n", "u1\t40\t40\n",
+        "u1\t-80\t40\n", "u1\t40\n",
+    ],
+    ids=["bad-time", "infinite-time", "inverted", "empty", "negative", "two-fields"],
 )
 def test_bad_segmentation_line_names_file_and_line(tmp_path, line):
     path = tmp_path / "seg.tsv"

@@ -95,7 +95,7 @@ class TestBaseProbability:
     [("alpha0", "inf"), ("gamma", "nan"), ("gamma", "inf"), ("delta", "inf")],
 )
 def test_non_finite_params_refused(key, value):
-    with pytest.raises(ValueError, match=f"^{key} must be .* and finite"):
+    with pytest.raises(ValueError, match=f"^dp.{key} must be .* and finite"):
         DPParams(**{key: float(value)})
 
 

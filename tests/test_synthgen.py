@@ -193,17 +193,17 @@ def test_config_validation():
         _config(word_len_min=5, word_len_max=25)
     with pytest.raises(ValueError):
         _config(noise_sigma=-0.1)
-    with pytest.raises(ValueError, match="dim must be >= 1"):
+    with pytest.raises(ValueError, match="^gen.dim must be >= 1"):
         _config(dim=0)
 
 
 @pytest.mark.parametrize("key", ["noise_sigma", "zipf_exponent"])
 def test_nan_setting_refused(key):
-    with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+    with pytest.raises(ValueError, match=f"^gen.{key} must be >= 0"):
         _config(**{key: float("nan")})
 
 
 @pytest.mark.parametrize("key", ["noise_sigma", "zipf_exponent"])
 def test_infinite_setting_refused(key):
-    with pytest.raises(ValueError, match=f"^{key} must be >= 0 and finite"):
+    with pytest.raises(ValueError, match=f"^gen.{key} must be >= 0 and finite"):
         _config(**{key: float("inf")})

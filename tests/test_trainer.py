@@ -26,7 +26,7 @@ from dpparse.trainer import (
     train,
 )
 
-from oracles import count_excluding_overlaps
+from oracles import count_excluding_overlaps, held_instances
 
 
 def _continuous_corpus(seed=0, n_utterances=60, vocab=8):
@@ -193,7 +193,7 @@ class TestBuildBase:
         store, probs, beta, n_base = _build_base(corpus, config)
         assert isinstance(store, DiscreteCountStore)
         assert beta is None
-        assert n_base == store.total
+        assert n_base == held_instances(store)
         # Every candidate's prior is its count among the pool's instances
         # with the same symbol string, less those that overlap it, over the
         # pool size (here the pool is every candidate).
@@ -528,7 +528,7 @@ class TestRunIteration:
         for seg in state.segmentation.tokens():
             symbols = corpus.utterance(seg.utterance_id).symbols
             code = corpus.position(seg.utterance_id)
-            store.add(symbols[seg.start : seg.end].tobytes(), code, seg.start, seg.end)
+            store.add(symbols[seg.start : seg.end].tobytes(), code, seg.start)
         counts: dict[bytes, int] = {}
         example: dict[bytes, Segment] = {}
         for seg in state.segmentation.tokens():
@@ -744,11 +744,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_temperature_refused(self, value):
-        with pytest.raises(ValueError, match="^temperature must be > 0 and finite"):
+        message = "^trainer.temperature must be > 0 and finite"
+        with pytest.raises(ValueError, match=message):
             _config(temperature=float(value))
 
     def test_negative_kmeans_clusters_refused(self):
-        with pytest.raises(ValueError, match="^kmeans_clusters must be >= 0"):
+        with pytest.raises(ValueError, match="^trainer.kmeans_clusters must be >= 0"):
             _config(kmeans_clusters=-1)
 
     def test_overflowing_length_term_rejected(self):
