@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from dpparse import io as dpio
-from dpparse.config import load_run_config
+from dpparse.config import RunConfig, load_run_config
 from dpparse.core import BLOCK_MS, Corpus, ms_to_end_block, validate_corpus
 from dpparse.metrics import fixed_rate_segmenter, token_boundary_f1
 from dpparse.synthgen import generate, lexicon_lines
@@ -47,7 +47,7 @@ def _add_mode(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_config(args) -> "RunConfig":
+def _run_config(args) -> RunConfig:
     """The settings flags' config; ``--seed N`` is ``--set trainer.seed=N``
     given last."""
     seed = [] if args.seed is None else [f"trainer.seed={args.seed}"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from dpparse.density import DensityParams
 from dpparse.scoring import DPParams
 from dpparse.synthgen import GenConfig
-from dpparse.trainer import TrainerConfig
+from dpparse.trainer import TrainerConfig, check_mode
 
 
 def _optional_int(text: str):
@@ -103,8 +103,7 @@ class RunConfig:
             dp=DPParams(**dp),
             density=DensityParams(**self._section("density")),
         )
-        if mode == "discrete" and config.kmeans_clusters:
-            raise ValueError("trainer.kmeans_clusters is for continuous corpora only")
+        check_mode(mode, config)
         return config
 
     def gen_config(self, mode: str) -> GenConfig:

@@ -131,12 +131,14 @@ class InstanceIndex:
         buf = np.empty((min(block, len(queries)), self.n))
         for lo in range(0, len(queries), block):
             q = queries[lo : lo + block]
-            # |q - b|^2 = |q|^2 + |b|^2 - 2 q.b, clamped against rounding.
-            d = np.matmul(q, self.vectors.T, out=buf[: len(q)])
+            # |q - b|^2 = -2 q.b + |b|^2 + |q|^2, clamped against rounding.
+            # The -2 scales the (rows, dim) query block, not the (rows, n)
+            # product: a power of two scales every product and partial sum
+            # of the GEMM exactly, so the bits are those of scaling after.
+            d = np.matmul(-2.0 * q, self.vectors.T, out=buf[: len(q)])
             q_sq = np.einsum("ij,ij->i", q, q)
             for t in range(0, len(q), tile):
                 dt = d[t : t + tile]
-                dt *= -2.0
                 dt += self._sq_norms[None, :]
                 dt += q_sq[t : t + tile, None]
                 np.maximum(dt, 0.0, out=dt)

@@ -564,6 +564,12 @@ def build_base(tables: _EmbeddedTables | _DiscreteTables, config: TrainerConfig)
     return base, base_probs, beta, n_base
 
 
+def check_mode(mode: str, config: TrainerConfig) -> None:
+    """Refuse settings that do not apply to a corpus of ``mode``."""
+    if mode == "discrete" and config.kmeans_clusters:
+        raise ValueError("trainer.kmeans_clusters is for continuous corpora only")
+
+
 def _check_temperature(corpus: Corpus, config: TrainerConfig) -> None:
     """Refuse a temperature at which a path's total over it can overflow.
 
@@ -592,8 +598,7 @@ def init_state(corpus: Corpus, config: TrainerConfig) -> TrainerState:
             f"utterances that segments of {config.min_len}..{config.max_len} "
             "blocks cannot tile: " + ", ".join(untileable[:10])
         )
-    if corpus.mode == "discrete" and config.kmeans_clusters:
-        raise ValueError("trainer.kmeans_clusters is for continuous corpora only")
+    check_mode(corpus.mode, config)
     _check_temperature(corpus, config)
     seed_seg = init_segmentation(corpus, config.max_len)
     candidates = candidate_table(corpus, config.min_len, config.max_len)

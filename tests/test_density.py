@@ -127,6 +127,29 @@ class TestBuildIndex:
         assert np.array_equal(idx1, idx)
         assert np.array_equal(d21, d2)
 
+    @pytest.mark.parametrize("n", [250, 2000])
+    def test_folded_minus_two_changes_no_bit(self, n):
+        # The GEMM runs on -2 q; the tiles must be those of scaling q.V^T
+        # by -2 after the GEMM of the same block, bit for bit.  n is the
+        # size of a workload lexicon and base pool; 1,200 queries make
+        # several tiles per block at n = 250 and several blocks at 2,000.
+        rng = np.random.default_rng(n)
+        vectors = rng.normal(size=(n, 64))
+        queries = rng.normal(size=(1200, 64))
+        k = 100
+        block = density._block_rows(n, k)
+        v_sq = np.einsum("ij,ij->i", vectors, vectors)
+        covered = 0
+        for lo, dt in _index_from(vectors)._distance_tiles(queries, k):
+            first = lo - lo % block
+            q = queries[first : first + block]
+            q_sq = np.einsum("ij,ij->i", q, q)
+            ref = np.maximum((q @ vectors.T) * -2.0 + v_sq + q_sq[:, None], 0.0)
+            rows = ref[lo - first : lo - first + len(dt)]
+            assert np.array_equal(dt.view(np.int64), rows.view(np.int64))
+            covered += len(dt)
+        assert covered == len(queries)
+
 
 class TestOverlapMask:
     @pytest.mark.parametrize("seed", range(4))

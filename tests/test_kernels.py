@@ -61,6 +61,70 @@ def test_k_of_one_and_of_all_columns(k):
     _assert_strict_topk(_mixed_tile(np.random.default_rng(k), 40, 200, 100), k)
 
 
+def _near_pair(row, rank, b, kind):
+    """Give the entries at sorted ranks ``rank`` and ``rank + 1`` of ``row``
+    values a few ulps apart, the larger one in the smaller column, so that
+    column order disagrees with value order.
+
+    ``low-bits``: equal in all but their low b bits (2**b - 1 ulps apart);
+    ``ulp``: 1 ulp apart, sharing the truncated part when b >= 1;
+    ``ulp-across``: 1 ulp apart across a 2**b-ulp boundary, so that the
+    truncated parts differ.  The values stay within a few 2**b ulps of the
+    one at ``rank``, so no other entry changes rank.
+    """
+    order = np.argsort(row, kind="stable")
+    first, second = sorted(order[rank : rank + 2])
+    h = int(row[order[rank]].view(np.int64)) >> b << b
+    small, large = {
+        "low-bits": (h, h | ((1 << b) - 1)),
+        "ulp": (h, h + 1),
+        "ulp-across": (h + (1 << b) - 1, h + (1 << b)),
+    }[kind]
+    row[first] = np.int64(large).view(np.float64)
+    row[second] = np.int64(small).view(np.float64)
+
+
+def _packed_edge_tile(rng, n, k):
+    """Rows that stress the packed (truncated distance, column) keys of an
+    n-column tile selected at k: near pairs at the cut and inside the
+    selection, -0.0 beside 0.0, and +inf entries."""
+    b = (n - 1).bit_length()
+    rows = [rng.random(n)]
+    for kind in ("low-bits", "ulp", "ulp-across"):
+        if k < n:  # ranks k - 1 and k straddle the cut
+            rows.append(rng.random(n))
+            _near_pair(rows[-1], k - 1, b, kind)
+        if k >= 2:  # both inside the selection
+            rows.append(rng.random(n))
+            _near_pair(rows[-1], k // 2 - 1, b, kind)
+    zeros = rng.random(n)
+    # 0.0 in the smaller column: -0.0 ties it and must come after it.
+    cols = np.sort(rng.choice(n, size=min(n, 2), replace=False))
+    zeros[cols[0]] = 0.0
+    zeros[cols[-1]] = -0.0
+    rows.append(zeros)
+    with_inf = rng.random(n)
+    with_inf[rng.choice(n, size=max(1, n // 3), replace=False)] = np.inf
+    rows.append(with_inf)
+    rows.append(np.full(n, np.inf))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k_of", ["one", "half", "all"])
+@pytest.mark.parametrize("n", [1, 2, 128, 129, 2048, 2049])
+def test_packed_key_edge_cases_match_lexsort(n, k_of):
+    # n = 128 and 2048 fill exactly b column bits, 129 and 2049 one more.
+    k = {"one": 1, "half": max(1, n // 2), "all": n}[k_of]
+    _assert_strict_topk(_packed_edge_tile(np.random.default_rng(n), n, k), k)
+
+
+def test_negative_zero_keys_as_zero_and_keeps_its_sign():
+    # Values come from the tile, not from the keys.
+    idx, dist = topk_select(np.array([[0.5, -0.0, 0.25]]), 2)
+    assert list(idx[0]) == [1, 2]
+    assert np.signbit(dist[0, 0])
+
+
 def test_backends_match_lexsort():
     _assert_strict_topk(np.random.default_rng(7).random((40, 300)), 12)
 

@@ -43,6 +43,24 @@ def test_disc_decode_digest_reproduces(tmp_path, monkeypatch):
     assert result.digest == recorded["digest_sha256"]
 
 
+def test_cont_lexicon_digest_reproduces(tmp_path, monkeypatch):
+    # One cont-lexicon pass writes the segmentation recorded for seed 201 in
+    # CHANGES.md's entry on the continuous-mode fix (sub-span-sum embeddings
+    # and the calibrated kernel width); perfbench/baseline.json predates it.
+    # Exact kNN is held to the same bits, so a faster search must reproduce it.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    pipeline = importlib.import_module("pipeline")
+    workloads = importlib.import_module("workloads")
+    workload, seed = workloads.WORKLOADS["cont-lexicon"], 201
+    corpus, gold = workloads.workload_corpus(workload, seed)
+    input_path = workloads.write_inputs(corpus, gold, tmp_path / "inputs")
+    config = workload.trainer_config(seed, 1)
+    result = pipeline.run_pass(input_path, workload.mode, config, tmp_path / "seg.tsv")
+    assert result.digest == (
+        "42556cfa917bc9b367fdf056d8fdb624d72873929f85549d6e942295b420dfc1"
+    )
+
+
 def test_benchmark_command_runs():
     # The benchmark command imports more of dpparse than the pipeline does
     # (its env record names the top-k backend), so it is run as a whole.

@@ -752,6 +752,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="^trainer.kmeans_clusters must be >= 0"):
             _config(kmeans_clusters=-1)
 
+    def test_discrete_kmeans_refused_by_init_state(self):
+        # A caller that builds its own TrainerConfig meets the refusal that
+        # test_cli's test_discrete_kmeans_refused_before_any_input reads.
+        corpus, _ = _discrete_corpus(n_utterances=10)
+        message = "^trainer.kmeans_clusters is for continuous corpora only$"
+        with pytest.raises(ValueError, match=message):
+            init_state(corpus, _config(kmeans_clusters=5))
+
     def test_overflowing_length_term_rejected(self):
         # ((20 - 1) / 4) ** 460 overflows a double: every 20-block arc would
         # score -inf.  Just below, at gamma 450, the term is finite.
