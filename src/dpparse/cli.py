@@ -81,7 +81,7 @@ def _check_output_dirs(*paths) -> None:
 def cmd_gen(args) -> int:
     cfg = _run_config(args)
     gen_cfg = cfg.gen_config(args.mode)
-    corpus, gold, words = generate(gen_cfg)
+    corpus, gold, lengths = generate(gen_cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "continuous":
@@ -99,7 +99,7 @@ def cmd_gen(args) -> int:
         dpio.write_text_corpus(corpus_path, corpus)
     dpio.write_alignment(out / "alignment.tsv", gold)
     with open(out / "lexicon.tsv", "w", encoding="utf-8") as f:
-        f.write("\n".join(lexicon_lines(words)) + "\n")
+        f.write("\n".join(lexicon_lines(lengths)) + "\n")
     logger.info("wrote %s (%d utterances)", corpus_path, len(corpus))
     print(str(corpus_path))
     return 0

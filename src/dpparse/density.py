@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Hashable
 from dataclasses import dataclass
 
@@ -266,8 +266,10 @@ class DiscreteCountStore:
     A key maps to one sorted ``array('q')`` of its instances' packed
     ``code << 32 | start``: 8 bytes per instance, plus one key and array
     per distinct key.  Codes and starts are those of candidate-table rows,
-    non-negative int32, so they pack without a check.  An instance of the
-    query's utterance ``code`` overlaps ``[start, end)`` iff it starts in
+    non-negative int32, so they pack without a check.  The trainer adds
+    rows in table order, which is (code, start) order, so ``add`` only
+    appends and each array stays sorted.  An instance of the query's
+    utterance ``code`` overlaps ``[start, end)`` iff it starts in
     ``(2 * start - end, end)``, so two bisects give the count that overlap
     exclusion removes.  A key the store does not hold counts 0, so callers
     may skip the keys missing from ``keys()``.
@@ -281,16 +283,11 @@ class DiscreteCountStore:
         return self._instances.keys()
 
     def add(self, key: Hashable, code: int, start: int) -> None:
-        packed = code << 32 | start
         starts = self._instances.get(key)
         if starts is None:
-            self._instances[key] = array("q", (packed,))
-        # Adds arrive in corpus order, but a segmentation read from a file
-        # may list its utterances in any order.
-        elif packed >= starts[-1]:
-            starts.append(packed)
+            self._instances[key] = array("q", (code << 32 | start,))
         else:
-            insort(starts, packed)
+            starts.append(code << 32 | start)
 
     def count_excluding_overlaps(
         self, key: Hashable, code: int, start: int, end: int

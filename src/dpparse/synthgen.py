@@ -69,23 +69,17 @@ class GenConfig:
             raise ValueError("gen.alphabet_size must be >= 2")
 
 
-@dataclass(frozen=True)
-class WordInfo:
-    """Latent lexicon entry: id doubles as the Zipf rank minus one."""
-
-    word_id: int
-    length: int
-    rank: int
-
-
 def zipf_probabilities(vocab_size: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
     probs = ranks**-exponent
     return probs / probs.sum()
 
 
-def generate(config: GenConfig) -> tuple[Corpus, GoldAlignment, list[WordInfo]]:
-    """Sample a corpus, its gold alignment, and the lexicon description."""
+def generate(config: GenConfig) -> tuple[Corpus, GoldAlignment, np.ndarray]:
+    """Sample a corpus, its gold alignment, and the latent words' lengths.
+
+    Word w is the one of Zipf rank w + 1 and is ``lengths[w]`` blocks long.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     lo, hi = config.word_len_min, config.word_len_max
     lengths = rng.integers(lo, hi + 1, size=config.vocab_size)
@@ -134,11 +128,7 @@ def generate(config: GenConfig) -> tuple[Corpus, GoldAlignment, list[WordInfo]]:
         else None
     )
     corpus = Corpus(utterances, mode=config.mode, alphabet=alphabet)
-    words = [
-        WordInfo(word_id=w, length=int(lengths[w]), rank=w + 1)
-        for w in range(config.vocab_size)
-    ]
-    return corpus, gold, words
+    return corpus, gold, lengths
 
 
 def _prototypes(config: GenConfig, lengths: np.ndarray, rng) -> list:
@@ -181,7 +171,8 @@ def gold_segmentation(corpus: Corpus, gold: GoldAlignment) -> Segmentation:
     return Segmentation(bounds)
 
 
-def lexicon_lines(words: list[WordInfo]) -> list[str]:
+def lexicon_lines(lengths: np.ndarray) -> list[str]:
+    """``lexicon.tsv`` lines: a header, then each word's id, length and rank."""
     lines = ["word_id\tlength_blocks\tfrequency_rank"]
-    lines += [f"{w.word_id}\t{w.length}\t{w.rank}" for w in words]
+    lines += [f"{w}\t{n}\t{w + 1}" for w, n in enumerate(lengths.tolist())]
     return lines

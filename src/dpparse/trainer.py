@@ -141,10 +141,10 @@ class Candidates:
     ``candidate_bounds`` order.  Row r covers blocks ``[starts[r], ends[r])``
     of the utterance at corpus position ``codes[r]``, and the rows of the
     utterance at position p are ``offsets[p] : offsets[p + 1]``.  Every
-    store holds rows of this table.  For a discrete corpus, ``type_ids``
-    holds one int32 id per row: two rows share an id iff they cover equal
-    symbol strings, and the ids are dense in ``0 .. n_types - 1``.  For a
-    continuous corpus it is None.
+    store holds rows of this table, added in table order.  For a discrete
+    corpus, ``type_ids`` holds one int32 id per row: two rows share an id
+    iff they cover equal symbol strings, and the ids are dense in
+    ``0 .. n_types - 1``.  For a continuous corpus it is None.
     """
 
     codes: np.ndarray
@@ -360,7 +360,8 @@ def _token_rows(
     candidates: Candidates,
     segmentation: Segmentation,
 ) -> np.ndarray:
-    """Rows of a segmentation's tokens, in ``segmentation.tokens()`` order.
+    """Rows of a segmentation's tokens, ascending: table order, whatever
+    order the segmentation lists its utterances in.
 
     A token with no row (of an utterance the corpus lacks, ending past its
     utterance, or of inadmissible length) is rejected here, before any
@@ -393,9 +394,11 @@ def _token_rows(
             f"{corpus.utterances[codes[i]].utterance_id!r} is not "
             f"{config.min_len}..{config.max_len} blocks long"
         )
-    return candidates.offsets[codes] + candidate_positions(
+    rows = candidates.offsets[codes] + candidate_positions(
         np.array(sizes), np.array(starts), lengths, config.min_len, config.max_len
     )
+    rows.sort()
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +628,12 @@ def lexicon_word_probabilities(
     segmentation: Segmentation,
 ) -> np.ndarray:
     """Word probability of every row of ``state.candidates``, with the
-    tokens of ``segmentation`` as the lexicon of the state's backend."""
+    tokens of ``segmentation`` as the lexicon of the state's backend.
+
+    The lexicon is built from the tokens' rows in table order, so the
+    result does not depend on the order the segmentation lists its
+    utterances in.
+    """
     n_lexicon = segmentation.n_tokens
     if n_lexicon:
         tables = state.tables

@@ -125,7 +125,7 @@ def test_negative_zero_keys_as_zero_and_keeps_its_sign():
     assert np.signbit(dist[0, 0])
 
 
-def test_backends_match_lexsort():
+def test_random_tile_matches_lexsort():
     _assert_strict_topk(np.random.default_rng(7).random((40, 300)), 12)
 
 
@@ -179,7 +179,7 @@ def test_float32_fortran_input_matches_float64_and_is_unmodified():
     assert np.array_equal(d, before) and d.flags.f_contiguous
 
 
-def test_dispatch_wrapper_matches_oracle():
+def test_norm_trick_distances_match_linear_scan():
     rng = np.random.default_rng(13)
     base = rng.normal(size=(500, 8))
     queries = rng.normal(size=(20, 8))

@@ -10,6 +10,7 @@ from dpparse.synthgen import (
     GenConfig,
     generate,
     gold_segmentation,
+    lexicon_lines,
     zipf_probabilities,
 )
 
@@ -33,12 +34,12 @@ def _config(**kw):
 
 class TestGenerate:
     def test_corpus_valid_and_gold_covers(self):
-        corpus, gold, words = generate(_config())
+        corpus, gold, lengths = generate(_config())
         assert validate_corpus(corpus).ok
         assert gold.validate() == []
         seg = gold_segmentation(corpus, gold)
         assert seg.validate(corpus) == []
-        assert len(words) == 10
+        assert len(lengths) == 10 and set(lengths.tolist()) <= {2, 3, 4}
 
     def test_deterministic_given_seed(self):
         c1, g1, _ = generate(_config())
@@ -59,6 +60,13 @@ class TestGenerate:
         # every token is a bit-exact copy of one of vocab_size prototypes
         assert len(patterns) <= cfg.vocab_size
         assert max(patterns.values()) >= 2
+
+    def test_lexicon_lines_number_words_by_rank(self):
+        assert lexicon_lines(np.array([3, 5])) == [
+            "word_id\tlength_blocks\tfrequency_rank",
+            "0\t3\t1",
+            "1\t5\t2",
+        ]
 
     def test_zipf_zero_is_uniform(self):
         rng = np.random.default_rng(0)
@@ -98,7 +106,7 @@ class TestGenerate:
         assert labels == list(utt.symbols)
 
     def test_discrete_prototypes_distinct(self):
-        corpus, gold, words = generate(
+        corpus, gold, _ = generate(
             _config(mode="discrete", vocab_size=30, alphabet_size=5, n_utterances=300)
         )
         seg = gold_segmentation(corpus, gold)
@@ -141,7 +149,7 @@ class TestGenerate:
 
     def test_alphabet_just_large_enough_generates(self):
         # Two symbols give four strings of length 2: four words fit.
-        corpus, gold, words = generate(
+        corpus, gold, lengths = generate(
             GenConfig(
                 mode="discrete",
                 alphabet_size=2,
@@ -156,7 +164,7 @@ class TestGenerate:
             corpus.utterance(s.utterance_id).symbols[s.start : s.end].tobytes()
             for s in seg.tokens()
         }
-        assert len(words) == 4 and len(patterns) == 4
+        assert len(lengths) == 4 and len(patterns) == 4
 
     def test_frequency_estimate_recovers_counts_at_zero_noise(self):
         # end-to-end sanity of the soft-count estimator on clean data

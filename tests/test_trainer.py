@@ -552,6 +552,63 @@ class TestRunIteration:
         assert p_w > p0
 
 
+class TestLexiconOrder:
+    """A lexicon is a set of candidate rows: the order a segmentation lists
+    its utterances in changes no bit, and each store receives its rows in
+    table order."""
+
+    @staticmethod
+    def _doubled_corpus(mode):
+        """A synthgen corpus, then a copy of each utterance under a new id,
+        so that the lexicon holds exact duplicates."""
+        gen = GenConfig(n_utterances=40, seed=3, vocab_size=8, mode=mode)
+        corpus, _, _ = generate(gen)
+        copies = [
+            FrameMatrix(u.utterance_id + "b", u.data)
+            if mode == "continuous"
+            else SymbolSequence(u.utterance_id + "b", u.symbols)
+            for u in corpus
+        ]
+        return Corpus(corpus.utterances + copies, mode, corpus.alphabet)
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    @pytest.mark.parametrize("k", [3, 100])
+    def test_reversed_segmentation_gives_the_same_bits(self, mode, k):
+        # Duplicates tie in distance and ties break by lexicon index, so a
+        # kNN lexicon built in listing order picks other neighbours when
+        # reversed; a count store fed in listing order would be unsorted.
+        # Every row ties, so each goes to top-k's full-row sort: a small
+        # base pool keeps setup short.
+        corpus = self._doubled_corpus(mode)
+        config = _config(max_len=8, l0_subsample=500, density=DensityParams(k=k))
+        seg = _random_segmentation(corpus)
+        backwards = Segmentation(dict(reversed(list(seg.items()))))
+        state = init_state(corpus, config)
+        forward = trainer.lexicon_word_probabilities(state, corpus, config, seg)
+        reverse = trainer.lexicon_word_probabilities(state, corpus, config, backwards)
+        assert forward.tobytes() == reverse.tobytes()
+
+    def test_store_adds_arrive_in_table_order(self, monkeypatch):
+        corpus = self._doubled_corpus("discrete")
+        config = _config(max_len=8)
+        added: dict = {}
+        add = DiscreteCountStore.add
+
+        def recording(store, key, code, start):
+            added.setdefault((store, key), []).append(code << 32 | start)
+            add(store, key, code, start)
+
+        monkeypatch.setattr(DiscreteCountStore, "add", recording)
+        state = init_state(corpus, config)
+        state = run_iteration(state, corpus, config)
+        backwards = Segmentation(dict(reversed(list(state.segmentation.items()))))
+        trainer.lexicon_word_probabilities(state, corpus, config, backwards)
+        # the base store, the iteration's lexicon and the reversed one
+        assert len({store for store, _key in added}) == 3
+        for packed in added.values():
+            assert packed == sorted(packed)
+
+
 class TestNBestMemo:
     """Equal lattices of utterances with equal blocks share one N-best
     search, within one iteration only."""
