@@ -27,16 +27,19 @@ logger = logging.getLogger(__name__)
 
 # Queries are answered in row blocks of about _BLOCK_BYTES: one distance
 # GEMM per block into the query's one block buffer, then the norm finish
-# and top-k selection per row tile of about _TILE_BYTES, while the tile is
-# still in cache.  No distance matrix larger than one block ever exists,
-# and only one exists at a time.  Keep the block this large: glibc serves
-# an 8 MB buffer by mmap, and freeing it raises glibc's mmap and trim
-# thresholds, so the smaller temporaries of a query group stay in a heap
-# that is not trimmed between groups.  On the cont-lexicon benchmark, one
-# 2 MB GEMM per tile kept the bits but raised a pass's minor page faults
-# to 166k and its iteration time by 70-90%.
+# and top-k selection per row tile of about _TILE_BYTES.  No distance
+# matrix larger than one block ever exists, and only one exists at a time.
+# Keep the block this large: glibc serves an 8 MB buffer by mmap, and
+# freeing it raises glibc's mmap and trim thresholds, so the smaller
+# temporaries of a query group stay in a heap that is not trimmed between
+# groups.  On the cont-lexicon benchmark, one 2 MB GEMM per tile kept the
+# bits but raised a pass's minor page faults to 166k and its iteration
+# time by 70-90%.  The tile is small because the finish and the selection
+# make about six passes over the tile and its int64 key copy: at 512 KiB
+# the two fit in 1 MiB, inside a 2 MiB per-core L2.  Tiles bound only the
+# finish and the selection, which work row by row, so they move no bits.
 _BLOCK_BYTES = 8 * 1024 * 1024
-_TILE_BYTES = 2 * 1024 * 1024
+_TILE_BYTES = 512 * 1024
 
 
 def _block_rows(n: int, k: int) -> int:
@@ -188,7 +191,9 @@ class InstanceIndex:
             queries, query_codes, query_starts, query_ends, k
         )
         for rows, _idx, d2, excluded in blocks:
-            weights = np.exp(-beta * d2)
+            # In place on the block's own distances; IEEE multiplication
+            # commutes, so the bits are those of np.exp(-beta * d2).
+            weights = np.exp(np.multiply(d2, -beta, out=d2), out=d2)
             weights[excluded] = 0.0
             out[rows] = weights.sum(axis=1)
         return out

@@ -104,15 +104,44 @@ class TestBuildIndex:
         oracle_idx, _ = linear_scan_knn(base, q, k)
         assert np.array_equal(idx[0], oracle_idx)
 
-    def test_tile_size_does_not_change_results(self, monkeypatch):
-        # Every vector three times: equal distances inside the selection and
-        # at the k-th cut, so tied rows take the repair path.
-        rng = np.random.default_rng(9)
-        base = np.repeat(rng.normal(size=(60, 4)), 3, axis=0)
+    @pytest.mark.parametrize("tile_bytes", ["row", "512KiB", "2MiB", "block"])
+    @pytest.mark.parametrize("n", [250, 2000])
+    def test_tile_size_does_not_change_results(self, monkeypatch, n, tile_bytes):
+        # A workload index size at dim 64, every vector three times: equal
+        # distances inside the selection and across the k-th cut, so tied
+        # rows take the run repairs.  1,200 queries make several tiles per
+        # block at n = 250 and several blocks at 2,000.  The reference
+        # finishes each GEMM block whole, selects by lexsort on (distance,
+        # column) and weighs out of place, as exp(-beta * d2).
+        rng = np.random.default_rng(n)
+        base = np.repeat(rng.normal(size=(-(-n // 3), 64)), 3, axis=0)[:n]
+        queries = np.vstack([base[::3], rng.normal(size=(1200 - len(base[::3]), 64))])
+        codes = np.arange(len(queries)) % n
+        starts, ends = np.zeros(len(queries), int), np.ones(len(queries), int)
+        k, beta = 100, 1.5
+        block = density._block_rows(n, k)
+        v_sq = np.einsum("ij,ij->i", base, base)
+        ref_idx, ref_d2 = [], []
+        for lo in range(0, len(queries), block):
+            q = queries[lo : lo + block]
+            d = (-2.0 * q) @ base.T + v_sq + np.einsum("ij,ij->i", q, q)[:, None]
+            np.maximum(d, 0.0, out=d)
+            order = np.lexsort((np.broadcast_to(np.arange(n), d.shape), d))
+            ref_idx.append(order[:, :k])
+            ref_d2.append(np.take_along_axis(d, order[:, : k + 1], 1))
+        ref_idx, ref_d2 = np.vstack(ref_idx), np.vstack(ref_d2)
+        assert (ref_d2[:, k - 1] == ref_d2[:, k]).any()
+        ref_d2 = np.ascontiguousarray(ref_d2[:, :k])
+        assert (ref_d2[:, 1:] == ref_d2[:, :-1]).any()
         index = _index_from(base)
-        queries = np.vstack([base[::7], rng.normal(size=(40, 4))])
-        idx, d2 = index.query(queries, 10)
-        assert (d2[:, 1:] == d2[:, :-1]).any()
+        weights = np.exp(-beta * ref_d2)
+        weights[index.overlap_mask(ref_idx, codes, starts, ends)] = 0.0
+        tile_rows = {
+            "row": 1,
+            "512KiB": 512 * 1024 // (8 * n),
+            "2MiB": 2 * 1024 * 1024 // (8 * n),
+            "block": block,
+        }[tile_bytes]
         tiles = []
         select = density.topk_select
 
@@ -120,12 +149,14 @@ class TestBuildIndex:
             tiles.append(dists.shape[0])
             return select(dists, k)
 
-        monkeypatch.setattr(density, "_TILE_BYTES", 1)
+        monkeypatch.setattr(density, "_TILE_BYTES", 8 * n * tile_rows)
         monkeypatch.setattr(density, "topk_select", counting)
-        idx1, d21 = index.query(queries, 10)
-        assert tiles == [1] * len(queries)
-        assert np.array_equal(idx1, idx)
-        assert np.array_equal(d21, d2)
+        idx, d2 = index.query(queries, k)
+        counts = index.kernel_frequencies_arrays(queries, codes, starts, ends, k, beta)
+        assert max(tiles) == min(tile_rows, block, len(queries))
+        assert np.array_equal(idx, ref_idx)
+        assert d2.tobytes() == ref_d2.tobytes()
+        assert counts.tobytes() == weights.sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("n", [250, 2000])
     def test_folded_minus_two_changes_no_bit(self, n):

@@ -37,11 +37,44 @@ def _mixed_tile(rng, m, n, k):
     return d
 
 
-@pytest.mark.parametrize("m, n", [(131, 2000), (1310, 200)])
+@pytest.mark.parametrize("m, n", [(32, 2000), (327, 200)])
 def test_workload_shapes_with_tied_rows_match_lexsort(m, n):
-    # The tile shapes of a 2,000-entry and a 200-entry index with k = 100;
-    # rows that need the stable redo sit between rows that do not.
+    # The 512 KiB tile shapes of a 2,000-entry and a 200-entry index with
+    # k = 100; rows whose ties need more than the key sort sit between rows
+    # that do not.
     _assert_strict_topk(_mixed_tile(np.random.default_rng(m), m, n, 100), 100)
+
+
+def _run_tile(rng, n, k):
+    """Rows whose keys share one truncated part over a run of sorted ranks,
+    with values falling as columns rise and in shuffled columns: the run
+    crosses the cut, is longer than k, sits inside the selection or fills
+    the row; and rows of duplicated columns, whose exact ties form runs of
+    three."""
+    b = (n - 1).bit_length()
+    rows = []
+    spans = [(k - 2, k + 2), (0, k + 3), (k // 3, 2 * k // 3 + 1), (0, n)]
+    for lo, hi in spans:
+        lo, hi = max(0, lo), min(n, max(hi, lo + 1))
+        row = np.sort(rng.random(n))
+        h = int(row[lo].view(np.int64)) >> b << b
+        # 2**b values share h's truncated part; the run gets as many of
+        # them as it holds, largest first.
+        width = hi - lo
+        spread = np.linspace(0, (1 << b) - 1, width).astype(np.int64)[::-1]
+        row[lo:hi] = (h + spread).view(np.float64)
+        row[hi:] = np.maximum(row[hi:], row[lo:hi].max() * (1 + 1e-9))
+        rows.extend([row, row[rng.permutation(n)]])
+    tile = rng.random((4, -(-n // 3)))
+    rows.extend(np.repeat(tile, 3, axis=1)[:, :n])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k_of", ["one", "third", "all"])
+@pytest.mark.parametrize("n", [7, 200, 2000])
+def test_runs_across_the_cut_and_longer_than_k_match_lexsort(n, k_of):
+    k = {"one": 1, "third": n // 3, "all": n}[k_of]
+    _assert_strict_topk(_run_tile(np.random.default_rng(n), n, k), k)
 
 
 def test_one_row_with_k_plus_one_entries_at_the_cut():

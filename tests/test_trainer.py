@@ -577,8 +577,8 @@ class TestLexiconOrder:
         # Duplicates tie in distance and ties break by lexicon index, so a
         # kNN lexicon built in listing order picks other neighbours when
         # reversed; a count store fed in listing order would be unsorted.
-        # Every row ties, so each goes to top-k's full-row sort: a small
-        # base pool keeps setup short.
+        # Every row ties, so top-k repairs each row's run of ties at the
+        # cut; a small base pool keeps setup short.
         corpus = self._doubled_corpus(mode)
         config = _config(max_len=8, l0_subsample=500, density=DensityParams(k=k))
         seg = _random_segmentation(corpus)
